@@ -41,7 +41,7 @@ def run(shield: bool):
         nvidia_config(num_cores=2),
         shield=ShieldConfig(enabled=True) if shield else None)
     tracer = MemoryTracer()
-    session.gpu.attach_tracer(tracer)
+    session.gpu.observe(tracer)
 
     table = session.driver.malloc(64 * 4, name="dispatch_table")
     scratch = session.driver.malloc(64, name="scratch")

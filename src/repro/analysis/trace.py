@@ -1,12 +1,13 @@
 """Memory-access tracing: capture, summarise, export.
 
-Attach a :class:`MemoryTracer` to a GPU and every warp-level memory
-instruction is recorded after coalescing and bounds checking — the same
-vantage point the BCU has.  Useful for debugging workloads, validating
-access-pattern claims (affine vs indirect), and teaching.
+A :class:`MemoryTracer` is an :class:`~repro.gpu.observer.Observer`:
+pass it to a GPU and every warp-level memory instruction is recorded
+after coalescing and bounds checking — the same vantage point the BCU
+has.  Useful for debugging workloads, validating access-pattern claims
+(affine vs indirect), and teaching.
 
     tracer = MemoryTracer()
-    session.gpu.attach_tracer(tracer)
+    session.gpu.observe(tracer)
     session.run(...)
     print(render_summary(tracer.summarize()))
 
@@ -14,9 +15,9 @@ With ``stage_level=True`` the tracer additionally captures one
 :class:`StageEvent` per pipeline stage — coalescer segment emission,
 TLB hit level, cache hit level and the BCU decode/check outcome —
 giving the conformance oracle (:mod:`repro.oracle`) the full
-intra-access picture.  Stage capture is opt-in: with it off the
-pipelines pay a single ``tracer is None`` check per access, and the
-fast engine's inlined hot lane stays byte-for-byte untouched.
+intra-access picture.  Any attached tracer, stage-level or not, sends
+the fast engine through the reference pipeline; with no observer the
+fast engine's inlined hot lane runs untouched.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+from repro.gpu.observer import Observer
 
 #: Version of the on-disk trace wire format.  Bump on any change to the
 #: event dataclasses below; the trace-diff engine refuses to compare
@@ -123,7 +126,7 @@ def event_from_wire(wire: Dict[str, object]) -> AnyEvent:
     return StageEvent(stage=kind, **data)
 
 
-class MemoryTracer:
+class MemoryTracer(Observer):
     """Collects :class:`TraceEvent` records (bounded, drop-oldest).
 
     ``stage_level=True`` additionally collects :class:`StageEvent`
@@ -153,8 +156,8 @@ class MemoryTracer:
         self.events.append(event)
         self._stream.append(event)
 
-    def record_stage(self, **fields) -> None:
-        """Record one stage observation (called by the pipelines only
+    def on_stage(self, **fields) -> None:
+        """Record one stage observation (the pipeline emits these only
         when :attr:`stage_level` is set)."""
         if len(self.stage_events) >= self.capacity * self.STAGE_FANOUT:
             self.stage_dropped += 1
@@ -162,6 +165,16 @@ class MemoryTracer:
         event = StageEvent(**fields)
         self.stage_events.append(event)
         self._stream.append(event)
+
+    def on_access(self, pipeline, warp, job, request, result,
+                  marks) -> None:
+        self.record(TraceEvent(
+            cycle=result.cycle, core=pipeline.core_id, warp_id=warp.warp_id,
+            kernel_id=warp.launch_key, space=request.space,
+            is_store=request.is_store, lo=result.min_addr,
+            hi=result.max_addr, transactions=result.transactions,
+            active_lanes=len(request.active_lanes),
+            allowed=result.allowed))
 
     @property
     def stream(self) -> List[AnyEvent]:

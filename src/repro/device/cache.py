@@ -155,24 +155,16 @@ def release_device(device: Optional[GpuDevice]) -> None:
     if device is None:
         return
     device.close()
-    # Pool hygiene: a harness-attached tracer must not ride along into
-    # the idle pool, or the next acquirer's accesses would leak into the
-    # releaser's (still-live) trace until the acquire-time reset.
-    device.gpu.detach_tracer()
+    # Pool hygiene: no observer (tracer, race detector, profiler) may
+    # ride along into the idle pool, or the next acquirer's accesses
+    # would feed the releaser's still-live trace, shadow or profile.
+    device.gpu.observe()
     # Same contract for undrained violation records: a releaser that
     # never ``finish``-ed a faulting launch (crash path, abandoned run)
     # must not hand its violations to the pool, where an auditor reading
     # the device — or a reset regression — would attribute them to the
     # *next* tenant.  Scrubbed at release, not just at acquire-reset.
     device.shield.log.records.clear()
-    # And for race-detector shadow state: race records name both racing
-    # threads' access sites, so a detector riding into the pool would
-    # leak one tenant's access pattern to the next acquirer.
-    device.gpu.detach_race_detector()
-    # And for profilers: an attached profiler would keep attributing the
-    # next tenant's accesses (and keep the fast engine delegating to the
-    # reference pipeline — a silent slowdown on top of the leak).
-    device.gpu.detach_profiler()
     key = device._cache_key
     if key is None or not _warm:
         _stats["discards"] += 1

@@ -111,14 +111,6 @@ class ShaderCore:
     def dram(self) -> Dram:
         return self.pipeline.dram
 
-    @property
-    def tracer(self):
-        return self.pipeline.tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self.pipeline.tracer = tracer
-
     # -- execution ---------------------------------------------------------------------
 
     def run(self, assignments: List[Tuple[CoreJob, int]]) -> int:
@@ -226,12 +218,8 @@ class ShaderCore:
                         if (other.launch_key, other.wg) == key:
                             other.at_barrier = False
                             other.ready_at = cycle + 1
-                    detector = self.pipeline.race_detector
-                    if detector is not None:
-                        # Barrier release is the happens-before edge:
-                        # everything this workgroup did before is now
-                        # ordered before everything after.
-                        detector.on_barrier(key)
+                    for observer in self.pipeline.observers:
+                        observer.on_barrier(key)
                 else:
                     barrier_count[key] = arrived
                     warp.at_barrier = True

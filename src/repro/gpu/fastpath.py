@@ -440,16 +440,11 @@ class FastMemoryPipeline(MemoryPipeline):
 
     def access(self, warp: WarpState, job, request: MemRequest,
                cycle: int) -> AccessResult:
-        tracer = self.tracer
-        if ((tracer is not None and tracer.stage_level)
-                or self.race_detector is not None
-                or self.profiler is not None):
-            # Stage-level tracing wants per-stage events, the race
-            # detector wants the commit hook, and the profiler wants
-            # the per-stage breakdown plus wall marks; take the
-            # reference pipeline, which runs against this object's fast
-            # structures (bit-identical by the engine contract) and
-            # carries all three hooks.  Unhooked runs never reach here.
+        if self.observers:
+            # Observers want stage events, commit hooks and the full
+            # per-transaction breakdown: take the reference pipeline,
+            # which runs against this object's fast structures
+            # (bit-identical by the engine contract).
             return MemoryPipeline.access(self, warp, job, request, cycle)
         if request.space == "shared":
             return self._access_shared_fast(warp, job, request, cycle)
@@ -459,6 +454,7 @@ class FastMemoryPipeline(MemoryPipeline):
         is_store = request.is_store
         result.space = space
         result.is_store = is_store
+        result.cycle = cycle
         result.stall = 0
         result.allowed = True
         result.coalesced = None
@@ -673,8 +669,6 @@ class FastMemoryPipeline(MemoryPipeline):
                 dst = warp.regs[request.dst]
                 for lane in active:
                     dst[lane] = 0
-            if self.tracer is not None:
-                self._trace(warp, request, cycle, result)
             return result
 
         # Stage 5: commit (page protection + real data movement).
@@ -698,8 +692,6 @@ class FastMemoryPipeline(MemoryPipeline):
             self._fast_stores(request)
         else:
             self._fast_loads(warp, request)
-        if self.tracer is not None:
-            self._trace(warp, request, cycle, result)
         return result
 
     def _access_shared_fast(self, warp: WarpState, job,
@@ -717,6 +709,7 @@ class FastMemoryPipeline(MemoryPipeline):
         result = self._result
         result.space = "shared"
         result.is_store = request.is_store
+        result.cycle = cycle
         result.latency = self._depth
         result.stall = 0
         result.allowed = True
@@ -727,8 +720,6 @@ class FastMemoryPipeline(MemoryPipeline):
         result.check = None
         result.tlb_l1_hits = result.tlb_l2_hits = result.page_walks = 0
         result.l1_hits = result.l2_hits = result.dram_accesses = 0
-        if self.tracer is not None:
-            self._trace(warp, request, cycle, result)
         return result
 
     # -- batched lane data movement ------------------------------------------

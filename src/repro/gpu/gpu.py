@@ -22,6 +22,7 @@ from repro.gpu.cache import Cache
 from repro.gpu.core import CoreJob, ShaderCore
 from repro.gpu.dram import Dram
 from repro.gpu.executor import Executor
+from repro.gpu.observer import Observer
 from repro.gpu.tlb import Tlb
 
 if TYPE_CHECKING:  # avoid a circular import; the driver imports gpu.memory
@@ -84,8 +85,7 @@ class GPU:
                             if self.shield.enabled else None))
             for i in range(config.num_cores)
         ]
-        self._race_detector = None
-        self._profiler = None
+        self.observers: Tuple[Observer, ...] = ()
         self.stats = self._build_stats_registry()
 
     def _build_stats_registry(self):
@@ -114,58 +114,23 @@ class GPU:
             registry.register(
                 "shield.log",
                 lambda: {"violations": len(self.shield.log)})
-        # Detached, the callable yields an empty mapping, which
-        # contributes zero snapshot keys — stats digests recorded
-        # without a detector stay bit-identical.
-        registry.register(
-            "racedetect",
-            lambda: (self._race_detector.stats()
-                     if self._race_detector is not None else {}))
-        registry.register(
-            "profiler",
-            lambda: (self._profiler.stats()
-                     if self._profiler is not None else {}))
         return registry
 
-    def attach_tracer(self, tracer) -> None:
-        """Record every warp memory access into an
-        :class:`~repro.analysis.trace.MemoryTracer`."""
+    def observe(self, *observers: Observer) -> None:
+        """Replace the observer tuple; ``observe()`` detaches them all.
+
+        Every core's pipeline shares the tuple, and each observer's
+        counters are registered under its :attr:`~Observer.name`.
+        """
+        for observer in self.observers:
+            if observer.name:
+                self.stats.unregister(observer.name)
+        self.observers = observers
         for core in self.cores:
-            core.tracer = tracer
-
-    def detach_tracer(self) -> None:
-        """Drop any attached tracer (harness hygiene: a device returned
-        to the warm pool must never keep feeding a caller's trace)."""
-        self.attach_tracer(None)
-
-    def attach_race_detector(self, detector) -> None:
-        """Shadow every committed access into a
-        :class:`~repro.racedetect.detector.RaceDetector`."""
-        self._race_detector = detector
-        for core in self.cores:
-            core.pipeline.race_detector = detector
-
-    def detach_race_detector(self) -> None:
-        """Drop any attached race detector (same pool-hygiene contract
-        as :meth:`detach_tracer`: shadow state and race records must
-        never survive into another tenant's acquisition)."""
-        self.attach_race_detector(None)
-
-    def attach_profiler(self, profiler) -> None:
-        """Attribute every warp memory access into a
-        :class:`~repro.profiler.profile.Profiler`; the fast engine
-        delegates hooked accesses to the reference pipeline."""
-        self._profiler = profiler
-        for core in self.cores:
-            core.pipeline.profiler = profiler
-        if profiler is not None and not profiler.engine:
-            profiler.engine = self.engine
-
-    def detach_profiler(self) -> None:
-        """Drop any attached profiler (same pool-hygiene contract as
-        :meth:`detach_tracer`: a pooled device must never keep feeding
-        a previous tenant's profile)."""
-        self.attach_profiler(None)
+            core.pipeline.observers = observers
+        for observer in observers:
+            if observer.name:
+                self.stats.register(observer.name, observer.stats)
 
     def reset(self) -> None:
         """Scrub every micro-architectural structure back to cold state.
@@ -173,7 +138,7 @@ class GPU:
         Flushes the shared L2/L2TLB, resets DRAM channel timing, resets
         each core's private pipeline state and BCU (RCache banks, memo
         tables), re-attaches the default checker (harness tools may have
-        swapped it), detaches tracers, and zeroes every registered
+        swapped it), detaches every observer, and zeroes every registered
         statistic in place — the registry keeps its registrations so
         references bound at construction (fast engine) stay live.
         """
@@ -187,11 +152,7 @@ class GPU:
                 core.pipeline.checker = core.bcu.as_checker()
             else:
                 core.pipeline.checker = None
-            core.tracer = None
-            core.pipeline.race_detector = None
-            core.pipeline.profiler = None
-        self._race_detector = None
-        self._profiler = None
+        self.observe()
         self.stats.reset()
 
     # -- dispatch ------------------------------------------------------------------
@@ -239,11 +200,9 @@ class GPU:
         result = self._collect(per_core, aborted, error, before)
         result.divergent_branches = sum(j.executor.divergent_branches
                                         for j in jobs)
-        if self._race_detector is not None:
-            # Kernel boundaries are happens-before edges: a retired
-            # launch's shadow can be dropped — nothing races with it.
+        for observer in self.observers:
             for launch in launches:
-                self._race_detector.on_kernel_finish(launch.kernel_id)
+                observer.on_kernel_finish(launch.kernel_id)
         # Kernel termination flushes the RCaches (§5.5).  Partitioned
         # RCaches (§6.2) flush per terminating kernel so banks belonging
         # to kernels outside this dispatch survive.

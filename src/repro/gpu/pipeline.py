@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.checker import AccessChecker, AccessContext, CheckOutcome
@@ -35,6 +36,7 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.dram import Dram
 from repro.gpu.executor import MemRequest, WarpState
 from repro.gpu.memory import AddressSpace, PhysicalMemory
+from repro.gpu.observer import Observer
 from repro.gpu.tlb import Tlb
 from repro.isa.instructions import DTYPE_SIZE
 
@@ -68,6 +70,7 @@ class AccessResult:
 
     space: str
     is_store: bool
+    cycle: int = 0               # issue cycle
     latency: int = 0             # cycles until the warp's data is ready
     stall: int = 0               # issue bubbles injected by the checker
     allowed: bool = True
@@ -118,9 +121,8 @@ class MemoryPipeline:
         self.l2tlb = l2tlb
         self.dram = dram
         self.checker = checker
-        self.tracer = None   # optional MemoryTracer (analysis.trace)
-        self.race_detector = None   # optional RaceDetector (racedetect)
-        self.profiler = None   # optional Profiler (profiler.profile)
+        # Installed by GPU.observe; shared by every core of one GPU.
+        self.observers: Tuple[Observer, ...] = ()
         # (launch_key, wg) -> shared-memory scratchpad
         self._shared: Dict[Tuple[int, int], bytearray] = {}
 
@@ -130,7 +132,7 @@ class MemoryPipeline:
         Flushes the private caches/TLB (in place — the fast engine binds
         their line arrays at construction), zeroes their statistics and
         drops the shared-memory scratchpads.  The shared L2/L2TLB/DRAM
-        and the checker/tracer attachments are the device's to reset.
+        and the checker/observer attachments are the device's to reset.
         """
         for component in (self.l1d, self.const_cache, self.tex_cache,
                           self.l1tlb):
@@ -217,34 +219,26 @@ class MemoryPipeline:
         if request.space == "shared":
             return self._access_shared(warp, job, request, cycle)
 
-        # Stage-level tracing (the conformance oracle's vantage): one
-        # boolean decided per access, so the untraced path pays nothing
-        # beyond the existing tracer check in _trace.
-        tracer = self.tracer
-        stage = tracer is not None and tracer.stage_level
+        # Stage events are built only when some observer wants them.
+        stage = any(o.stage_level for o in self.observers)
+        t0 = perf_counter_ns()
 
-        # Profiling (same seam): a detached profiler costs one is-None
-        # test; attached, the pipeline brackets its stage boundaries
-        # with the profiler's clock and hands over the finished result.
-        prof = self.profiler
-        clock = prof.clock if prof is not None else None
-        t0 = clock() if clock else 0
-
-        result = AccessResult(space=request.space, is_store=request.is_store)
+        result = AccessResult(space=request.space, is_store=request.is_store,
+                              cycle=cycle)
         ca = self.coalesce(request)
         result.coalesced = ca
         result.transactions = ca.num_transactions
         result.min_addr = ca.min_addr
         result.max_addr = ca.max_addr
         if stage:
-            tracer.record_stage(
+            self.emit_stage(
                 stage="coalesce", cycle=cycle, core=self.core_id,
                 warp_id=warp.warp_id, kernel_id=warp.launch_key,
                 space=request.space, is_store=request.is_store,
                 lo=ca.min_addr, hi=ca.max_addr,
                 transactions=ca.num_transactions,
                 segments=ca.transactions, active_lanes=ca.active_lanes)
-        t_coal = clock() if clock else 0
+        t_coal = perf_counter_ns()
 
         # LSU timing per transaction (they pipeline; the slowest dominates).
         level1 = self._level1_for(request.space)
@@ -263,20 +257,20 @@ class MemoryPipeline:
                         self.config.lsu_pipeline_depth
                         + tr.latency + cr.latency)
             if stage:
-                tracer.record_stage(
+                self.emit_stage(
                     stage="translate", cycle=cycle, core=self.core_id,
                     warp_id=warp.warp_id, kernel_id=warp.launch_key,
                     space=request.space, is_store=request.is_store, tx=tx,
                     level=("l1" if tr.l1_hit
                            else "l2" if tr.l2_hit else "walk"))
-                tracer.record_stage(
+                self.emit_stage(
                     stage="cache", cycle=cycle, core=self.core_id,
                     warp_id=warp.warp_id, kernel_id=warp.launch_key,
                     space=request.space, is_store=request.is_store, tx=tx,
                     level=("l1" if cr.l1_hit
                            else "l2" if cr.l2_hit else "dram"))
         result.latency = worst + (ca.num_transactions - 1)
-        t_tim = clock() if clock else 0
+        t_tim = perf_counter_ns()
 
         # Bounds checking (overlapped with the LSU pipeline, Figure 12).
         if self.checker is not None:
@@ -288,7 +282,7 @@ class MemoryPipeline:
             # completion but overlaps the access's own latency (§5.5).
             result.latency = max(result.latency, outcome.check_latency)
             if stage:
-                tracer.record_stage(
+                self.emit_stage(
                     stage="check", cycle=cycle, core=self.core_id,
                     warp_id=warp.warp_id, kernel_id=warp.launch_key,
                     space=request.space, is_store=request.is_store,
@@ -302,50 +296,43 @@ class MemoryPipeline:
                     check_latency=outcome.check_latency,
                     stall=outcome.stall_cycles,
                     rbt_fill=outcome.rbt_fill)
-        t_chk = clock() if clock else 0
+        t_chk = perf_counter_ns()
 
-        if not result.allowed:
+        if result.allowed:
+            self.commit(warp, job, request, ca)
+            for observer in self.observers:
+                observer.on_commit(self, warp, job, request, cycle)
+        elif not request.is_store:
             # §5.5.2 logging policy: zero loads, drop stores silently.
-            if not request.is_store:
-                job.executor.deliver_load(
-                    warp, request,
-                    {lane: 0 for lane in request.active_lanes})
-            self._trace(warp, request, cycle, result)
-            if prof is not None:
-                prof.on_access(self, warp, job, request, result,
-                               (t0, t_coal, t_tim, t_chk, clock()))
-            return result
-
-        self.commit(warp, job, request, ca)
-        # Race shadowing sees only committed accesses: a blocked access
-        # has no architectural effect, so it cannot race.
-        detector = self.race_detector
-        if detector is not None:
-            detector.on_access(self, warp, job, request, cycle)
-        self._trace(warp, request, cycle, result)
-        if prof is not None:
-            prof.on_access(self, warp, job, request, result,
-                           (t0, t_coal, t_tim, t_chk, clock()))
+            job.executor.deliver_load(
+                warp, request, {lane: 0 for lane in request.active_lanes})
+        marks = (t0, t_coal, t_tim, t_chk, perf_counter_ns())
+        for observer in self.observers:
+            observer.on_access(self, warp, job, request, result, marks)
         return result
 
     def _access_shared(self, warp: WarpState, job, request: MemRequest,
                        cycle: int) -> AccessResult:
-        prof = self.profiler
-        t0 = prof.clock() if prof is not None else 0
+        t0 = perf_counter_ns()
         self.do_shared(warp, job, request)
-        detector = self.race_detector
-        if detector is not None:
-            detector.on_access(self, warp, job, request, cycle)
+        for observer in self.observers:
+            observer.on_commit(self, warp, job, request, cycle)
         offs = [a for a in request.lane_addrs if a is not None]
         result = AccessResult(space="shared", is_store=request.is_store,
+                              cycle=cycle,
                               latency=self.config.lsu_pipeline_depth,
                               transactions=1, min_addr=min(offs),
                               max_addr=max(offs))
-        self._trace(warp, request, cycle, result)
-        if prof is not None:
-            prof.on_access(self, warp, job, request, result,
-                           (t0, t0, t0, t0, prof.clock()))
+        marks = (t0, t0, t0, t0, perf_counter_ns())
+        for observer in self.observers:
+            observer.on_access(self, warp, job, request, result, marks)
         return result
+
+    def emit_stage(self, **fields) -> None:
+        """Hand one stage event to every stage-level observer."""
+        for observer in self.observers:
+            if observer.stage_level:
+                observer.on_stage(**fields)
 
     # -- stage 5: functional commit ----------------------------------------------------
 
@@ -434,7 +421,7 @@ class MemoryPipeline:
                     values[lane] = int.from_bytes(blob, "little")
             job.executor.deliver_load(warp, request, values)
 
-    # -- tracing -----------------------------------------------------------------------
+    # -- stage events ------------------------------------------------------------------
 
     @staticmethod
     def _decode_level(request: MemRequest, job) -> str:
@@ -445,16 +432,3 @@ class MemoryPipeline:
             return "off"
         from repro.core.pointer import decode
         return decode(request.base_pointer).ptype.name.lower()
-
-    def _trace(self, warp: WarpState, request: MemRequest, cycle: int,
-               result: AccessResult) -> None:
-        if self.tracer is None:
-            return
-        from repro.analysis.trace import TraceEvent
-        self.tracer.record(TraceEvent(
-            cycle=cycle, core=self.core_id, warp_id=warp.warp_id,
-            kernel_id=warp.launch_key, space=request.space,
-            is_store=request.is_store, lo=result.min_addr,
-            hi=result.max_addr, transactions=result.transactions,
-            active_lanes=len(request.active_lanes),
-            allowed=result.allowed))

@@ -205,7 +205,7 @@ def capture(subject: str, *, engine: str = "",
         tracer = MemoryTracer(capacity=CAPTURE_CAPACITY,
                               stage_level=stage_level)
         gpu = runner.session.gpu
-        gpu.attach_tracer(tracer)
+        gpu.observe(tracer)
         try:
             with injected_coalescer_fault(gpu, fault):
                 record = runner.run()
@@ -213,7 +213,6 @@ def capture(subject: str, *, engine: str = "",
             violations = [asdict(v) for v in runner.last_violations]
             line_size = runner.config.line_size
         finally:
-            gpu.detach_tracer()
             runner.close()
     if tracer.dropped or tracer.stage_dropped:
         raise RuntimeError(

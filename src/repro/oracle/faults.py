@@ -10,8 +10,9 @@ coalesce stage event (and the fault-localisation test asserts it
 does).
 
 Injection wraps ``pipeline.coalesce`` per core, which both engines
-funnel through when stage-level tracing is on (the fast lane delegates
-to the reference pipeline for traced accesses).  The wrapper is an
+funnel through while any observer is attached (the fast lane delegates
+to the reference pipeline whenever ``pipeline.observers`` is
+non-empty, and the oracle always attaches its tracer).  The wrapper is an
 instance-attribute shadow and is always removed on exit, so a warm
 device never returns to the pool carrying a fault.
 """

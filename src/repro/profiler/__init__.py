@@ -1,6 +1,6 @@
 """Hierarchical performance profiler + the perf-regression gate.
 
-``profile`` holds the attachable :class:`Profiler` hook and the
+``profile`` holds the :class:`Profiler` observer and the
 mergeable :class:`ProfileSnapshot`; ``collect`` runs subjects with the
 profiler attached and reconciles the attribution against the stats
 registry; ``report`` renders flame JSON and the text top-N; ``runner``

@@ -157,8 +157,9 @@ def profile_workload(workload: Workload, *,
                             config_name="profile", seed=seed,
                             allow_violations=allow_violations)
     try:
-        profiler = Profiler()
-        runner.session.gpu.attach_profiler(profiler)
+        gpu = runner.session.gpu
+        profiler = Profiler(engine=gpu.engine)
+        gpu.observe(profiler)
         record = runner.run()
         # Read both sides *before* close(): releasing the device
         # detaches the profiler (pool hygiene) and may reset stats.

@@ -2,14 +2,12 @@
 
 The profiler answers the question BENCH records cannot: *where inside
 the coalesce -> translate -> cache -> check -> commit pipeline do the
-cycles (and the host's wall-time) go?*  It rides the same optional-hook
-seam as the stage tracer and race detector — an object assigned to
-``MemoryPipeline.profiler`` whose :meth:`Profiler.on_access` is called
-once per warp memory instruction with the finished
-:class:`~repro.gpu.pipeline.AccessResult` — so a detached profiler
-costs one ``is None`` test per access on the reference path and nothing
-on the fast lane, and every digest recorded without one stays
-bit-identical.
+cycles (and the host's wall-time) go?*  It is an
+:class:`~repro.gpu.observer.Observer`, like the stage tracer and race
+detector: :meth:`Profiler.on_access` is called once per warp memory
+instruction with the finished :class:`~repro.gpu.pipeline.AccessResult`.
+A detached profiler costs nothing, and every digest recorded without
+one stays bit-identical.
 
 **Cycle attribution** is derived post-hoc from the ``AccessResult``,
 never measured separately, so it reconciles *exactly* with the stats
@@ -36,7 +34,7 @@ L2 hit, and ``rbt_fill`` a bounds-table fetch.  (When an ablation sets
 timing alone; attribution follows the BCU's L1-first lookup order.)
 
 **Wall-time** is telemetry, not part of the canonical counters: the
-pipeline brackets its stage boundaries with the profiler's clock and
+pipeline brackets its stage boundaries with ``perf_counter_ns`` and
 the nanoseconds land in a separate ``wall_ns`` mapping that merges by
 summation but never enters digests or equality of the canonical side.
 
@@ -51,10 +49,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from typing import Dict, Iterable, Mapping, Optional
 
 from repro.analysis.stats import StatsSnapshot, merge_snapshots
+from repro.gpu.observer import Observer
 
 PROFILE_SCHEMA = 1
 
@@ -226,31 +224,31 @@ _COUNTER_KEYS = {name: name.replace("_", ".", 1)
 _WALL_KEYS = {f"wall_{s}_ns": f"{s}.wall_ns" for s in WALL_STAGES}
 
 
-class Profiler:
-    """The attachable hook: accumulates per-core stage attribution.
+class Profiler(Observer):
+    """The profiling observer: accumulates per-core stage attribution.
 
-    Attach via :meth:`repro.gpu.gpu.GPU.attach_profiler`; the GPU stamps
-    :attr:`engine` with its engine label.  ``clock`` defaults to
-    :func:`time.perf_counter_ns` and is only consulted while attached.
+    Attach via :meth:`repro.gpu.gpu.GPU.observe`; ``engine`` is the
+    label stamped into every snapshot (pass the GPU's ``engine``).
     """
 
-    def __init__(self, clock=time.perf_counter_ns):
-        self.clock = clock
-        self.engine = ""
+    name = "profiler"
+
+    def __init__(self, engine: str = ""):
+        self.engine = engine
         self._cores: Dict[int, _CoreProfile] = {}
 
     def reset(self) -> None:
         self._cores.clear()
 
-    # -- the pipeline hook ---------------------------------------------
+    # -- the observer hook ---------------------------------------------
 
     def on_access(self, pipeline, warp, job, request, result,
                   marks) -> None:
         """Attribute one finished access (called at every pipeline exit).
 
-        ``marks`` are the five clock readings the pipeline took at its
-        stage boundaries: (start, after-coalesce, after-timing-loop,
-        after-check, end).
+        ``marks`` are the five ``perf_counter_ns`` readings the pipeline
+        took at its stage boundaries: (start, after-coalesce,
+        after-timing-loop, after-check, end).
         """
         core = self._cores.get(pipeline.core_id)
         if core is None:
@@ -347,12 +345,9 @@ class Profiler:
     # -- export --------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Flat canonical counters for the GPU stats registry.
-
-        Registered under ``profiler`` the same way the race detector's
-        counters are: a detached profiler contributes nothing, so stats
-        digests recorded without one stay bit-identical.
-        """
+        """Flat canonical counters, registered under ``profiler`` while
+        observed: a detached profiler contributes nothing, so stats
+        digests recorded without one stay bit-identical."""
         out: Dict[str, int] = {}
         for cid in sorted(self._cores):
             core = self._cores[cid]

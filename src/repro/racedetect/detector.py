@@ -1,8 +1,8 @@
 """The dynamic intra-kernel data-race detector.
 
-A :class:`RaceDetector` attaches to a :class:`~repro.gpu.gpu.GPU` (via
-``gpu.attach_race_detector``) and shadows every *committed* warp memory
-access at byte granularity.  Shadow state records, per byte, the last
+A :class:`RaceDetector` is an :class:`~repro.gpu.observer.Observer`
+(attach it with ``gpu.observe(detector)``) that shadows every
+*committed* warp memory access at byte granularity.  Shadow state records, per byte, the last
 write :class:`Site` and the latest read per thread since that write;
 each new access is compared against the recorded sites under the
 happens-before relation the hardware actually provides:
@@ -30,9 +30,9 @@ Conflicts are reported as :class:`RaceRecord` rows — kinds ``ww``
 (write-after-write), ``rw`` (write racing an earlier read) and ``wr``
 (read racing an earlier write) — deduplicated per (launch, space,
 site-pair, kind) with exact first/second attribution, surfaced through
-the GPU stats registry (``racedetect.*`` counters) and, when a
-stage-level tracer is attached, as ``stage="race"`` events in the
-oracle's trace stream.
+the GPU stats registry (``racedetect.*`` counters) and, through the
+pipeline's stage-emit path, as ``stage="race"`` events for any
+stage-level observer (the oracle's trace stream).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.gpu.observer import Observer
 from repro.isa.instructions import DTYPE_SIZE
 
 #: Retained RaceRecord rows; beyond this only the counters grow.  The
@@ -112,8 +113,10 @@ def _concurrent(a: Site, b: Site) -> bool:
     return True
 
 
-class RaceDetector:
+class RaceDetector(Observer):
     """Byte-granular shadow-memory race detector for one device."""
+
+    name = "racedetect"
 
     def __init__(self, record_cap: int = RECORD_CAP):
         self.record_cap = record_cap
@@ -128,9 +131,9 @@ class RaceDetector:
         self._accesses = 0
         self._bytes = 0
 
-    # -- hooks (called by the GPU layer) -----------------------------------
+    # -- observer hooks ----------------------------------------------------
 
-    def on_access(self, pipeline, warp, job, request, cycle: int) -> None:
+    def on_commit(self, pipeline, warp, job, request, cycle: int) -> None:
         """Shadow one committed warp memory access (all active lanes)."""
         launch_key = warp.launch_key
         wg = warp.wg
@@ -210,17 +213,14 @@ class RaceDetector:
             self.records.append(RaceRecord(
                 launch_key=launch_key, space=space, addr=addr, kind=kind,
                 first=first, second=second))
-        tracer = pipeline.tracer
-        if tracer is not None and tracer.stage_level:
-            # Ride the oracle's stage stream: the structural invariant
-            # skips stage=="race" rows, and the trace differ compares
-            # them across engines like any other event.
-            tracer.record_stage(
-                stage="race", cycle=cycle, core=pipeline.core_id,
-                warp_id=warp.warp_id, kernel_id=launch_key, space=space,
-                is_store=second.is_store, tx=addr, lo=addr, hi=addr,
-                level=kind,
-                reason=f"{first.label()}|{second.label()}")
+        # Ride the oracle's stage stream: the structural invariant skips
+        # stage=="race" rows, and the trace differ compares them across
+        # engines like any other event.
+        pipeline.emit_stage(
+            stage="race", cycle=cycle, core=pipeline.core_id,
+            warp_id=warp.warp_id, kernel_id=launch_key, space=space,
+            is_store=second.is_store, tx=addr, lo=addr, hi=addr,
+            level=kind, reason=f"{first.label()}|{second.label()}")
 
     # -- results -----------------------------------------------------------
 

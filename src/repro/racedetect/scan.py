@@ -105,7 +105,7 @@ def scan_workload(workload: Workload, *,
                             config_name="racescan", seed=seed,
                             allow_violations=allow_violations)
     try:
-        runner.session.gpu.attach_race_detector(detector)
+        runner.session.gpu.observe(detector)
         runner.run()
         # Read the detector *before* close(): releasing the device
         # detaches and the warm pool must never see tenant shadow state.

@@ -387,66 +387,101 @@ class TestHarnessSeedPlumbing:
             runner.close()
 
 
-class TestWarmPoolTracerHygiene:
-    """``release_device`` must strip any tracer the harness attached:
-    a pooled device with a stale tracer would silently append the next
-    (unrelated) run's events to the old owner's stream."""
+def _tracer():
+    from repro.analysis.trace import MemoryTracer
+    return MemoryTracer()
 
-    def test_release_detaches_tracer(self):
-        from repro.analysis.trace import MemoryTracer
-        device = acquire_device(nvidia_config(num_cores=2), None, seed=3)
-        device.gpu.attach_tracer(MemoryTracer())
-        assert all(core.tracer is not None for core in device.gpu.cores)
-        release_device(device)
-        assert all(core.tracer is None for core in device.gpu.cores)
 
-    def test_pooled_device_never_leaks_into_old_stream(self):
-        from repro.analysis.trace import MemoryTracer
+def _detector():
+    from repro.racedetect.detector import RaceDetector
+    return RaceDetector()
+
+
+def _profiler():
+    from repro.profiler import Profiler
+    return Profiler()
+
+
+def _observed(observer):
+    """Everything an observer has recorded so far."""
+    return (list(getattr(observer, "stream", ())),
+            {k: v for k, v in observer.stats().items() if v})
+
+
+def _unobserved(gpu):
+    return gpu.observers == () and all(core.pipeline.observers == ()
+                                       for core in gpu.cores)
+
+
+@pytest.mark.parametrize("make_observer",
+                         [_tracer, _detector, _profiler],
+                         ids=["tracer", "racedetect", "profiler"])
+class TestWarmPoolObserverHygiene:
+    """No observer may ride into the idle pool: a stale tracer would
+    append the next owner's events to the old stream, a stale race
+    detector would shadow (and blame old sites for) the next owner's
+    accesses, a stale profiler would keep attributing them — and any of
+    them keeps the fast engine on the reference path."""
+
+    def test_release_detaches_observer(self, make_observer):
         cfg = nvidia_config(num_cores=2)
-        first = acquire_device(cfg, None, seed=3)
-        tracer = MemoryTracer()
-        first.gpu.attach_tracer(tracer)
-        release_device(first)
-        second = acquire_device(cfg, None, seed=3)
-        assert second is first          # same pooled object
-        _run_vecadd(second)
-        assert len(tracer) == 0
-        release_device(second)
+        with warm_devices(True):
+            device = acquire_device(cfg, None, seed=3)
+            observer = make_observer()
+            device.gpu.observe(observer)
+            assert all(core.pipeline.observers == (observer,)
+                       for core in device.gpu.cores)
+            release_device(device)
+            assert _unobserved(device.gpu)
+            again = acquire_device(cfg, None, seed=3)
+            assert again is device          # same pooled object
+            assert _unobserved(again.gpu)
+            release_device(again)
 
-
-class TestWarmPoolRaceDetectorHygiene:
-    """``release_device`` must strip any race detector a scan attached:
-    a pooled device with live shadow memory would keep recording (and
-    would blame the previous tenant's sites for) the next owner's
-    accesses — and the stale shadow words themselves are another
-    tenant's access pattern."""
-
-    def test_release_detaches_race_detector(self):
-        from repro.racedetect.detector import RaceDetector
+    def test_gpu_reset_detaches_observer(self, make_observer):
         device = acquire_device(nvidia_config(num_cores=2), None, seed=3)
-        device.gpu.attach_race_detector(RaceDetector())
-        assert all(core.pipeline.race_detector is not None
-                   for core in device.gpu.cores)
-        release_device(device)
-        assert all(core.pipeline.race_detector is None
-                   for core in device.gpu.cores)
+        try:
+            device.gpu.observe(make_observer())
+            device.gpu.reset()
+            assert _unobserved(device.gpu)
+        finally:
+            release_device(device)
 
-    def test_pooled_device_never_leaks_shadow_state(self):
-        from repro.racedetect.detector import RaceDetector
+    def test_old_observer_sees_nothing_of_next_owner(self, make_observer):
         cfg = nvidia_config(num_cores=2)
-        first = acquire_device(cfg, None, seed=3)
-        detector = RaceDetector()
-        first.gpu.attach_race_detector(detector)
-        _run_vecadd(first)
-        assert detector.stats()["accesses"] > 0
-        baseline = detector.stats()
-        release_device(first)
-        second = acquire_device(cfg, None, seed=3)
-        assert second is first          # same pooled object
-        _run_vecadd(second)
-        # The detached detector saw nothing from the new owner.
-        assert detector.stats() == baseline
-        release_device(second)
+        with warm_devices(True):
+            first = acquire_device(cfg, None, seed=3)
+            observer = make_observer()
+            first.gpu.observe(observer)
+            _run_vecadd(first)
+            baseline = _observed(observer)
+            assert baseline != ([], {})     # it did watch its own run
+            release_device(first)
+            second = acquire_device(cfg, None, seed=3)
+            assert second is first
+            _run_vecadd(second)
+            assert _observed(observer) == baseline
+            release_device(second)
+
+    def test_observe_twice_leaves_no_stats(self, make_observer):
+        def observer_keys():
+            return [k for k in device.stats.snapshot().as_dict()
+                    if k.startswith(("racedetect.", "profiler."))]
+
+        device = acquire_device(nvidia_config(num_cores=2), None, seed=3)
+        try:
+            observer = make_observer()
+            device.gpu.observe(observer)
+            _run_vecadd(device)
+            assert bool(observer_keys()) == bool(observer.name)
+            device.gpu.observe()
+            device.gpu.observe()
+            assert not observer_keys()
+        finally:
+            release_device(device)
+
+
+class TestWarmPoolViolationHygiene:
     """``release_device`` must scrub undrained violation records: the
     driver's ``finish`` drains the *whole* shield log, so records a
     previous owner executed but never collected would be attributed to

@@ -308,10 +308,79 @@ class TestTracerParity:
         assert slow.wire_events() == fast.wire_events()
 
     def test_access_only_streams_identical(self):
-        # stage_level=False keeps the fast lane on its inlined path; the
-        # access-event stream must still match the reference exactly.
+        # A plain (access-only) tracer is an observer too, so the fast
+        # engine delegates to the reference pipeline; both engines'
+        # access-event streams must match exactly.
         from repro.oracle import capture
         slow = capture("fuzz:9", engine="slow", stage_level=False)
         fast = capture("fuzz:9", engine="fast", stage_level=False)
         assert slow.wire_events() == fast.wire_events()
         assert slow.content_hash() == fast.content_hash()
+
+
+# ---------------------------------------------------------------------------
+# Delegation rule: the fast lane leaves its inlined path iff observed
+# ---------------------------------------------------------------------------
+
+
+def _observer_kinds():
+    from repro.analysis.trace import MemoryTracer
+    from repro.gpu.observer import Observer
+    from repro.profiler import Profiler
+    from repro.racedetect.detector import RaceDetector
+    return {
+        "base": Observer,
+        "tracer": MemoryTracer,
+        "stage_tracer": lambda: MemoryTracer(stage_level=True),
+        "racedetect": RaceDetector,
+        "profiler": Profiler,
+    }
+
+
+class TestDelegationRule:
+    """With no observer the fast engine must never enter the reference
+    ``MemoryPipeline.access`` (or every run would silently pay the
+    reference cost); with any one observer every global-space access
+    must go through it, so the observer sees all of them."""
+
+    def _run_vecadd(self, monkeypatch, *observers):
+        from repro import GpuSession, nvidia_config
+        from repro.gpu.pipeline import MemoryPipeline
+        from tests.conftest import build_vecadd
+        spaces = []
+        reference = MemoryPipeline.access
+
+        def spy(pipeline, warp, job, request, cycle):
+            spaces.append(request.space)
+            return reference(pipeline, warp, job, request, cycle)
+
+        monkeypatch.setattr(MemoryPipeline, "access", spy)
+        with engine("fast"):
+            session = GpuSession(nvidia_config(num_cores=2))
+            session.gpu.observe(*observers)
+            n = 128
+            bufs = {name: session.driver.malloc(n * 4) for name in "abc"}
+            result, _ = session.run(build_vecadd(), dict(bufs, n=n), 2, 64)
+        assert result.mem_instructions == 12
+        return spaces, result
+
+    def test_unobserved_run_never_enters_the_reference_pipeline(
+            self, monkeypatch):
+        spaces, _ = self._run_vecadd(monkeypatch)
+        assert spaces == []
+
+    @pytest.mark.parametrize("kind", ["base", "tracer", "stage_tracer",
+                                      "racedetect", "profiler"])
+    def test_any_observer_sees_every_global_access(self, monkeypatch, kind):
+        observer = _observer_kinds()[kind]()
+        seen = []
+        hook = observer.on_access
+
+        def counting(pipeline, warp, job, request, result, marks):
+            seen.append(request.space)
+            hook(pipeline, warp, job, request, result, marks)
+
+        observer.on_access = counting
+        spaces, result = self._run_vecadd(monkeypatch, observer)
+        assert spaces == ["global"] * result.mem_instructions
+        assert seen == spaces

@@ -27,13 +27,12 @@ def _capture_workload(workload, engine_name, stage_level=True):
                                 config_name="oracle", seed=5,
                                 allow_violations=True)
         tracer = MemoryTracer(capacity=500_000, stage_level=stage_level)
-        runner.session.gpu.attach_tracer(tracer)
+        runner.session.gpu.observe(tracer)
         try:
             record = runner.run()
             snap = runner.session.stats.snapshot()
             violations = [asdict(v) for v in runner.last_violations]
         finally:
-            runner.session.gpu.detach_tracer()
             runner.close()
     assert not tracer.dropped and not tracer.stage_dropped
     return CapturedTrace(

@@ -107,7 +107,7 @@ class TestHookSeam:
                                 seed=11)
         try:
             profiler = Profiler()
-            runner.session.gpu.attach_profiler(profiler)
+            runner.session.gpu.observe(profiler)
             runner.run()
             snap = runner.session.stats.snapshot()
             keys = [k for k in snap.as_dict()

@@ -1,18 +1,15 @@
-"""Profiler-off digest regression + warm-pool hygiene.
+"""Profiler-off digest regression.
 
-The profiler rides an optional hook: detached, every golden trace and
+The profiler is an optional observer: detached, every golden trace and
 every stats digest recorded before this subsystem existed must stay
-byte-identical.  And a device returned to the warm pool must never keep
-a tenant's profiler attached.
+byte-identical.  (Warm-pool hygiene for every observer kind, the
+profiler included, lives in ``tests/test_device.py``.)
 """
 
-from repro.device import acquire_device, release_device, warm_devices
 from repro.engine import ENGINES, engine
-from repro.gpu.config import nvidia_config
 from repro.oracle.golden import (GOLDEN_SUBJECTS, default_golden_root,
                                  golden_filename, load_manifest,
                                  record_golden, verify_golden)
-from repro.profiler import Profiler
 
 
 class TestGoldenDigestsWithProfilerDetached:
@@ -40,52 +37,3 @@ class TestGoldenDigestsWithProfilerDetached:
                 for subject in GOLDEN_SUBJECTS[:2]:
                     result = verify_golden(subject)
                     assert result.ok, result.describe()
-
-
-class TestPoolHygiene:
-    def _acquire(self):
-        return acquire_device(nvidia_config(num_cores=1), seed=7)
-
-    def test_release_detaches_profiler(self):
-        with warm_devices(True):
-            device = self._acquire()
-            profiler = Profiler()
-            device.gpu.attach_profiler(profiler)
-            assert device.gpu.cores[0].pipeline.profiler is profiler
-            release_device(device)
-            assert device.gpu._profiler is None
-            assert all(core.pipeline.profiler is None
-                       for core in device.gpu.cores)
-            # The next acquisition gets a hook-free device.
-            again = self._acquire()
-            try:
-                assert again.gpu._profiler is None
-                assert all(core.pipeline.profiler is None
-                           for core in again.gpu.cores)
-            finally:
-                release_device(again)
-
-    def test_gpu_reset_detaches_profiler(self):
-        device = self._acquire()
-        try:
-            device.gpu.attach_profiler(Profiler())
-            device.gpu.reset()
-            assert device.gpu._profiler is None
-            assert all(core.pipeline.profiler is None
-                       for core in device.gpu.cores)
-        finally:
-            release_device(device)
-
-    def test_detach_is_idempotent_and_stats_go_quiet(self):
-        device = self._acquire()
-        try:
-            gpu = device.gpu
-            profiler = Profiler()
-            gpu.attach_profiler(profiler)
-            gpu.detach_profiler()
-            gpu.detach_profiler()
-            snap = gpu.stats.snapshot()
-            assert not [k for k in snap.as_dict()
-                        if k.startswith("profiler.")]
-        finally:
-            release_device(device)

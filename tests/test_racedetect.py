@@ -159,7 +159,7 @@ def _run_detector(entry, engine_name=""):
     try:
         session = GpuSession(nvidia_config(num_cores=2), seed=5)
         detector = RaceDetector()
-        session.gpu.attach_race_detector(detector)
+        session.gpu.observe(detector)
         args = {}
         for name, nbytes in buffers.items():
             va = session.driver.malloc(nbytes, name=name)
@@ -362,8 +362,7 @@ class TestOracleIntegration:
         session = GpuSession(nvidia_config(num_cores=2), seed=5)
         tracer = MemoryTracer(stage_level=True)
         detector = RaceDetector()
-        session.gpu.attach_tracer(tracer)
-        session.gpu.attach_race_detector(detector)
+        session.gpu.observe(tracer, detector)
         _, factory, buffers, scalars, _, _ = entry
         args = {}
         for name, nbytes in buffers.items():

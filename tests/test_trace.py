@@ -11,7 +11,7 @@ def traced_session(shield=False):
         nvidia_config(num_cores=2),
         shield=ShieldConfig(enabled=True) if shield else None)
     tracer = MemoryTracer()
-    session.gpu.attach_tracer(tracer)
+    session.gpu.observe(tracer)
     return session, tracer
 
 
@@ -107,7 +107,7 @@ class TestStageLevelExport:
         session = GpuSession(nvidia_config(num_cores=2),
                              shield=ShieldConfig(enabled=True))
         tracer = MemoryTracer(stage_level=True)
-        session.gpu.attach_tracer(tracer)
+        session.gpu.observe(tracer)
         n = 128
         a = session.driver.malloc(n * 4)
         b = session.driver.malloc(n * 4)
