@@ -220,9 +220,13 @@ class GPU:
     def _make_job(self, launch: LaunchContext) -> CoreJob:
         if self.engine == "fast":
             from repro.gpu.fastpath import FastExecutor
+            # Issue bursts are exact only while a retired ALU op leaves
+            # its warp ready on the next cycle (DESIGN.md §9).
             executor_cls = FastExecutor
+            options = {"fuse": self.config.alu_latency <= 1}
         else:
             executor_cls = Executor
+            options = {}
         executor = executor_cls(
             kernel=launch.kernel,
             workgroups=launch.workgroups,
@@ -232,6 +236,7 @@ class GPU:
             heap=self.driver.heap,
             heap_tagger=launch.heap_pointer_tagger,
             launch_key=launch.kernel_id,
+            **options,
         )
         return CoreJob(executor=executor, launch=launch)
 
