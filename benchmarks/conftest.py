@@ -3,8 +3,8 @@
 Every bench regenerates one table or figure of the paper, prints the
 rows/series, and persists a machine-readable record under
 ``benchmarks/results/`` (via :func:`repro.analysis.bench.
-write_result_record`) so EXPERIMENTS.md numbers can be traced to a run
-and ``python -m repro bench`` can collect them into ``BENCH_runner.json``.
+write_result_record`), the same envelope ``python -m repro bench``
+writes, so EXPERIMENTS.md numbers can be traced to a run.
 
 Scale knobs (environment):
 

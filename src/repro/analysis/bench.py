@@ -10,9 +10,10 @@ the serial ``figures.*`` functions return.
 Every artefact also lands as a **machine-readable result record** under
 ``benchmarks/results/`` (see :func:`write_result_record`: an envelope
 with the generating config, headline metrics like cycles/overhead %,
-and the raw series), and the driver collects the run into a top-level
-``BENCH_runner.json`` recording serial vs ``--jobs N`` wall-clock and
-fuzz-campaign cases/sec — the seed of the perf trajectory.
+and the raw series).  Besides regeneration the driver runs two
+differentials — slow vs fast engine (``--compare-engines``) and the
+serving layer (``--service``).  Host timing is not its job: ``bench/``
+measures that in fresh processes.
 """
 
 from __future__ import annotations
@@ -110,24 +111,6 @@ def default_record_config() -> dict:
                    if os.environ.get("REPRO_SUBSET") else None),
         "cpu_count": os.cpu_count(),
     }
-
-
-def collect_results(results_dir: str) -> Dict[str, dict]:
-    """Read every JSON result record under ``results_dir``."""
-    out: Dict[str, dict] = {}
-    if not os.path.isdir(results_dir):
-        return out
-    for entry in sorted(os.listdir(results_dir)):
-        if not entry.endswith(".json"):
-            continue
-        with open(os.path.join(results_dir, entry)) as fh:
-            try:
-                record = json.load(fh)
-            except json.JSONDecodeError:
-                continue
-        name = entry[:-len(".json")]
-        out[name] = record
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,63 +376,6 @@ def run_bench_suite(artifacts: Optional[Sequence[str]] = None, *,
 
 
 # ---------------------------------------------------------------------------
-# Fuzz-campaign throughput (the cases/sec record in BENCH_runner.json)
-# ---------------------------------------------------------------------------
-
-
-def measure_fuzz_throughput(cases: int, seed: int, jobs: int,
-                            determinism_every: int = 25) -> dict:
-    """Time the same campaign serially and via the runner.
-
-    Also cross-checks that the parallel detection matrix (and the full
-    per-case outcome digest) is identical to the serial run — the
-    equivalence the runner promises.
-    """
-    from repro.fuzz.campaign import run_campaign
-    from repro.fuzz.generator import CaseGenerator
-    from repro.fuzz.parallel import (campaign_digest, merge_campaign,
-                                     plan_fuzz_shards)
-    from repro.gpu.config import nvidia_config
-    from repro.runner import run_jobs
-
-    specs = CaseGenerator(seed).draw_many(cases)
-
-    started = time.monotonic()
-    serial = run_campaign(specs, seed=seed,
-                          config=nvidia_config(num_cores=1),
-                          determinism_every=determinism_every)
-    serial_wall = time.monotonic() - started
-
-    plan = plan_fuzz_shards(specs, seed=seed, jobs=jobs,
-                            determinism_every=determinism_every)
-    started = time.monotonic()
-    report = run_jobs(plan, jobs=jobs, run_name=f"bench-fuzz-seed{seed}")
-    parallel = merge_campaign([report.results[s.job_id] for s in plan],
-                              seed=seed)
-    parallel_wall = time.monotonic() - started
-
-    return {
-        "cases": cases,
-        "seed": seed,
-        "serial": {
-            "wall_seconds": round(serial_wall, 3),
-            "cases_per_sec": round(cases / serial_wall, 2),
-        },
-        "parallel": {
-            "jobs": jobs,
-            "shards": len(plan),
-            "wall_seconds": round(parallel_wall, 3),
-            "cases_per_sec": round(cases / parallel_wall, 2),
-        },
-        "speedup": round(serial_wall / parallel_wall, 3),
-        "matrix_identical": serial.matrix() == parallel.matrix(),
-        "digest_identical":
-            campaign_digest(serial) == campaign_digest(parallel),
-        "expectation_failures": len(serial.failures),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Engine differential: slow vs fast, bit-identical by construction
 # ---------------------------------------------------------------------------
 
@@ -474,8 +400,8 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
     corpus under each engine and comparing digests of everything each
     produces ({text, data, metrics} per artefact; the full per-case
     outcome digest, which covers cycle counts, for the campaign) — and
-    records the wall-clock speedup the fast lane buys into
-    ``BENCH_hotpath.json``.
+    records the digest table in ``BENCH_hotpath.json``.  Host time is
+    ``bench/``'s to measure, not this check's.
     """
     from repro.engine import ENGINES, engine
     from repro.fuzz.campaign import run_campaign
@@ -491,25 +417,18 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
     for leg in ENGINES:
         with engine(leg):
             finals: Dict[str, dict] = {}
-            started = time.monotonic()
             # Only the fast leg (the process default) leaves records in
-            # results_dir; the slow leg is measurement-only.
+            # results_dir; the slow leg only contributes digests.
             run_bench_suite(artifacts, jobs=jobs, subset=subset,
                             seed=seed, results_dir=results_dir,
                             write_records=(leg == "fast"),
                             capture_finals=finals)
-            sweep_wall = time.monotonic() - started
             fuzz_digest = None
-            fuzz_wall = 0.0
             if specs:
-                started = time.monotonic()
                 campaign = run_campaign(specs, seed=fuzz_seed,
                                         config=nvidia_config(num_cores=1))
-                fuzz_wall = time.monotonic() - started
                 fuzz_digest = campaign_digest(campaign)
             legs[leg] = {
-                "wall_seconds": round(sweep_wall, 3),
-                "fuzz_wall_seconds": round(fuzz_wall, 3),
                 "digests": {a: _digest_payload(finals[a]) for a in finals},
                 "fuzz_digest": fuzz_digest,
             }
@@ -519,9 +438,6 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
                         if slow["digests"][a] != fast["digests"][a])
     fuzz_identical = slow["fuzz_digest"] == fast["fuzz_digest"]
     identical = not mismatches and fuzz_identical
-    slow_total = slow["wall_seconds"] + slow["fuzz_wall_seconds"]
-    fast_total = fast["wall_seconds"] + fast["fuzz_wall_seconds"]
-    speedup = round(slow_total / fast_total, 3) if fast_total else None
 
     lines = [f"Engine differential: {len(artifacts)} artefact(s) + "
              f"{len(specs)} fuzz case(s) (seed {fuzz_seed}), "
@@ -537,20 +453,13 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
                      f"{str(fast['fuzz_digest']):<18} "
                      f"{'yes' if fuzz_identical else 'NO'}")
     lines.append("")
-    lines.append(f"slow: {slow_total:.1f}s "
-                 f"(sweeps {slow['wall_seconds']}s, "
-                 f"fuzz {slow['fuzz_wall_seconds']}s)")
-    lines.append(f"fast: {fast_total:.1f}s "
-                 f"(sweeps {fast['wall_seconds']}s, "
-                 f"fuzz {fast['fuzz_wall_seconds']}s)")
-    lines.append(f"speedup: {speedup}x, digests identical: {identical}")
+    lines.append(f"digests identical: {identical}")
     text = "\n".join(lines)
 
     result = {
         "identical": identical,
         "mismatches": mismatches,
         "fuzz_identical": fuzz_identical,
-        "speedup": speedup,
         "legs": legs,
         "text": text,
     }
@@ -562,194 +471,7 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
         data={"artifacts": artifacts, "legs": legs,
               "mismatches": mismatches},
         config=config,
-        metrics={"speedup": speedup,
-                 "digests_identical": identical,
-                 "slow_wall_seconds": round(slow_total, 3),
-                 "fast_wall_seconds": round(fast_total, 3)})
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Warm-device differential: cold builds vs reset-reuse, bit-identical
-# ---------------------------------------------------------------------------
-
-
-def compare_warm(artifacts: Optional[Sequence[str]] = None, *,
-                 jobs: int = 0, subset: Optional[int] = None,
-                 seed: int = 11, fuzz_cases: int = 200,
-                 fuzz_seed: int = 1,
-                 results_dir: str = "benchmarks/results") -> dict:
-    """Run every artefact plus a fuzz campaign cold and warm, per engine.
-
-    The warm device path's contract mirrors the fast lane's: acquiring
-    a device from the cache and :meth:`~repro.device.GpuDevice.reset`-ing
-    it must be observationally identical to constructing a fresh one.
-    This driver proves it the blunt way — the whole artefact suite and
-    the PR-2 fuzz corpus run four times (slow/fast x cold/warm, cold =
-    warm devices disabled so every harness builds from scratch) and the
-    digests of everything produced must match cold-vs-warm under each
-    engine.
-
-    Two timings land in ``BENCH_device.json``.  The headline
-    ``warm_speedup`` aggregates the **provisioning path** — device
-    acquisition plus buffer allocation/initialisation, the part of
-    every run the warm layer owns (construct + generate cold, reset +
-    replay warm, and memo-hit cells provision nothing at all).
-    ``end_to_end_speedup`` is the whole-leg wall-clock ratio, which the
-    simulation loop dominates and warmth only dents via the cell memo.
-    """
-    from repro.device import (device_cache_stats, provision_seconds,
-                              reset_device_cache, set_warm_devices,
-                              warm_devices_enabled, warm_memo_stats)
-    from repro.engine import ENGINES, engine
-    from repro.fuzz.campaign import run_campaign
-    from repro.fuzz.generator import CaseGenerator
-    from repro.fuzz.parallel import campaign_digest
-    from repro.gpu.config import nvidia_config
-
-    artifacts = list(artifacts or ARTIFACTS)
-    specs = (CaseGenerator(fuzz_seed).draw_many(fuzz_cases)
-             if fuzz_cases > 0 else [])
-
-    legs: Dict[str, dict] = {}
-    prior = warm_devices_enabled()
-    try:
-        for index, eng in enumerate(ENGINES):
-            # ABBA counterbalancing: the host's wall-clock drifts within
-            # a long process, and a fixed cold-then-warm order would
-            # charge all of that drift to the warm legs.  Alternating
-            # the order per engine cancels the bias in the aggregates.
-            modes = ("cold", "warm") if index % 2 == 0 else ("warm", "cold")
-            for mode in modes:
-                set_warm_devices(mode == "warm")
-                reset_device_cache()   # each leg starts empty, stats zeroed
-                with engine(eng):
-                    finals: Dict[str, dict] = {}
-                    started = time.monotonic()
-                    run_bench_suite(artifacts, jobs=jobs, subset=subset,
-                                    seed=seed, results_dir=results_dir,
-                                    write_records=False,
-                                    capture_finals=finals)
-                    sweep_wall = time.monotonic() - started
-                    fuzz_digest = None
-                    fuzz_wall = 0.0
-                    if specs:
-                        started = time.monotonic()
-                        campaign = run_campaign(
-                            specs, seed=fuzz_seed,
-                            config=nvidia_config(num_cores=1))
-                        fuzz_wall = time.monotonic() - started
-                        fuzz_digest = campaign_digest(campaign)
-                legs[f"{eng}-{mode}"] = {
-                    "wall_seconds": round(sweep_wall, 3),
-                    "fuzz_wall_seconds": round(fuzz_wall, 3),
-                    "provision_seconds": round(provision_seconds(), 3),
-                    "digests": {a: _digest_payload(finals[a])
-                                for a in finals},
-                    "fuzz_digest": fuzz_digest,
-                    "cache": device_cache_stats(),
-                    "memo": warm_memo_stats(),
-                }
-    finally:
-        set_warm_devices(prior)
-        reset_device_cache()
-
-    mismatches: List[str] = []
-    per_engine: Dict[str, dict] = {}
-    for eng in ENGINES:
-        cold, warm = legs[f"{eng}-cold"], legs[f"{eng}-warm"]
-        for name in artifacts:
-            if cold["digests"][name] != warm["digests"][name]:
-                mismatches.append(f"{eng}:{name}")
-        if specs and cold["fuzz_digest"] != warm["fuzz_digest"]:
-            mismatches.append(f"{eng}:fuzz")
-        cold_total = cold["wall_seconds"] + cold["fuzz_wall_seconds"]
-        warm_total = warm["wall_seconds"] + warm["fuzz_wall_seconds"]
-        per_engine[eng] = {
-            "cold_wall_seconds": round(cold_total, 3),
-            "warm_wall_seconds": round(warm_total, 3),
-            "speedup": (round(cold_total / warm_total, 3)
-                        if warm_total else None),
-            "cold_provision_seconds": cold["provision_seconds"],
-            "warm_provision_seconds": warm["provision_seconds"],
-            "provision_speedup": (
-                round(cold["provision_seconds"]
-                      / warm["provision_seconds"], 3)
-                if warm["provision_seconds"] else None),
-        }
-    identical = not mismatches
-    cold_sum = sum(e["cold_wall_seconds"] for e in per_engine.values())
-    warm_sum = sum(e["warm_wall_seconds"] for e in per_engine.values())
-    end_to_end = round(cold_sum / warm_sum, 3) if warm_sum else None
-    prov_cold = sum(e["cold_provision_seconds"]
-                    for e in per_engine.values())
-    prov_warm = sum(e["warm_provision_seconds"]
-                    for e in per_engine.values())
-    warm_speedup = round(prov_cold / prov_warm, 3) if prov_warm else None
-
-    lines = [f"Warm-device differential: {len(artifacts)} artefact(s) + "
-             f"{len(specs)} fuzz case(s) (seed {fuzz_seed}), "
-             f"cold vs warm per engine", ""]
-    lines.append(f"{'leg':<16} {'cold digest':<18} "
-                 f"{'warm digest':<18} match")
-    for eng in ENGINES:
-        cold, warm = legs[f"{eng}-cold"], legs[f"{eng}-warm"]
-        for name in artifacts:
-            c, w = cold["digests"][name], warm["digests"][name]
-            lines.append(f"{eng + ':' + name:<16} {c:<18} {w:<18} "
-                         f"{'yes' if c == w else 'NO'}")
-        if specs:
-            c, w = cold["fuzz_digest"], warm["fuzz_digest"]
-            lines.append(f"{eng + ':fuzz':<16} {str(c):<18} {str(w):<18} "
-                         f"{'yes' if c == w else 'NO'}")
-    lines.append("")
-    for eng in ENGINES:
-        info = per_engine[eng]
-        warm_cache = legs[f"{eng}-warm"]["cache"]
-        warm_memo = legs[f"{eng}-warm"]["memo"]
-        lines.append(
-            f"{eng}: cold {info['cold_wall_seconds']}s, warm "
-            f"{info['warm_wall_seconds']}s, end-to-end {info['speedup']}x; "
-            f"provisioning {info['cold_provision_seconds']}s -> "
-            f"{info['warm_provision_seconds']}s "
-            f"({info['provision_speedup']}x) "
-            f"(cache: {warm_cache['hits']} hits / "
-            f"{warm_cache['misses']} misses / "
-            f"{warm_cache['resets']} resets; memo: "
-            f"{warm_memo['cell_hits']} cell / "
-            f"{warm_memo['init_hits']} init hits)")
-    lines.append(f"aggregate warm-path (provisioning) speedup: "
-                 f"{warm_speedup}x, end-to-end: {end_to_end}x, "
-                 f"digests identical: {identical}")
-    text = "\n".join(lines)
-
-    result = {
-        "identical": identical,
-        "mismatches": mismatches,
-        "warm_speedup": warm_speedup,
-        "end_to_end_speedup": end_to_end,
-        "per_engine": per_engine,
-        "legs": legs,
-        "text": text,
-    }
-    config = default_record_config()
-    config.update({"subset": subset, "seed": seed, "jobs": jobs,
-                   "fuzz_cases": len(specs), "fuzz_seed": fuzz_seed})
-    write_result_record(
-        results_dir, "BENCH_device", text,
-        data={"artifacts": artifacts, "legs": legs,
-              "mismatches": mismatches, "per_engine": per_engine},
-        config=config,
-        metrics={"warm_speedup": warm_speedup,
-                 "warm_speedup_definition":
-                     "aggregate provisioning path (device acquisition + "
-                     "buffer setup) cold/warm across engines",
-                 "end_to_end_speedup": end_to_end,
-                 "digests_identical": identical,
-                 "cold_wall_seconds": round(cold_sum, 3),
-                 "warm_wall_seconds": round(warm_sum, 3),
-                 "cold_provision_seconds": round(prov_cold, 3),
-                 "warm_provision_seconds": round(prov_warm, 3)})
+        metrics={"digests_identical": identical})
     return result
 
 
@@ -859,7 +581,8 @@ def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description="Run the benchmark sweeps on the parallel runner "
-                    "and record machine-readable results.")
+                    "and record machine-readable results.  Host timing "
+                    "lives in bench/ (python bench/run.py).")
     parser.add_argument("--jobs", type=int, default=0,
                         help="worker processes (0 = serial in-process)")
     parser.add_argument("--artifacts", default=None,
@@ -870,29 +593,15 @@ def _parse_args(argv):
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--results-dir", default="benchmarks/results",
                         help="where per-artefact records land")
-    parser.add_argument("--out", default="BENCH_runner.json",
-                        help="collected run record (the perf trajectory "
-                             "seed); '-' disables")
     parser.add_argument("--manifest-dir", default=None,
                         help="directory for run manifest + journal")
     parser.add_argument("--resume", action="store_true",
                         help="resume from the manifest-dir journal")
-    parser.add_argument("--compare", action="store_true",
-                        help="also run the sweeps serially and record "
-                             "serial vs parallel wall-clock")
     parser.add_argument("--compare-engines", action="store_true",
-                        help="run every artefact and a fuzz campaign "
+                        help="run the artefacts and a fuzz campaign "
                              "under both the slow and fast engines, "
                              "fail on any digest mismatch, and record "
-                             "the speedup in BENCH_hotpath.json "
-                             "(--fuzz-cases defaults to 200 here)")
-    parser.add_argument("--compare-warm", action="store_true",
-                        help="run every artefact and a fuzz campaign "
-                             "cold (fresh device per harness) and warm "
-                             "(reset-reused devices) under both engines, "
-                             "fail on any digest mismatch, and record "
-                             "the warm speedup in BENCH_device.json "
-                             "(--fuzz-cases defaults to 200 here)")
+                             "the digest table in BENCH_hotpath.json")
     parser.add_argument("--service", action="store_true",
                         help="run the multi-tenant serving differential "
                              "(serial vs --jobs N under both engines, "
@@ -904,29 +613,9 @@ def _parse_args(argv):
     parser.add_argument("--service-requests", type=int, default=6,
                         help="requests per tenant for --service "
                              "(default 6)")
-    parser.add_argument("--gate", action="store_true",
-                        help="perf-regression gate: measure the gate "
-                             "workload slice, compare against the "
-                             "committed baseline, exit nonzero on "
-                             "regression (see docs/profiling.md)")
-    parser.add_argument("--gate-record", action="store_true",
-                        help="re-record the gate baseline from a fresh "
-                             "measurement instead of comparing")
-    parser.add_argument("--gate-baseline",
-                        default="benchmarks/baselines/gate_baseline.json",
-                        help="baseline file for --gate/--gate-record")
-    parser.add_argument("--gate-workloads", default="bfs,gaussian",
-                        help="comma-separated gate workload slice "
-                             "(default: bfs,gaussian)")
-    parser.add_argument("--gate-tolerance-scale", type=float, default=1.0,
-                        help="multiply the wall-clock tolerances (CI "
-                             "uses >1 on noisy shared runners; exact "
-                             "metrics are unaffected)")
-    parser.add_argument("--skip-sweeps", action="store_true",
-                        help="only measure fuzz throughput")
-    parser.add_argument("--fuzz-cases", type=int, default=0,
-                        help="also time a fuzz campaign of N cases, "
-                             "serial vs parallel (0 = skip)")
+    parser.add_argument("--fuzz-cases", type=int, default=200,
+                        help="fuzz cases in the --compare-engines "
+                             "campaign (0 = artefacts only)")
     parser.add_argument("--fuzz-seed", type=int, default=1)
     return parser.parse_args(argv)
 
@@ -941,29 +630,19 @@ def main(argv=None) -> int:
             print(f"unknown artefacts: {bad} (have {list(ARTIFACTS)})",
                   file=sys.stderr)
             return 2
-
-    if args.gate or args.gate_record:
-        from repro.profiler.gate import run_gate
-        return run_gate(
-            workloads=[w.strip()
-                       for w in args.gate_workloads.split(",")
-                       if w.strip()],
-            seed=args.seed, baseline_path=args.gate_baseline,
-            results_dir=args.results_dir,
-            tolerance_scale=args.gate_tolerance_scale,
-            record=args.gate_record)
-
-    record: Dict[str, object] = {
-        "schema": 1,
-        "generated_by": "python -m repro bench",
-        "cpu_count": os.cpu_count(),
-        "jobs": args.jobs,
-    }
+    # Every mode ends by writing records here: refuse an unwritable
+    # directory before any job is planned, not after the sweep ran.
+    try:
+        os.makedirs(args.results_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write results to {args.results_dir!r}: {exc}",
+              file=sys.stderr)
+        return 2
 
     if args.compare_engines:
         result = compare_engines(
             artifacts, jobs=args.jobs, subset=args.subset,
-            seed=args.seed, fuzz_cases=args.fuzz_cases or 200,
+            seed=args.seed, fuzz_cases=args.fuzz_cases,
             fuzz_seed=args.fuzz_seed, results_dir=args.results_dir)
         print(result["text"])
         if not result["identical"]:
@@ -989,70 +668,14 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    if args.compare_warm:
-        result = compare_warm(
-            artifacts, jobs=args.jobs, subset=args.subset,
-            seed=args.seed, fuzz_cases=args.fuzz_cases or 200,
-            fuzz_seed=args.fuzz_seed, results_dir=args.results_dir)
-        print(result["text"])
-        if not result["identical"]:
-            print("[bench] ERROR: warm devices diverged from cold "
-                  f"(legs: {result['mismatches']})", file=sys.stderr)
-            return 1
-        return 0
-
-    if not args.skip_sweeps:
-        sweeps: Dict[str, object] = {}
-        if args.compare:
-            started = time.monotonic()
-            serial = run_bench_suite(
-                artifacts, jobs=0, subset=args.subset, seed=args.seed,
-                results_dir=args.results_dir, write_records=False)
-            sweeps["serial_wall_seconds"] = round(
-                time.monotonic() - started, 3)
-            del serial
-        started = time.monotonic()
-        summary = run_bench_suite(
-            artifacts, jobs=args.jobs, subset=args.subset, seed=args.seed,
-            results_dir=args.results_dir, out_dir=args.manifest_dir,
-            resume=args.resume)
-        sweeps["wall_seconds"] = round(time.monotonic() - started, 3)
-        sweeps["per_artifact"] = summary["artifacts"]
-        if args.compare and sweeps["wall_seconds"]:
-            sweeps["speedup_vs_serial"] = round(
-                sweeps["serial_wall_seconds"] / sweeps["wall_seconds"], 3)
-        record["sweeps"] = sweeps
-        for name, info in summary["artifacts"].items():
-            print(f"[bench] {name}: {info['jobs']} job(s), "
-                  f"{info['wall_seconds']:.1f}s, "
-                  f"metrics={json.dumps(info['metrics'], sort_keys=True)}")
-
-    if args.fuzz_cases > 0:
-        fuzz = measure_fuzz_throughput(args.fuzz_cases, args.fuzz_seed,
-                                       max(args.jobs, 1))
-        record["fuzz"] = fuzz
-        print(f"[bench] fuzz {fuzz['cases']} cases: serial "
-              f"{fuzz['serial']['wall_seconds']}s "
-              f"({fuzz['serial']['cases_per_sec']} cases/s), "
-              f"--jobs {fuzz['parallel']['jobs']} "
-              f"{fuzz['parallel']['wall_seconds']}s "
-              f"({fuzz['parallel']['cases_per_sec']} cases/s), "
-              f"speedup {fuzz['speedup']}x, matrix identical: "
-              f"{fuzz['matrix_identical']}")
-        if not (fuzz["matrix_identical"] and fuzz["digest_identical"]):
-            print("[bench] ERROR: parallel campaign diverged from serial",
-                  file=sys.stderr)
-            return 1
-
-    if args.out and args.out != "-":
-        try:
-            with open(args.out, "w") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            print(f"cannot write run record to {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"[bench] run record written to {args.out}")
+    summary = run_bench_suite(
+        artifacts, jobs=args.jobs, subset=args.subset, seed=args.seed,
+        results_dir=args.results_dir, out_dir=args.manifest_dir,
+        resume=args.resume)
+    for name, info in summary["artifacts"].items():
+        print(f"[bench] {name}: {info['jobs']} job(s), "
+              f"{info['wall_seconds']:.1f}s, "
+              f"metrics={json.dumps(info['metrics'], sort_keys=True)}")
     return 0
 
 

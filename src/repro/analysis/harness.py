@@ -127,44 +127,39 @@ class WorkloadRunner:
         #: down so campaign seeds are never shadowed by the session
         #: default, and asserted by the fuzz determinism check.
         self.seed = seed
-        # Everything inside the span is the provisioning path the warm
-        # device layer owns: device acquisition (construct vs reset) and
-        # buffer allocation + initialisation.  ``bench --compare-warm``
-        # aggregates this clock per leg.
-        with warm_memo.provision_span():
-            if device is None:
-                self.config = config or nvidia_config()
-                device = acquire_device(self.config, shield, seed=seed)
-                self._owns_device = True
-            else:
-                self.config = device.config
-                self._owns_device = False
-            self.device = device
-            self.session = GpuSession(device=device)
-            self.config_name = config_name or self.config.name
-            self.allow_violations = allow_violations
-            self.alloc_pad = alloc_pad
-            self.launch_mutator = launch_mutator
-            #: Violation records drained across the most recent ``run()``.
-            self.last_violations: list = []
-            self.buffers: Dict[str, Buffer] = {}
-            try:
-                for i, spec in enumerate(workload.buffers):
-                    region = getattr(spec, "region", "global")
-                    buf = self.session.driver.allocator.malloc(
-                        spec.nbytes + alloc_pad, name=spec.name,
-                        region=region,
-                        # Page-level read-only is only guaranteed for the
-                        # constant/texture regions (Table 1); global
-                        # read-only buffers rely on GPUShield's RBT flag.
-                        read_only=spec.read_only and region in ("constant",
-                                                                "texture"))
-                    _init_buffer(self.session, buf, spec,
-                                 seed=seed * 1009 + i)
-                    self.buffers[spec.name] = buf
-            except Exception:
-                self.close()
-                raise
+        if device is None:
+            self.config = config or nvidia_config()
+            device = acquire_device(self.config, shield, seed=seed)
+            self._owns_device = True
+        else:
+            self.config = device.config
+            self._owns_device = False
+        self.device = device
+        self.session = GpuSession(device=device)
+        self.config_name = config_name or self.config.name
+        self.allow_violations = allow_violations
+        self.alloc_pad = alloc_pad
+        self.launch_mutator = launch_mutator
+        #: Violation records drained across the most recent ``run()``.
+        self.last_violations: list = []
+        self.buffers: Dict[str, Buffer] = {}
+        try:
+            for i, spec in enumerate(workload.buffers):
+                region = getattr(spec, "region", "global")
+                buf = self.session.driver.allocator.malloc(
+                    spec.nbytes + alloc_pad, name=spec.name,
+                    region=region,
+                    # Page-level read-only is only guaranteed for the
+                    # constant/texture regions (Table 1); global
+                    # read-only buffers rely on GPUShield's RBT flag.
+                    read_only=spec.read_only and region in ("constant",
+                                                            "texture"))
+                _init_buffer(self.session, buf, spec,
+                             seed=seed * 1009 + i)
+                self.buffers[spec.name] = buf
+        except Exception:
+            self.close()
+            raise
 
     def close(self) -> None:
         """Return an acquired device to the warm pool (idempotent).

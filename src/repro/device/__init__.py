@@ -16,14 +16,12 @@ from repro.device.cache import (
 from repro.device.device import DeviceSnapshot, GpuDevice
 from repro.device.memo import (
     clear_warm_memo,
-    provision_seconds,
     warm_memo_stats,
     workload_fingerprint,
 )
 
 __all__ = [
     "clear_warm_memo",
-    "provision_seconds",
     "warm_memo_stats",
     "workload_fingerprint",
     "DeviceSnapshot",

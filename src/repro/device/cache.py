@@ -100,8 +100,7 @@ def set_warm_devices(enabled: bool) -> bool:
     """Globally enable/disable reuse; returns the previous setting.
 
     Disabled, :func:`acquire_device` always cold-builds and
-    :func:`release_device` always drops — the cold leg of
-    ``bench --compare-warm``.
+    :func:`release_device` always drops — every run is cold.
     """
     global _warm
     previous = _warm
@@ -184,7 +183,7 @@ def reset_device_cache() -> None:
     """Drop every idle device, the warm memos, and all counters.
 
     One call returns the whole warm layer to a cold, just-imported
-    state — what each leg of ``bench --compare-warm`` starts from.
+    state — what each leg of a cold-vs-warm comparison starts from.
     """
     from repro.device.memo import clear_warm_memo
     _idle.clear()

@@ -1,7 +1,7 @@
 """Warm-path memoization riding on the long-lived device layer.
 
 Two content-addressed caches, both alive only while warm device reuse
-is enabled (the cold leg of ``bench --compare-warm`` sees none of this):
+is enabled (a cold run, ``warm_devices(False)``, sees none of this):
 
 * the **cell memo** — the full :class:`~repro.analysis.results.RunRecord`
   of a plain ``run_workload`` cell, keyed by everything that determines
@@ -18,11 +18,6 @@ is enabled (the cold leg of ``bench --compare-warm`` sees none of this):
   bytes still get written into device memory every run (memory state is
   an observable); only the generation is reused.
 
-Also home to the provisioning clock: the harness wraps device
-acquisition + buffer setup in :func:`provision_span`, and
-``bench --compare-warm`` reports the cold/warm aggregate of exactly the
-path the warm layer owns.
-
 Everything here is telemetry or replay of already-verified-identical
 results: none of it feeds the stats registries that run digests are
 built from.
@@ -31,8 +26,6 @@ built from.
 from __future__ import annotations
 
 import hashlib
-import time
-from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Callable, Dict, Optional, Tuple
 
@@ -46,7 +39,6 @@ _INIT_LIMIT = 1024
 _cells: Dict[Tuple, object] = {}
 _init_bytes: Dict[Tuple, bytes] = {}
 _stats: Dict[str, int] = {}
-_provision_seconds = 0.0
 
 
 def _zeroed() -> Dict[str, int]:
@@ -112,21 +104,6 @@ def init_payload(kind: str, n_words: int, seed: int,
     return data
 
 
-@contextmanager
-def provision_span():
-    """Accumulate the enclosed wall time into the provisioning clock."""
-    global _provision_seconds
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        _provision_seconds += time.perf_counter() - start
-
-
-def provision_seconds() -> float:
-    return _provision_seconds
-
-
 def warm_memo_stats() -> Dict[str, int]:
     out = dict(_stats)
     out["cells"] = len(_cells)
@@ -134,13 +111,11 @@ def warm_memo_stats() -> Dict[str, int]:
 
 
 def clear_warm_memo() -> None:
-    """Drop both caches, zero the counters and the provisioning clock."""
-    global _provision_seconds
+    """Drop both caches and zero the counters."""
     _cells.clear()
     _init_bytes.clear()
     _stats.clear()
     _stats.update(_zeroed())
-    _provision_seconds = 0.0
 
 
 def memoized_run(workload, config, shield, config_name: str, seed: int,

@@ -1,11 +1,10 @@
-"""Hierarchical performance profiler + the perf-regression gate.
+"""Hierarchical performance profiler.
 
 ``profile`` holds the :class:`Profiler` observer and the
 mergeable :class:`ProfileSnapshot`; ``collect`` runs subjects with the
 profiler attached and reconciles the attribution against the stats
 registry; ``report`` renders flame JSON and the text top-N; ``runner``
-shards profiles across worker processes; ``gate`` is the baseline
-comparator behind ``python -m repro bench --gate``.
+shards profiles across worker processes.
 """
 
 from repro.profiler.collect import (ProfileReport, profile_benchmark,

@@ -76,26 +76,38 @@ class TestBenchCliErrors:
         assert bench_main(["--artifacts", "bogus"]) == 2
         assert "unknown artefacts" in capsys.readouterr().err
 
-    def test_unknown_gate_workloads(self, capsys):
-        from repro.analysis.bench import main as bench_main
-        assert bench_main(["--gate", "--gate-workloads", "bogus"]) == 2
-        assert "unknown gate workloads" in capsys.readouterr().err
-
-    def test_nonpositive_gate_tolerance_scale(self, capsys):
-        from repro.analysis.bench import main as bench_main
-        assert bench_main(["--gate",
-                           "--gate-tolerance-scale", "-1"]) == 2
-        assert "positive" in capsys.readouterr().err
-
-    def test_unwritable_out_path(self, tmp_path, capsys):
+    def test_unwritable_results_dir(self, tmp_path, capsys):
         from repro.analysis.bench import main as bench_main
         blocker = tmp_path / "file"
         blocker.write_text("")
-        out = str(blocker / "record.json")   # parent is a file
+        results = str(blocker / "results")   # parent is a file
         assert bench_main(["--artifacts", "table3",
-                           "--results-dir", str(tmp_path / "results"),
-                           "--out", out]) == 2
+                           "--results-dir", results]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_compare_engines_honours_zero_fuzz_cases(self, tmp_path,
+                                                     capsys):
+        from repro.analysis.bench import _parse_args
+        from repro.analysis.bench import main as bench_main
+        assert _parse_args([]).fuzz_cases == 200
+        assert bench_main(["--compare-engines", "--artifacts", "table3",
+                           "--fuzz-cases", "0",
+                           "--results-dir", str(tmp_path)]) == 0
+        assert "+ 0 fuzz case(s)" in capsys.readouterr().out
+
+    def test_compare_engines_mismatch_exits_1(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.analysis import bench
+        legs = iter(["slow-leg-digest", "fast-leg-digest"])
+        monkeypatch.setattr(bench, "_digest_payload",
+                            lambda payload: next(legs))
+        assert bench.main(["--compare-engines", "--artifacts", "table3",
+                           "--fuzz-cases", "0",
+                           "--results-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "diverged" in captured.err
+        assert "table3" in captured.err
+        assert "NO" in captured.out
 
 
 class TestRaceCliErrors:

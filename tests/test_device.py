@@ -306,8 +306,8 @@ class TestDeviceCache:
         cfg = nvidia_config(num_cores=2)
         with warm_devices(False):
             device = acquire_device(cfg, None, seed=1)
-        # Warm again by the time it is released (the compare-warm legs
-        # flip the switch between runs): still dropped.
+        # Warm again by the time it is released (a cold-vs-warm
+        # comparison flips the switch between runs): still dropped.
         release_device(device)
         assert device_cache_stats()["idle"] == 0
 
@@ -360,14 +360,74 @@ class TestWarmCellMemo:
         assert a == b
         assert a != c
 
-    def test_reset_device_cache_clears_memo_and_clock(self):
-        from repro.device import provision_seconds, warm_memo_stats
+    def test_reset_device_cache_clears_memo(self):
+        from repro.device import warm_memo_stats
         self._cell()
         assert warm_memo_stats()["cells"] == 1
-        assert provision_seconds() > 0
         reset_device_cache()
         assert warm_memo_stats()["cells"] == 0
-        assert provision_seconds() == 0.0
+
+
+class TestColdWarmDifferential:
+    """Warm reuse must be invisible end to end: a fuzz campaign digests
+    the same with every device cold-built as with pooled devices, the
+    cell memo and the init-bytes cache, under each engine."""
+
+    #: The smallest campaign whose digest drifts when the init-bytes
+    #: key drops the seed (two cases share a buffer shape).
+    CASES = 2
+
+    @pytest.mark.parametrize("eng", ENGINES)
+    def test_campaign_digest_cold_equals_warm(self, eng):
+        from repro.device import warm_memo_stats
+        from repro.fuzz.campaign import run_campaign
+        from repro.fuzz.generator import CaseGenerator
+        from repro.fuzz.parallel import campaign_digest
+        specs = CaseGenerator(1).draw_many(self.CASES)
+        digests = {}
+        for warm in (False, True):
+            reset_device_cache()
+            with engine(eng), warm_devices(warm):
+                digests[warm] = campaign_digest(run_campaign(
+                    specs, seed=1, config=nvidia_config(num_cores=1)))
+        # The warm leg really reused devices and init bytes.
+        assert device_cache_stats()["hits"] > 0
+        assert warm_memo_stats()["init_hits"] > 0
+        assert digests[True] == digests[False]
+
+    @pytest.mark.parametrize("eng", ENGINES)
+    def test_seeded_cells_cold_equal_warm(self, eng):
+        """Per seed: the memoized record, and the tagged pointers a
+        shielded launch hands its kernel (region IDs drawn from the
+        driver's seeded RNG).  Histogram's cycles depend on the seed."""
+        from repro.analysis.harness import WorkloadRunner, run_workload
+        from repro.device import warm_memo_stats
+        from repro.workloads.suite import get_benchmark
+        cfg = nvidia_config(num_cores=1)
+        observed = {}
+        for warm in (False, True):
+            reset_device_cache()
+            rows = []
+            with engine(eng), warm_devices(warm):
+                for seed in (11, 12, 11):
+                    record = run_workload(get_benchmark("Histogram").build(),
+                                          cfg, seed=seed)
+                    pointers = []
+                    runner = WorkloadRunner(
+                        get_benchmark("Histogram").build(), config=cfg,
+                        shield=ShieldConfig(enabled=True), seed=seed,
+                        launch_mutator=lambda r, launch, i: pointers.append(
+                            sorted(launch.arg_values.items())))
+                    try:
+                        runner.run()
+                    finally:
+                        runner.close()
+                    rows.append((record, pointers))
+            observed[warm] = rows
+        # The warm leg replayed a memoized cell and reused devices.
+        assert warm_memo_stats()["cell_hits"] > 0
+        assert device_cache_stats()["hits"] > 0
+        assert observed[True] == observed[False]
 
 
 class TestHarnessSeedPlumbing:

@@ -1,5 +1,8 @@
 """Tests for the run harness and result records."""
 
+import json
+import os
+
 import pytest
 
 from repro import ShieldConfig, nvidia_config
@@ -93,6 +96,29 @@ class TestRecords:
         loaded = load_records(str(path))
         assert loaded[0].benchmark == "a"
         assert loaded[0].extra == {"k": 1.0}
+
+
+class TestResultRecordClobberGuard:
+    def test_newer_schema_record_is_not_overwritten(self, tmp_path):
+        from repro.analysis.bench import (RESULT_SCHEMA,
+                                          write_result_record)
+        results = str(tmp_path)
+        path = os.path.join(results, "record.json")
+        with open(path, "w") as fh:
+            json.dump({"schema": RESULT_SCHEMA + 1, "name": "record"}, fh)
+        with pytest.raises(ValueError, match="newer"):
+            write_result_record(results, "record", "text")
+        # The newer record survives untouched.
+        with open(path) as fh:
+            assert json.load(fh)["schema"] == RESULT_SCHEMA + 1
+
+    def test_same_schema_record_overwrites_normally(self, tmp_path):
+        from repro.analysis.bench import write_result_record
+        results = str(tmp_path)
+        write_result_record(results, "record", "one", metrics={"v": 1})
+        write_result_record(results, "record", "two", metrics={"v": 2})
+        with open(os.path.join(results, "record.json")) as fh:
+            assert json.load(fh)["metrics"]["v"] == 2
 
 
 class TestInitKinds:

@@ -55,6 +55,36 @@ class TestReconciliation:
         assert probes >= snap.total("cores.*.check.rcache_l1_hits")
 
 
+class TestPinnedCycles:
+    """Simulated cycles and profiler attribution, pinned exactly.
+
+    These values are deterministic on every host, so any drift is a
+    change to the timing model.  An intended change re-pins them in the
+    same commit that moves them, and says why.
+    """
+
+    #: (base cycles, GPUShield cycles, latency_cycles, check_cycles)
+    PINNED = {
+        "bfs": (16223, 16284, 395189, 63),
+        "gaussian": (49099, 49099, 206548, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_cycles_and_attribution(self, name):
+        base = run_workload(get_benchmark(name).build(), config=_config(),
+                            seed=11)
+        report = profile_benchmark(name, config=_config(), seed=11)
+        snap = report.snapshot
+        check = (snap.total("cores.*.check.cycles")
+                 + snap.total("cores.*.check.stall_cycles"))
+        measured = (base.cycles, report.record.cycles,
+                    snap.latency_cycles(), check)
+        assert report.reconciled
+        assert measured == self.PINNED[name], (
+            f"{name}: measured {measured}, pinned {self.PINNED[name]}; "
+            f"re-pin PINNED in the commit that changes the timing model")
+
+
 class TestEngines:
     def test_counters_identical_across_engines(self):
         snaps = {}
