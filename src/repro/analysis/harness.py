@@ -3,7 +3,7 @@
 :class:`WorkloadRunner` allocates a workload's buffers, initialises their
 contents (NumPy-generated, deterministic) and executes the kernel
 sequence ``repeats`` times, accumulating cycles and GPUShield statistics
-read from the GPU's unified stats registry.  Launch-granularity tools
+read from the GPU's counter totals.  Launch-granularity tools
 (clArmor, GMOD) interpose real work around every kernel invocation
 through a :class:`LaunchInterposer` — exactly where the real tools hook
 the runtime; per-access tools instead implement the
@@ -244,19 +244,15 @@ class WorkloadRunner:
                 if post_launch is not None:
                     record.cycles += post_launch(self, result)
 
-        # All run statistics come from the GPU's unified stats registry:
-        # one hierarchical snapshot instead of per-component walks.
-        snap = self.session.stats.snapshot()
+        # Hit rates and totals are cumulative since the device's reset.
+        totals = gpu.totals()
         if self.session.shield.enabled:
-            record.l1_rcache_hit_rate = snap.hit_rate("cores.*.rcache.l1")
-            record.l2_rcache_hit_rate = snap.hit_rate("cores.*.rcache.l2")
-            record.check_reduction_percent = snap.ratio_percent(
-                "cores.*.bcu.checks_skipped_static",
-                "cores.*.bcu.mem_instructions")
-            record.bcu_stall_cycles = int(
-                snap.total("cores.*.bcu.stall_cycles"))
-            record.rbt_fills = int(snap.total("cores.*.bcu.rbt_fills"))
-        record.l1d_hit_rate = snap.hit_rate("cores.*.l1d")
+            record.l1_rcache_hit_rate = totals.l1_rcache_hit_rate
+            record.l2_rcache_hit_rate = totals.l2_rcache_hit_rate
+            record.check_reduction_percent = totals.check_reduction_percent
+            record.bcu_stall_cycles = totals.bcu_stall_cycles
+            record.rbt_fills = totals.rbt_fills
+        record.l1d_hit_rate = totals.l1d_hit_rate
         return record
 
 

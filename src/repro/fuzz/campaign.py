@@ -165,15 +165,21 @@ def run_case(spec: CaseSpec,
              config: Optional[GPUConfig] = None,
              configs: Sequence[str] = CONFIG_NAMES,
              check_determinism: bool = False) -> CaseOutcome:
-    """Run one case through the requested configs and score it."""
-    spec.validate()
+    """Run one case through the requested configs and score it.
+
+    The workload is built once and shared by every config and the
+    determinism re-run.  Sharing is safe because running a workload
+    never writes to it: runners, tools and launch mutators only read
+    the kernel, its arguments and the buffer specs, and everything a
+    launch changes lives in the device and its launch context.
+    """
     config = config or nvidia_config(num_cores=1)
     seed = spec.seed & 0xFFFF
     outcome = CaseOutcome(spec=spec)
     out = outcome.detected
+    workload = build_workload(spec)   # validates the spec
 
     for name in configs:
-        workload = build_workload(spec)   # fresh: launches mutate nothing
         if name == "base":
             runner = WorkloadRunner(workload, config=config, shield=None,
                                     config_name="base", seed=seed,
@@ -188,8 +194,7 @@ def run_case(spec: CaseSpec,
                 outcome.attribution_ok = any(
                     want.matches(v) for v in runner.last_violations)
             if check_determinism:
-                again, record2, _m = _run_shield(
-                    spec, build_workload(spec), config)
+                again, record2, _m = _run_shield(spec, workload, config)
                 # Seed-plumbing invariant: the campaign seed reaches the
                 # device verbatim — were the session's 0xC0FFEE default
                 # shadowing it, re-runs would still agree with each

@@ -20,7 +20,8 @@ exactly the same arithmetic with flat pre-bound structures:
   the coalescer and both timing stages inlined into a single loop, and
   batched lane load/store loops that index the sparse physical-memory
   chunks directly;
-* :class:`FastExecutor` — every opcode compiled to one closure, inline
+* :class:`FastExecutor` — every opcode compiled to one closure, once
+  per kernel object and warp width and shared by its launches, inline
   effective-address generation (the ``tagged_add(...) & VA_MASK``
   composition reduces to one masked add), whole-warp ALU ops as C-level
   ``map`` chains, and issue bursts that retire a warp's run of
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import operator
 import struct
+import weakref
 from typing import Dict, List, Optional
 
 from repro.core.bcu import (BCUAccessChecker, BoundsCheckingUnit,
@@ -120,7 +122,10 @@ class FastCache(Cache):
         return line_addr in s
 
     def flush(self) -> None:
-        for s in self._lines:
+        # Skip empty sets: a warm reset flushes every L2 set, and most
+        # are untouched.  ``access`` paths write ``_lines`` inline, so
+        # there is no touched-set list to consult instead.
+        for s in filter(None, self._lines):
             s.clear()
 
 
@@ -149,7 +154,7 @@ class FastTlb(Tlb):
         return False
 
     def flush(self) -> None:
-        for s in self._lines:
+        for s in filter(None, self._lines):   # as FastCache.flush
             s.clear()
 
 
@@ -944,15 +949,40 @@ def _lane_writer(fn, getters):
     return write
 
 
+#: Compiled programs by kernel identity: ``id(kernel) -> (ref,
+#: {warp_size: program})``.  Process-wide, because one kernel object
+#: launches on several devices (a fuzz case runs under six configs),
+#: and not stored on the kernel, which must stay picklable.  Identity,
+#: not equality: ``Imm(1) == Imm(1.0)`` (and they hash alike) yet they
+#: compile to different lanes.  The weak reference's callback drops the
+#: entry when the kernel dies, before its ``id`` can be recycled.
+_PROGRAMS: Dict[int, tuple] = {}
+
+
+class _FastWarp(WarpState):
+    """A warp that carries its launch's executor, through which the
+    shared compiled closures reach per-launch state."""
+
+    __slots__ = ("executor",)
+
+
 class FastExecutor(Executor):
     """Reference executor compiled to per-instruction closures.
 
-    The instruction list is fixed at construction, so every per-step
-    decision the reference dispatcher re-derives — opcode branch,
-    operand kinds, predicate shape, destination index, jump targets —
-    is resolved exactly once into a closure ``run(warp) -> outcome``
-    that also moves the pc.  Full-warp ALU ops run as C-level ``map``
-    chains; divergent subsets keep the reference element functions.
+    Every per-step decision the reference dispatcher re-derives —
+    opcode branch, operand kinds, predicate shape, destination index,
+    jump targets — is resolved exactly once into a closure
+    ``run(warp) -> outcome`` that also moves the pc.  Full-warp ALU ops
+    run as C-level ``map`` chains; divergent subsets keep the reference
+    element functions.
+
+    A kernel compiles once per (kernel object, ``warp_size``), everything
+    a closure is built from, and every later launch reuses the closure
+    list.  What belongs to one launch — the special-register memo and
+    the grid geometry, ``divergent_branches``, the heap and its pointer
+    tagger — the closures reach through ``warp.executor``: each warp
+    this executor makes carries it, so two launches of one kernel may
+    interleave on a core.
 
     :meth:`step` executes one instruction, as the reference does.  With
     ``fuse=True`` one :meth:`issue` is an *issue burst*: it keeps
@@ -962,21 +992,44 @@ class FastExecutor(Executor):
     before it in :attr:`burst`.  The GPU fuses only when
     ``alu_latency <= 1``: greedy-then-oldest then re-picks the warp on
     every one of those cycles, so the scheduler accounts the burst as
-    ``burst`` issue cycles and stays bit-identical.
+    ``burst`` issue cycles and stays bit-identical.  Only :meth:`issue`
+    reads ``fuse``, so it is per launch, not part of the program.
     """
 
     def __init__(self, *args, fuse: bool, **kwargs):
         super().__init__(*args, **kwargs)
         self._fuse = fuse
-        self._all_lanes = list(range(self.warp_size))
         self._num_instr = len(self.instructions)
         # Special-register vectors ([gtid], [tid], ...) are pure in
-        # (name, wg, warp_in_wg) and every consumer treats operand
-        # vectors as read-only (destinations are always fresh lists or
-        # element-wise writes), so they memoize safely.
+        # (name, wg, warp_in_wg) for one launch, and every consumer
+        # treats operand vectors as read-only (destinations are always
+        # fresh lists or element-wise writes), so they memoize safely.
         self._special_memo: Dict[tuple, List] = {}
-        self._program = [self._compile(instr, pc)
-                         for pc, instr in enumerate(self.instructions)]
+        kernel = self.kernel
+        key = id(kernel)
+        entry = _PROGRAMS.get(key)
+        if entry is None:
+            entry = _PROGRAMS[key] = (
+                weakref.ref(kernel, lambda _ref: _PROGRAMS.pop(key, None)),
+                {})
+        program = entry[1].get(self.warp_size)
+        if program is None:
+            self._all_lanes = list(range(self.warp_size))
+            program = [self._compile(instr, pc)
+                       for pc, instr in enumerate(self.instructions)]
+            entry[1][self.warp_size] = program
+        self._program = program
+
+    def make_warp(self, wg: int, warp_in_wg: int,
+                  warp_id: int) -> WarpState:
+        warp = _FastWarp(warp_id=warp_id, wg=wg, warp_in_wg=warp_in_wg,
+                         num_regs=self.kernel.num_regs,
+                         warp_size=self.warp_size,
+                         launch_key=self.launch_key)
+        warp.executor = self
+        for reg_index, value in self.initial_regs.items():
+            warp.regs[reg_index] = [value] * self.warp_size
+        return warp
 
     # -- operands -------------------------------------------------------------
 
@@ -989,14 +1042,14 @@ class FastExecutor(Executor):
             const = (operand.value,) * self.warp_size  # read-only
             return lambda warp: const
         name = operand.name
-        memo = self._special_memo
-        special_values = self._special_values
 
         def special(warp):
+            executor = warp.executor
+            memo = executor._special_memo
             key = (name, warp.wg, warp.warp_in_wg)
             vec = memo.get(key)
             if vec is None:
-                vec = special_values(warp, name)
+                vec = executor._special_values(warp, name)
                 memo[key] = vec
             return vec
         return special
@@ -1170,7 +1223,6 @@ class FastExecutor(Executor):
         op = instr.op
         nxt = pc + 1
         ws = self.warp_size
-        executor = self
 
         if op == "if":
             get = self._getter(instr.srcs[0])
@@ -1182,7 +1234,7 @@ class FastExecutor(Executor):
                 taken = [bool(s and p) for s, p in zip(saved, get(warp))]
                 taken_count = sum(taken)
                 if 0 < taken_count < sum(saved):
-                    executor.divergent_branches += 1
+                    warp.executor.divergent_branches += 1
                 warp.stack.append(["if", saved, taken, endif_pc])
                 if taken_count:
                     warp.mask = taken
@@ -1277,7 +1329,7 @@ class FastExecutor(Executor):
                 return _EXIT
         elif op == "malloc":
             def run(warp):
-                return executor._exec_malloc(warp, instr)
+                return warp.executor._exec_malloc(warp, instr)
         else:
             def run(warp):
                 raise IsaError(f"unhandled opcode {op!r}")

@@ -54,6 +54,36 @@ class LaunchResult:
         return not self.aborted
 
 
+def _hit_rate(hits: int, misses: int) -> float:
+    """``StatsSnapshot.hit_rate``: 1.0 when never accessed."""
+    accesses = hits + misses
+    return hits / accesses if accesses else 1.0
+
+
+@dataclass
+class CounterTotals:
+    """The GPU-wide counters that launch and run records report.
+
+    Each field equals what a registry snapshot gives for the pattern in
+    its comment (``total``, ``hit_rate``, ``ratio_percent`` or ``get``),
+    read straight off the components instead of flattening them all.
+    Every value is cumulative since the last reset.
+    """
+
+    instructions: int            # cores.*.issue.instructions
+    mem_instructions: int        # cores.*.issue.mem_instructions
+    transactions: int            # cores.*.issue.transactions
+    issue_stall_cycles: int      # cores.*.issue.bcu_stall_cycles
+    l1d_hit_rate: float          # cores.*.l1d
+    l1_rcache_hit_rate: float    # cores.*.rcache.l1
+    l2_rcache_hit_rate: float    # cores.*.rcache.l2
+    #: cores.*.bcu.checks_skipped_static over cores.*.bcu.mem_instructions
+    check_reduction_percent: float
+    bcu_stall_cycles: int        # cores.*.bcu.stall_cycles
+    rbt_fills: int               # cores.*.bcu.rbt_fills
+    violations: int              # shield.log.violations
+
+
 class GPU:
     """Simulated GPU bound to one driver (its memory and shield)."""
 
@@ -173,8 +203,8 @@ class GPU:
         jobs = [self._make_job(launch) for launch in launches]
         assignments = self._assign(jobs, mode)
 
-        # Core counters are cumulative across runs; snapshot for deltas.
-        before = self._counters()
+        # Core counters are cumulative across runs; keep a base for deltas.
+        before = self.totals()
         aborted = False
         error = ""
         per_core: List[int] = []
@@ -277,34 +307,66 @@ class GPU:
 
     # -- statistics ---------------------------------------------------------------------
 
-    def _counters(self) -> Tuple[int, int, int, int]:
-        snap = self.stats.snapshot()
-        return (int(snap.total("cores.*.issue.instructions")),
-                int(snap.total("cores.*.issue.mem_instructions")),
-                int(snap.total("cores.*.issue.transactions")),
-                int(snap.total("cores.*.issue.bcu_stall_cycles")))
-
-    def _collect(self, per_core: List[int], aborted: bool, error: str,
-                 before: Tuple[int, int, int, int]) -> LaunchResult:
-        after = self._counters()
-        instructions, mem, txs, stalls = (a - b for a, b in
-                                          zip(after, before))
-        snap = self.stats.snapshot()
-        return LaunchResult(
-            cycles=max(per_core) if per_core else 0,
+    def totals(self) -> CounterTotals:
+        """Sum the reported counters over every core (see
+        :class:`CounterTotals`); the registry stays for every other
+        consumer."""
+        instructions = mem = txs = issue_stalls = 0
+        l1d_hits = l1d_misses = 0
+        rc1_hits = rc1_misses = rc2_hits = rc2_misses = 0
+        skipped = checked = stalls = fills = 0
+        for core in self.cores:
+            stats = core.stats
+            instructions += stats.instructions
+            mem += stats.mem_instructions
+            txs += stats.transactions
+            issue_stalls += stats.bcu_stall_cycles
+            l1d = core.l1d.stats
+            l1d_hits += l1d.hits
+            l1d_misses += l1d.misses
+            bcu = core.bcu
+            if bcu is not None:
+                rc1_hits += bcu.l1.stats.hits
+                rc1_misses += bcu.l1.stats.misses
+                rc2_hits += bcu.l2.stats.hits
+                rc2_misses += bcu.l2.stats.misses
+                bcu_stats = bcu.stats
+                skipped += bcu_stats.checks_skipped_static
+                checked += bcu_stats.mem_instructions
+                stalls += bcu_stats.stall_cycles
+                fills += bcu_stats.rbt_fills
+        return CounterTotals(
             instructions=instructions,
             mem_instructions=mem,
             transactions=txs,
+            issue_stall_cycles=issue_stalls,
+            l1d_hit_rate=_hit_rate(l1d_hits, l1d_misses),
+            l1_rcache_hit_rate=_hit_rate(rc1_hits, rc1_misses),
+            l2_rcache_hit_rate=_hit_rate(rc2_hits, rc2_misses),
+            check_reduction_percent=(100.0 * skipped / checked
+                                     if checked else 0.0),
+            bcu_stall_cycles=stalls,
+            rbt_fills=fills,
+            violations=len(self.shield.log) if self.shield.enabled else 0,
+        )
+
+    def _collect(self, per_core: List[int], aborted: bool, error: str,
+                 before: CounterTotals) -> LaunchResult:
+        after = self.totals()
+        return LaunchResult(
+            cycles=max(per_core) if per_core else 0,
+            instructions=after.instructions - before.instructions,
+            mem_instructions=after.mem_instructions - before.mem_instructions,
+            transactions=after.transactions - before.transactions,
             aborted=aborted,
             error=error,
             per_core_cycles=per_core,
-            l1d_hit_rate=snap.hit_rate("cores.*.l1d"),
-            l1_rcache_hit_rate=snap.hit_rate("cores.*.rcache.l1"),
-            l2_rcache_hit_rate=snap.hit_rate("cores.*.rcache.l2"),
-            check_reduction_percent=snap.ratio_percent(
-                "cores.*.bcu.checks_skipped_static",
-                "cores.*.bcu.mem_instructions"),
-            bcu_stall_cycles=stalls,
-            rbt_fills=int(snap.total("cores.*.bcu.rbt_fills")),
-            violations=int(snap.get("shield.log.violations", 0)),
+            l1d_hit_rate=after.l1d_hit_rate,
+            l1_rcache_hit_rate=after.l1_rcache_hit_rate,
+            l2_rcache_hit_rate=after.l2_rcache_hit_rate,
+            check_reduction_percent=after.check_reduction_percent,
+            bcu_stall_cycles=(after.issue_stall_cycles
+                              - before.issue_stall_cycles),
+            rbt_fills=after.rbt_fills,
+            violations=after.violations,
         )

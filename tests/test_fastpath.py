@@ -115,6 +115,22 @@ class TestFastCacheEquivalence:
             assert (ref.stats.hits, ref.stats.misses) == \
                 (fast.stats.hits, fast.stats.misses)
 
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_OPS, later=_OPS, geometry=st.sampled_from(_CACHE_GEOMETRIES))
+    def test_flush_leaves_a_fresh_cache(self, ops, later, geometry):
+        fast = FastCache(*geometry, name="fast")
+        for op, addr in ops:
+            getattr(fast, op)(*(() if op == "flush" else (addr,)))
+        fast.flush()
+        assert not any(fast._lines)
+        fresh = FastCache(*geometry, name="fresh")
+        hits, misses = fast.stats.hits, fast.stats.misses
+        for op, addr in later:
+            args = () if op == "flush" else (addr,)
+            assert getattr(fast, op)(*args) == getattr(fresh, op)(*args)
+        assert (fast.stats.hits - hits, fast.stats.misses - misses) == \
+            (fresh.stats.hits, fresh.stats.misses)
+
     def test_reset_stats(self):
         fast = FastCache(16384, 4, 128)
         fast.access(0)
@@ -144,6 +160,23 @@ class TestFastTlbEquivalence:
                 fast.flush()
             assert (ref.stats.hits, ref.stats.misses) == \
                 (fast.stats.hits, fast.stats.misses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_TLB_OPS, later=_TLB_OPS,
+           geometry=st.sampled_from(_TLB_GEOMETRIES))
+    def test_flush_leaves_a_fresh_tlb(self, ops, later, geometry):
+        fast = FastTlb(*geometry, name="fast")
+        for op, vpage in ops:
+            getattr(fast, op)(*(() if op == "flush" else (vpage,)))
+        fast.flush()
+        assert not any(fast._lines)
+        fresh = FastTlb(*geometry, name="fresh")
+        hits, misses = fast.stats.hits, fast.stats.misses
+        for op, vpage in later:
+            args = () if op == "flush" else (vpage,)
+            assert getattr(fast, op)(*args) == getattr(fresh, op)(*args)
+        assert (fast.stats.hits - hits, fast.stats.misses - misses) == \
+            (fresh.stats.hits, fresh.stats.misses)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +534,126 @@ class TestWorkloadEquivalence:
         slow = raising_launch("slow")
         assert raising_launch("fast") == slow
         assert slow["cores.0.issue.instructions"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The compile cache: one program per (kernel object, warp size)
+# ---------------------------------------------------------------------------
+
+
+def _geometry_kernel():
+    """Reads every launch-dependent special, mallocs and diverges."""
+    from repro import KernelBuilder
+
+    b = KernelBuilder("geometry")
+    out = b.arg_ptr("out")
+    g = b.gtid()
+    v = b.add(b.mul(b.ntid(), 1000), b.mul(b.nctaid(), 100))
+    b.add(v, b.ctaid(), out=v)
+    with b.if_(b.setp("eq", b.and_(g, 1), 1)):
+        b.add(v, b.tid(), out=v)
+        b.else_mark()
+        b.sub(v, b.lane(), out=v)
+    with b.if_(b.setp("eq", b.tid(), 0)):
+        hp = b.malloc(64)
+        b.st(hp, 0, v, dtype="i32")
+        b.add(v, b.ld(hp, 0, dtype="i32"), out=v)
+    b.st_idx(out, g, v, dtype="i32")
+    return b.build()
+
+
+def _geometry_runs(engine_name, kernel, config):
+    """Launch ``kernel`` twice at different geometries in one intra-core
+    run, then once more on its own: every LaunchResult and the output
+    buffers."""
+    from repro import GpuSession
+
+    with engine(engine_name):
+        session = GpuSession(config)
+        driver = session.driver
+        launches, bufs = [], []
+        for workgroups, wg_size in ((3, 64), (2, 32), (4, 32)):
+            buf = driver.malloc(workgroups * wg_size * 4)
+            bufs.append(buf)
+            launches.append(driver.launch(kernel, {"out": buf},
+                                          workgroups, wg_size))
+        pair = session.gpu.run(launches[:2], mode="intra_core")
+        single = session.gpu.run(launches[2])
+    memory = [driver.read(buf, buf.size) for buf in bufs]
+    return [asdict(pair), asdict(single)], memory
+
+
+class TestCompileCache:
+    @pytest.mark.parametrize("alu_latency", [1, 2])
+    @pytest.mark.parametrize("factory,lanes", [("nvidia_config", 32),
+                                               ("intel_config", 8)])
+    def test_shared_program_matches_reference(self, monkeypatch, factory,
+                                              lanes, alu_latency):
+        from repro.gpu import config as gpu_config
+
+        config = getattr(gpu_config, factory)(num_cores=2,
+                                              alu_latency=alu_latency)
+        assert config.warp_size == lanes
+        kernel = _geometry_kernel()
+        slow = _geometry_runs("slow", kernel, config)
+
+        compiled = []
+        compile_ = FastExecutor._compile
+
+        def counting_compile(executor, instr, pc):
+            compiled.append(pc)
+            return compile_(executor, instr, pc)
+
+        monkeypatch.setattr(FastExecutor, "_compile", counting_compile)
+        fast = _geometry_runs("fast", kernel, config)
+        assert fast == slow
+        # Three launches of one kernel object: compiled exactly once.
+        assert compiled == list(range(len(kernel.instructions)))
+        (pair, single), _memory = fast
+        assert pair["divergent_branches"] > 0
+        assert single["divergent_branches"] > 0
+
+        # A further launch, on a fresh session, compiles nothing.
+        del compiled[:]
+        assert _geometry_runs("fast", kernel, config) == slow
+        assert compiled == []
+
+    def test_equal_kernels_with_distinct_immediates_compile_apart(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        from repro.isa.program import Kernel
+
+        def kernel(value):
+            return Kernel("imm", [Instr("mov", dst=Reg(0), srcs=(Imm(value),)),
+                                  Instr("exit")], num_regs=1)
+
+        as_int, as_float = kernel(1), kernel(1.0)
+        # Structurally equal, so an equality-keyed cache would conflate them.
+        assert as_int == as_float
+        assert Imm(1) == Imm(1.0) and hash(Imm(1)) == hash(Imm(1.0))
+        values = []
+        for k in (as_int, as_float):
+            executor = FastExecutor(k, workgroups=1, wg_size=_WS,
+                                    warp_size=_WS, initial_regs={},
+                                    fuse=False)
+            warp = executor.make_warp(0, 0, 0)
+            executor.step(warp)
+            values.append(warp.regs[0])
+        assert values == [[1] * _WS, [1.0] * _WS]
+        assert [type(v[0]) for v in values] == [int, float]
+
+    def test_program_dies_with_its_kernel(self):
+        import gc
+
+        from repro.gpu import fastpath
+
+        kernel = _geometry_kernel()
+        FastExecutor(kernel, workgroups=1, wg_size=32, warp_size=32,
+                     initial_regs={}, fuse=True)
+        assert id(kernel) in fastpath._PROGRAMS
+        key = id(kernel)
+        del kernel
+        gc.collect()
+        assert key not in fastpath._PROGRAMS
 
 
 # ---------------------------------------------------------------------------

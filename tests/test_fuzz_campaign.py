@@ -13,6 +13,7 @@ from repro.fuzz import (
     run_case,
 )
 from repro.fuzz.cli import main as fuzz_cli
+from repro.fuzz.spec import KINDS
 
 
 def case_of(kind, index=0, seed=9):
@@ -61,6 +62,41 @@ class TestRunCase:
     def test_shield_run_is_deterministic(self):
         outcome = run_case(case_of("overflow"), check_determinism=True)
         assert outcome.deterministic is True
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_workload_serves_every_config_unchanged(self, monkeypatch,
+                                                        kind):
+        """``run_case`` builds its workload once and shares it across the
+        six configs and the determinism re-run: running must leave it
+        equal to a freshly built one."""
+        import pickle
+
+        from repro.fuzz import campaign
+
+        built = []
+        build = campaign.build_workload
+
+        def recording_build(spec):
+            built.append(build(spec))
+            return built[-1]
+
+        monkeypatch.setattr(campaign, "build_workload", recording_build)
+        spec = case_of(kind)
+        outcome = run_case(spec, check_determinism=True)
+        assert outcome.ok, outcome.cell_failures
+        assert outcome.deterministic is True
+        assert len(built) == 1
+        shared, fresh = built[0], build(spec)
+        for ran, new in zip(shared.runs, fresh.runs, strict=True):
+            assert ran.kernel.instructions == new.kernel.instructions
+            assert ran.kernel.flow == new.kernel.flow
+            assert ran.kernel.else_of == new.kernel.else_of
+            assert ran.args == new.args
+        assert shared.buffers == fresh.buffers
+        assert shared == fresh
+        # Equality alone would accept Imm(1) for Imm(1.0); the pickles
+        # also carry every value's type.
+        assert pickle.dumps(shared) == pickle.dumps(fresh)
 
     def test_case_seed_is_not_shadowed_by_the_session_default(self):
         # The session layer carries a 0xC0FFEE default seed; a campaign

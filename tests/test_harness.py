@@ -137,3 +137,142 @@ class TestInitKinds:
         blob = runner.session.driver.read(runner.buffers["in0"], 16)
         import struct
         assert struct.unpack("<4i", blob) == (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Counter totals vs the registry-snapshot formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def _launch_oracle(before, after):
+    """``GPU.run``'s LaunchResult counters as registry-snapshot formulas:
+    issue-counter deltas, cumulative hit rates and RBT fills."""
+    def delta(path):
+        return int(after.total(path)) - int(before.total(path))
+
+    return {
+        "instructions": delta("cores.*.issue.instructions"),
+        "mem_instructions": delta("cores.*.issue.mem_instructions"),
+        "transactions": delta("cores.*.issue.transactions"),
+        "bcu_stall_cycles": delta("cores.*.issue.bcu_stall_cycles"),
+        "l1d_hit_rate": after.hit_rate("cores.*.l1d"),
+        "l1_rcache_hit_rate": after.hit_rate("cores.*.rcache.l1"),
+        "l2_rcache_hit_rate": after.hit_rate("cores.*.rcache.l2"),
+        "check_reduction_percent": after.ratio_percent(
+            "cores.*.bcu.checks_skipped_static",
+            "cores.*.bcu.mem_instructions"),
+        "rbt_fills": int(after.total("cores.*.bcu.rbt_fills")),
+        "violations": int(after.get("shield.log.violations", 0)),
+    }
+
+
+def _record_oracle(snap, shielded):
+    """``WorkloadRunner.run``'s end-of-run RunRecord statistics."""
+    want = {"l1d_hit_rate": snap.hit_rate("cores.*.l1d")}
+    if shielded:
+        want.update(
+            l1_rcache_hit_rate=snap.hit_rate("cores.*.rcache.l1"),
+            l2_rcache_hit_rate=snap.hit_rate("cores.*.rcache.l2"),
+            check_reduction_percent=snap.ratio_percent(
+                "cores.*.bcu.checks_skipped_static",
+                "cores.*.bcu.mem_instructions"),
+            bcu_stall_cycles=int(snap.total("cores.*.bcu.stall_cycles")),
+            rbt_fills=int(snap.total("cores.*.bcu.rbt_fills")))
+    return want
+
+
+def _run_gather(shield):
+    wl = gather("g", n=256, wg_size=64, data_len=256)
+    wl.repeats = 2
+    runner = WorkloadRunner(wl, CFG, shield)
+    try:
+        runner.run()
+    finally:
+        runner.close()
+
+
+def _run_partitioned_pair():
+    """§6.2: two co-resident kernels over partitioned RCaches."""
+    from repro import GpuSession, KernelBuilder
+    from repro.core.bcu import BCUConfig
+
+    def fill(name, value):
+        b = KernelBuilder(name)
+        out = b.arg_ptr("out")
+        g = b.gtid()
+        b.st_idx(out, g, b.add(b.ld_idx(out, g, dtype="i32"), value),
+                 dtype="i32")
+        return b.build()
+
+    # No static analysis: every access takes the RBT/RCache path.
+    session = GpuSession(nvidia_config(num_cores=2), shield=ShieldConfig(
+        enabled=True, static_analysis=False,
+        bcu=BCUConfig(partition_rcache=True, l1_entries=1)))
+    bufs = [session.driver.malloc(256 * 4, name=name) for name in "ab"]
+    for mode in ("intra_core", "inter_core"):
+        launches = [session.driver.launch(fill(f"k{mode}{i}", 100 * i),
+                                          {"out": buf}, 4, 64)
+                    for i, buf in enumerate(bufs)]
+        session.run_pair(launches, mode=mode)
+
+
+def _run_stale_replay():
+    """A two-launch case through all six protection configs."""
+    from repro.fuzz import CaseGenerator, run_case
+
+    outcome = run_case(CaseGenerator(9).draw_kind("stale_replay", 0))
+    assert outcome.ok, outcome.cell_failures
+
+
+_SCENARIOS = {
+    "shield-off": lambda: _run_gather(None),
+    "shield-on": lambda: _run_gather(ShieldConfig(enabled=True)),
+    "partitioned-pair": _run_partitioned_pair,
+    "stale-replay": _run_stale_replay,
+}
+
+
+class TestCounterTotalsOracle:
+    """``GPU.totals`` must give every LaunchResult and RunRecord field
+    exactly what the registry snapshots gave, on both engines."""
+
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+    def test_matches_snapshot_formulas(self, monkeypatch, scenario):
+        from dataclasses import asdict
+
+        from repro.engine import engine
+        from repro.gpu.gpu import GPU
+
+        gpu_run, runner_run = GPU.run, WorkloadRunner.run
+        observed = {}
+        for engine_name in ("slow", "fast"):
+            launches, records = [], []
+
+            def checked_gpu_run(gpu, *args, **kwargs):
+                before = gpu.stats.snapshot()
+                result = gpu_run(gpu, *args, **kwargs)
+                got = asdict(result)
+                want = _launch_oracle(before, gpu.stats.snapshot())
+                assert {k: got[k] for k in want} == want
+                launches.append(got)
+                return result
+
+            def checked_runner_run(runner, *args, **kwargs):
+                record = runner_run(runner, *args, **kwargs)
+                want = _record_oracle(runner.session.stats.snapshot(),
+                                      runner.session.shield.enabled)
+                assert {k: getattr(record, k) for k in want} == want
+                records.append(record.to_json())
+                return record
+
+            monkeypatch.setattr(GPU, "run", checked_gpu_run)
+            monkeypatch.setattr(WorkloadRunner, "run", checked_runner_run)
+            with engine(engine_name):
+                _SCENARIOS[scenario]()
+            monkeypatch.undo()
+            observed[engine_name] = (launches, records)
+        assert observed["slow"] == observed["fast"]
+        launches, _records = observed["fast"]
+        assert launches
+        if scenario != "shield-off":
+            assert any(r["rbt_fills"] for r in launches)
