@@ -1,14 +1,11 @@
 """The device layer: long-lived GPUs with reset/snapshot and a warm cache."""
 
 from repro.device.cache import (
-    MAX_IDLE_PER_KEY,
     acquire_device,
     device_cache_stats,
     device_fingerprint,
-    max_idle_per_key,
     release_device,
     reset_device_cache,
-    set_max_idle_per_key,
     set_warm_devices,
     warm_devices,
     warm_devices_enabled,
@@ -26,14 +23,11 @@ __all__ = [
     "workload_fingerprint",
     "DeviceSnapshot",
     "GpuDevice",
-    "MAX_IDLE_PER_KEY",
     "acquire_device",
     "device_cache_stats",
     "device_fingerprint",
-    "max_idle_per_key",
     "release_device",
     "reset_device_cache",
-    "set_max_idle_per_key",
     "set_warm_devices",
     "warm_devices",
     "warm_devices_enabled",

@@ -24,7 +24,6 @@ counters here are merged into the runner's stats registry by
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -33,17 +32,13 @@ from repro.device.device import GpuDevice
 from repro.engine import resolve as resolve_engine
 from repro.gpu.config import GPUConfig, nvidia_config
 
-#: Default idle devices kept per fingerprint; beyond this, released
-#: devices are evicted (their baseline images would pin memory for
-#: nothing).  The *effective* bound is :func:`max_idle_per_key` — the
-#: serving layer raises it for device-heavy traffic mixes, and the
-#: ``REPRO_POOL_MAX_IDLE`` environment variable seeds it at import.
+#: Idle devices kept per fingerprint; beyond this, released devices are
+#: evicted (their baseline images would pin memory for nothing).
 MAX_IDLE_PER_KEY = 4
 
 _idle: Dict[Tuple[str, str, str], List[GpuDevice]] = {}
 _stats: Dict[str, int] = {}
 _warm = True
-_max_idle = int(os.environ.get("REPRO_POOL_MAX_IDLE", MAX_IDLE_PER_KEY))
 
 
 def _zeroed_stats() -> Dict[str, int]:
@@ -52,32 +47,6 @@ def _zeroed_stats() -> Dict[str, int]:
 
 
 _stats.update(_zeroed_stats())
-
-
-def max_idle_per_key() -> int:
-    """The effective idle-pool bound per fingerprint."""
-    return _max_idle
-
-
-def set_max_idle_per_key(limit: int) -> int:
-    """Rebound the idle pool; returns the previous limit.
-
-    Shrinking evicts surplus idle devices immediately (oldest first),
-    so the bound is an invariant, not just a release-time filter.  The
-    limit is pool telemetry, never a workload observable: changing it
-    can only turn warm hits into cold builds, which reset-equivalence
-    makes bit-identical anyway.
-    """
-    global _max_idle
-    if limit < 0:
-        raise ValueError(f"max idle per key must be >= 0, got {limit}")
-    previous = _max_idle
-    _max_idle = limit
-    for pool in _idle.values():
-        while len(pool) > _max_idle:
-            pool.pop(0)
-            _stats["evictions"] += 1
-    return previous
 
 
 def device_fingerprint(config: Optional[GPUConfig],
@@ -172,7 +141,7 @@ def release_device(device: Optional[GpuDevice]) -> None:
     if device in pool:
         _stats["discards"] += 1
         return
-    if len(pool) >= _max_idle:
+    if len(pool) >= MAX_IDLE_PER_KEY:
         _stats["evictions"] += 1
         return
     pool.append(device)
@@ -197,5 +166,4 @@ def device_cache_stats() -> Dict[str, int]:
     out = dict(_stats)
     out["idle"] = sum(len(pool) for pool in _idle.values())
     out["keys"] = len(_idle)
-    out["max_idle_per_key"] = _max_idle
     return out

@@ -39,6 +39,7 @@ from repro.fuzz.generator import CaseGenerator
 from repro.fuzz.minimize import minimize
 from repro.fuzz.spec import KINDS, CaseSpec
 from repro.gpu.config import nvidia_config
+from repro.runner.sweep import ensure_out_dir
 
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
@@ -160,6 +161,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                  for i in range(args.cases)]
     else:
         specs = gen.draw_many(args.cases)
+    if not ensure_out_dir(args.out):
+        return 2
 
     config = nvidia_config(num_cores=1)
     if args.jobs > 0 or args.resume:
@@ -202,7 +205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             reproducers.append(minimize(outcome.spec, fails))
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "detection_matrix.json"),
                   "w") as fh:
             json.dump(result.to_dict(), fh, indent=2, sort_keys=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -33,6 +34,7 @@ from repro.oracle.capture import expand_subjects
 from repro.oracle.golden import GOLDEN_SUBJECTS, default_golden_root
 from repro.oracle.runner import (DEFAULT_SUBJECT_TIMEOUT, DIFF_KIND,
                                  plan_diff_jobs)
+from repro.runner.sweep import ensure_out_dir
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -75,9 +77,7 @@ def _run_plan(specs, args, mode: str) -> int:
     bad = [p for p in payloads if not p["ok"]]
 
     if args.report:
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w") as fh:
+        with open(args.report, "w") as fh:
             json.dump({
                 "mode": mode,
                 "subjects": len(specs),
@@ -210,6 +210,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "record":
         return _cmd_record(args)
+    if args.report and not ensure_out_dir(os.path.dirname(args.report),
+                                          "--report"):
+        return 2
     if args.command == "diff":
         return _cmd_diff(args)
     return _cmd_check(args)

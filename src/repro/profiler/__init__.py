@@ -3,8 +3,9 @@
 ``profile`` holds the :class:`Profiler` observer and the
 mergeable :class:`ProfileSnapshot`; ``collect`` runs subjects with the
 profiler attached and reconciles the attribution against the stats
-registry; ``report`` renders flame JSON and the text top-N; ``runner``
-shards profiles across worker processes.
+registry; ``report`` renders flame JSON and the text top-N; ``cli`` is
+the profile plug-in of the shared sweep (:mod:`repro.runner.sweep`),
+which shards profiles across worker processes.
 """
 
 from repro.profiler.collect import (ProfileReport, profile_benchmark,

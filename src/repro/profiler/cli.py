@@ -21,211 +21,97 @@ bit-identical under both engines.  Exit status is non-zero on any
 reconciliation failure or engine divergence.  ``--jobs N`` shards
 subjects across worker processes; the merged profile is identical to
 the serial one.
+
+The flags, the engine loop, sharding and the exit codes are the shared
+sweep's (:mod:`repro.runner.sweep`); this module is its profile
+plug-in.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from typing import List, Optional, Tuple
 
-from repro.engine import ENGINES, set_engine
-from repro.fuzz.generator import CaseGenerator
-from repro.fuzz.spec import KINDS
-from repro.gpu.config import nvidia_config
+from repro.profiler.collect import profile_benchmark, profile_case
 from repro.profiler.profile import ProfileSnapshot
-from repro.profiler.report import flame, render
-from repro.workloads.suite import RODINIA_FIG19
+from repro.profiler.report import flame, render as render_report
+from repro.runner.sweep import Analysis, run_sweep
+
+Profiled = Tuple[ProfileSnapshot, List[dict]]
+
+#: The per-subject row of the report and of ``profile.json``.
+_ROW = ("subject", "cycles", "reconciled", "mismatches")
 
 
-def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro profile",
-        description="Hierarchical cycle + wall-time attribution across "
-                    "engine -> core -> pipeline stage -> shield "
-                    "sub-step.")
-    parser.add_argument("--workloads", default="fig19",
-                        help="comma-separated benchmark names, 'fig19' "
-                             "for the 9 artifact workloads (default), or "
-                             "'none'")
-    parser.add_argument("--fuzz-cases", type=int, default=0,
-                        help="additionally profile N drawn fuzz cases "
-                             "(default 0)")
-    parser.add_argument("--kinds", default="safe",
-                        help="fuzz case kinds to draw (default: safe)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="fuzz draw seed / workload device seed "
-                             "(default 1)")
-    parser.add_argument("--engines", default="",
-                        help="comma-separated engines to profile under "
-                             "and compare (default: the process default)")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for the parallel runner "
-                             "(0 = serial in-process)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard count (default: jobs * 4, capped at "
-                             "the subject count)")
-    parser.add_argument("--top", type=int, default=15,
-                        help="frames in the top-N report (default 15)")
-    parser.add_argument("--out", default=None,
-                        help="directory for profile.json (flame tree + "
-                             "counters) and profile.txt")
-    return parser.parse_args(argv)
+class Profile(Analysis):
+    name = "profile"
+    title = "profile"
+    verb = "profile"
+    description = ("Hierarchical cycle + wall-time attribution across "
+                   "engine -> core -> pipeline stage -> shield "
+                   "sub-step.")
+    out_help = ("directory for profile.json (flame tree + counters) and "
+                "profile.txt")
+    same = "canonical profiles"
+    broken = "failed to reconcile with the stats registry"
 
+    def add_arguments(self, parser) -> None:
+        parser.add_argument("--top", type=int, default=15,
+                            help="frames in the top-N report (default 15)")
 
-def _profile_serial(workloads, specs,
-                    seed: int) -> Tuple[ProfileSnapshot, List[dict]]:
-    from repro.profiler.collect import profile_benchmark, profile_case
-    config = nvidia_config(num_cores=1)
-    merged = ProfileSnapshot.empty()
-    rows: List[dict] = []
-    for name in workloads:
-        report = profile_benchmark(name, config=config, seed=seed)
-        merged = merged.merge(report.snapshot)
-        rows.append({"subject": report.subject,
-                     "cycles": report.record.cycles,
-                     "reconciled": report.reconciled,
-                     "mismatches": report.mismatches})
-    for spec in specs:
-        report = profile_case(spec, config=config)
-        merged = merged.merge(report.snapshot)
-        rows.append({"subject": report.subject,
-                     "cycles": report.record.cycles,
-                     "reconciled": report.reconciled,
-                     "mismatches": report.mismatches})
-    return merged, rows
+    def workload(self, name, config, seed, options) -> dict:
+        return profile_benchmark(name, config=config, seed=seed).to_dict()
 
+    def case(self, spec, config, options) -> dict:
+        return profile_case(spec, config=config).to_dict()
 
-def _profile_parallel(args, workloads,
-                      specs) -> Optional[Tuple[ProfileSnapshot,
-                                               List[dict]]]:
-    from repro.profiler.runner import merge_profiles, plan_profile_shards
-    from repro.runner import HeartbeatReporter, run_jobs
-    jobs = max(args.jobs, 1)
-    plan = plan_profile_shards(workloads, specs, seed=args.seed,
-                               jobs=jobs, shards=args.shards)
-    reporter = HeartbeatReporter(len(plan), label="profile")
-    report = run_jobs(plan, jobs=jobs,
-                      run_name=f"profile-seed{args.seed}",
-                      out_dir=args.out, reporter=reporter,
-                      meta={"workloads": list(workloads),
-                            "cases": len(specs), "seed": args.seed})
-    try:
-        return merge_profiles([report.results[s.job_id] for s in plan])
-    except RuntimeError as exc:
-        print(f"profile incomplete: {exc}", file=sys.stderr)
-        return None
+    def fold(self, records: List[dict]) -> Profiled:
+        """Merge the subjects' snapshots; rows keep subject order."""
+        snapshot = ProfileSnapshot.empty()
+        for record in records:
+            snapshot = snapshot.merge(
+                ProfileSnapshot.from_dict(record["profile"]))
+        return snapshot, [{key: record[key] for key in _ROW}
+                          for record in records]
 
+    def failures(self, result: Profiled) -> List[dict]:
+        return [row for row in result[1] if not row["reconciled"]]
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _parse_args(argv)
+    def render(self, result: Profiled, args) -> str:
+        snapshot, rows = result
+        return render_report(snapshot, rows, top_n=args.top)
 
-    if args.workloads == "fig19":
-        workloads = list(RODINIA_FIG19)
-    elif args.workloads in ("none", ""):
-        workloads = []
-    else:
-        workloads = [w.strip() for w in args.workloads.split(",")
-                     if w.strip()]
-    from repro.workloads.suite import CUDA_BENCHMARKS
-    bad = [w for w in workloads if w not in CUDA_BENCHMARKS]
-    if bad:
-        print(f"unknown workloads: {bad} (see python -m repro list)",
-              file=sys.stderr)
-        return 2
+    def engine_key(self, result: Profiled) -> list:
+        return [result[0].counters_digest()]
 
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    bad = [k for k in kinds if k not in KINDS]
-    if bad:
-        print(f"unknown kinds: {bad} (have {list(KINDS)})",
-              file=sys.stderr)
-        return 2
-    gen = CaseGenerator(args.seed)
-    specs = [gen.draw_kind(kinds[i % len(kinds)], i)
-             for i in range(args.fuzz_cases)]
-    if not workloads and not specs:
-        print("nothing to profile (no workloads, no fuzz cases)",
-              file=sys.stderr)
-        return 2
+    def clean(self, result: Profiled) -> str:
+        return (f"reconciled exactly ({result[0].latency_cycles()} "
+                f"cycles attributed)")
 
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    bad = [e for e in engines if e not in ENGINES]
-    if bad:
-        print(f"unknown engines: {bad} (have {list(ENGINES)})",
-              file=sys.stderr)
-        return 2
-
-    if args.out:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot create --out directory {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    per_engine: dict = {}
-    for engine in engines or [""]:
-        previous = set_engine(engine) if engine else None
-        try:
-            if args.jobs > 0:
-                merged = _profile_parallel(args, workloads, specs)
-                if merged is None:
-                    return 2
-            else:
-                merged = _profile_serial(workloads, specs, args.seed)
-        finally:
-            if previous is not None:
-                set_engine(previous)
-        per_engine[engine or "default"] = merged
-        snapshot, rows = merged
-        label = f" [{engine}]" if engine else ""
-        print(f"profile{label}: {len(workloads)} workload(s), "
-              f"{len(specs)} fuzz case(s)")
-        print(render(snapshot, rows, top_n=args.top))
-
-    engine_mismatch = False
-    if len(per_engine) > 1:
-        digests = {eng: snap.counters_digest()
-                   for eng, (snap, _rows) in per_engine.items()}
-        if len(set(digests.values())) > 1:
-            engine_mismatch = True
-            print(f"ENGINE DIVERGENCE in canonical profile: {digests}",
-                  file=sys.stderr)
-        else:
-            print(f"canonical profiles identical across engines: "
-                  f"{', '.join(per_engine)}")
-
-    snapshot, rows = next(iter(per_engine.values()))
-    failures = [r for r in rows if not r["reconciled"]]
-
-    if args.out:
+    def write(self, out, result: Profiled, args, engines, ok) -> None:
+        snapshot, rows = result
         payload = {
             "schema": 1,
             "seed": args.seed,
-            "engines": list(per_engine),
+            "engines": engines,
             "flame": flame(snapshot),
             "profile": snapshot.to_dict(),
             "subjects": rows,
-            "ok": not failures and not engine_mismatch,
+            "ok": ok,
         }
-        with open(os.path.join(args.out, "profile.json"), "w") as fh:
+        with open(os.path.join(out, "profile.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        with open(os.path.join(args.out, "profile.txt"), "w") as fh:
-            fh.write(render(snapshot, rows, top_n=args.top) + "\n")
-        print(f"\nartifacts written to {args.out}/")
+        with open(os.path.join(out, "profile.txt"), "w") as fh:
+            fh.write(self.render(result, args) + "\n")
 
-    if failures or engine_mismatch:
-        print(f"\n{len(failures)} of {len(rows)} subject(s) failed to "
-              f"reconcile with the stats registry"
-              + ("; engine divergence detected" if engine_mismatch
-                 else ""),
-              file=sys.stderr)
-        return 1
-    print(f"\nall {len(rows)} subject(s) reconciled exactly "
-          f"({snapshot.latency_cycles()} cycles attributed)")
-    return 0
+
+PROFILE = Profile()
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return run_sweep(PROFILE, argv)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ inside one launch:
   detector cross-checks.
 
 :mod:`repro.racedetect.scan` runs both over workloads and fuzz cases;
-``python -m repro race`` is the CLI, and job kind ``race.scan`` shards
-scans through the parallel runner.
+``python -m repro race`` is the CLI, a plug-in of the shared sweep
+(:mod:`repro.runner.sweep`), which shards scans as ``sweep.shard`` jobs.
 """
 
 from repro.compiler.mayrace import (

@@ -22,215 +22,103 @@ subjects across worker processes; the merged result is identical to the
 serial scan.  With ``--out`` the full scan lands in ``race_scan.json``
 and each failing subject's race records in a
 ``race_divergence_<subject>.json`` artifact.
+
+The flags, the engine loop, sharding and the exit codes are the shared
+sweep's (:mod:`repro.runner.sweep`); this module is its race plug-in.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from typing import List, Optional
 
-from repro.engine import ENGINES, set_engine
-from repro.fuzz.generator import CaseGenerator
-from repro.fuzz.spec import KINDS
-from repro.gpu.config import nvidia_config
-from repro.workloads.suite import RODINIA_FIG19
+from repro.racedetect.scan import scan_benchmark, scan_case
+from repro.runner.sweep import Analysis, run_sweep
 
 
-def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro race",
-        description="Intra-kernel data-race scan: shadow-memory detector "
-                    "+ static may-race cross-check.")
-    parser.add_argument("--workloads", default="fig19",
-                        help="comma-separated benchmark names, 'fig19' "
-                             "for the 9 artifact workloads (default), or "
-                             "'none'")
-    parser.add_argument("--fuzz-cases", type=int, default=0,
-                        help="additionally scan N drawn fuzz cases "
-                             "(default 0)")
-    parser.add_argument("--kinds", default="safe",
-                        help="fuzz case kinds to draw (default: safe — "
-                             "the false-positive check)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="fuzz draw seed / workload device seed "
-                             "(default 1)")
-    parser.add_argument("--engines", default="",
-                        help="comma-separated engines to scan under and "
-                             "compare (default: the process default)")
-    parser.add_argument("--jobs", type=int, default=0,
-                        help="worker processes for the parallel runner "
-                             "(0 = serial in-process)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard count (default: jobs * 4, capped at "
-                             "the subject count)")
-    parser.add_argument("--out", default=None,
-                        help="directory for race_scan.json and "
-                             "divergence artifacts")
-    parser.add_argument("--full-report", action="store_true",
-                        help="include per-pair static findings in the "
-                             "JSON output")
-    return parser.parse_args(argv)
-
-
-def _scan_serial(workloads, specs, seed: int, full: bool) -> List[dict]:
-    from repro.racedetect.scan import scan_benchmark, scan_case
-    config = nvidia_config(num_cores=1)
-    results: List[dict] = []
-    for name in workloads:
-        scan = scan_benchmark(name, config=config, seed=seed,
-                              full_report=full)
-        ok = scan.ok and scan.dynamic_verdict == "race-free"
-        results.append({"subject": name, "scan": scan.to_dict(), "ok": ok})
-    for spec in specs:
-        case = scan_case(spec, config=config, full_report=full)
-        results.append({"subject": spec.case_id, "case": case.to_dict(),
-                        "ok": case.ok})
-    return results
-
-
-def _scan_parallel(args, workloads, specs) -> Optional[List[dict]]:
-    from repro.racedetect.runner import merge_scans, plan_race_shards
-    from repro.runner import HeartbeatReporter, run_jobs
-    jobs = max(args.jobs, 1)
-    plan = plan_race_shards(workloads, specs, seed=args.seed, jobs=jobs,
-                            shards=args.shards)
-    reporter = HeartbeatReporter(len(plan), label="race")
-    report = run_jobs(plan, jobs=jobs, run_name=f"race-seed{args.seed}",
-                      out_dir=args.out, reporter=reporter,
-                      meta={"workloads": list(workloads),
-                            "cases": len(specs), "seed": args.seed})
-    try:
-        return merge_scans([report.results[s.job_id] for s in plan])
-    except RuntimeError as exc:
-        print(f"scan incomplete: {exc}", file=sys.stderr)
-        return None
+def _scan(result: dict) -> dict:
+    return result.get("scan") or result["case"]["scan"]
 
 
 def _summary_key(result: dict) -> tuple:
     """What must be engine-invariant about one subject's scan."""
-    scan = result.get("scan") or result["case"]["scan"]
+    scan = _scan(result)
     return (result["subject"], scan["dynamic_verdict"],
             scan["static_verdict"], scan["races"])
 
 
-def _render(results: List[dict]) -> str:
-    lines = [f"  {'subject':<28} {'dynamic':>10} {'static':>10} "
-             f"{'races':>6}  ok"]
-    for result in results:
-        scan = result.get("scan") or result["case"]["scan"]
-        lines.append(
-            f"  {result['subject']:<28} {scan['dynamic_verdict']:>10} "
-            f"{scan['static_verdict']:>10} {scan['races']:>6}  "
-            f"{'yes' if result['ok'] else 'NO'}")
-    return "\n".join(lines)
+class RaceScan(Analysis):
+    name = "race"
+    title = "race scan"
+    verb = "scan"
+    description = ("Intra-kernel data-race scan: shadow-memory detector "
+                   "+ static may-race cross-check.")
+    kinds_help = ("fuzz case kinds to draw (default: safe — "
+                  "the false-positive check)")
+    out_help = "directory for race_scan.json and divergence artifacts"
+    same = "verdicts"
+    broken = "violated the race contract"
+
+    def add_arguments(self, parser) -> None:
+        parser.add_argument("--full-report", action="store_true",
+                            help="include per-pair static findings in the "
+                                 "JSON output")
+
+    def options(self, args) -> dict:
+        return {"full_report": args.full_report}
+
+    def workload(self, name, config, seed, options) -> dict:
+        scan = scan_benchmark(name, config=config, seed=seed,
+                              full_report=options["full_report"])
+        ok = scan.ok and scan.dynamic_verdict == "race-free"
+        return {"subject": name, "scan": scan.to_dict(), "ok": ok}
+
+    def case(self, spec, config, options) -> dict:
+        case = scan_case(spec, config=config,
+                         full_report=options["full_report"])
+        return {"subject": spec.case_id, "case": case.to_dict(),
+                "ok": case.ok}
+
+    def failures(self, results: List[dict]) -> List[dict]:
+        return [r for r in results if not r["ok"]]
+
+    def render(self, results: List[dict], args) -> str:
+        lines = [f"  {'subject':<28} {'dynamic':>10} {'static':>10} "
+                 f"{'races':>6}  ok"]
+        for result in results:
+            scan = _scan(result)
+            lines.append(
+                f"  {result['subject']:<28} {scan['dynamic_verdict']:>10} "
+                f"{scan['static_verdict']:>10} {scan['races']:>6}  "
+                f"{'yes' if result['ok'] else 'NO'}")
+        return "\n".join(lines)
+
+    def engine_key(self, results: List[dict]) -> list:
+        return [_summary_key(r) for r in results]
+
+    def clean(self, results: List[dict]) -> str:
+        races = sum(_scan(r)["races"] for r in results)
+        return f"clean ({races} races, 0 contract violations)"
+
+    def write(self, out, results, args, engines, ok) -> None:
+        with open(os.path.join(out, "race_scan.json"), "w") as fh:
+            json.dump({"seed": args.seed, "engines": engines,
+                       "results": results, "ok": ok},
+                      fh, indent=2, sort_keys=True)
+        for result in self.failures(results):
+            name = result["subject"].replace(":", "_").replace("/", "_")
+            path = os.path.join(out, f"race_divergence_{name}.json")
+            with open(path, "w") as fh:
+                json.dump(result, fh, indent=2, sort_keys=True)
+
+
+RACE = RaceScan()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parse_args(argv)
-
-    if args.workloads == "fig19":
-        workloads = list(RODINIA_FIG19)
-    elif args.workloads in ("none", ""):
-        workloads = []
-    else:
-        workloads = [w.strip() for w in args.workloads.split(",")
-                     if w.strip()]
-    from repro.workloads.suite import CUDA_BENCHMARKS
-    bad = [w for w in workloads if w not in CUDA_BENCHMARKS]
-    if bad:
-        print(f"unknown workloads: {bad} (see python -m repro list)",
-              file=sys.stderr)
-        return 2
-
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    bad = [k for k in kinds if k not in KINDS]
-    if bad:
-        print(f"unknown kinds: {bad} (have {list(KINDS)})", file=sys.stderr)
-        return 2
-    gen = CaseGenerator(args.seed)
-    specs = [gen.draw_kind(kinds[i % len(kinds)], i)
-             for i in range(args.fuzz_cases)]
-    if not workloads and not specs:
-        print("nothing to scan (no workloads, no fuzz cases)",
-              file=sys.stderr)
-        return 2
-
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    bad = [e for e in engines if e not in ENGINES]
-    if bad:
-        print(f"unknown engines: {bad} (have {list(ENGINES)})",
-              file=sys.stderr)
-        return 2
-
-    per_engine: dict = {}
-    for engine in engines or [""]:
-        previous = set_engine(engine) if engine else None
-        try:
-            if args.jobs > 0:
-                results = _scan_parallel(args, workloads, specs)
-                if results is None:
-                    return 2
-            else:
-                results = _scan_serial(workloads, specs, args.seed,
-                                       args.full_report)
-        finally:
-            if previous is not None:
-                set_engine(previous)
-        per_engine[engine or "default"] = results
-        label = f" [{engine}]" if engine else ""
-        print(f"race scan{label}: {len(workloads)} workload(s), "
-              f"{len(specs)} fuzz case(s)")
-        print(_render(results))
-
-    engine_mismatch = False
-    if len(per_engine) > 1:
-        summaries = {eng: [_summary_key(r) for r in results]
-                     for eng, results in per_engine.items()}
-        baseline_engine = next(iter(summaries))
-        baseline = summaries[baseline_engine]
-        for eng, summary in summaries.items():
-            if summary != baseline:
-                engine_mismatch = True
-                diffs = [f"{a} != {b}" for a, b in zip(baseline, summary)
-                         if a != b]
-                print(f"ENGINE DIVERGENCE {baseline_engine} vs {eng}: "
-                      + "; ".join(diffs[:5]), file=sys.stderr)
-        if not engine_mismatch:
-            print(f"verdicts identical across engines: "
-                  f"{', '.join(per_engine)}")
-
-    results = next(iter(per_engine.values()))
-    failures = [r for r in results if not r["ok"]]
-
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "race_scan.json"), "w") as fh:
-            json.dump({"seed": args.seed, "engines": list(per_engine),
-                       "results": results,
-                       "ok": not failures and not engine_mismatch},
-                      fh, indent=2, sort_keys=True)
-        for result in failures:
-            scan = result.get("scan") or result["case"]["scan"]
-            name = result["subject"].replace(":", "_").replace("/", "_")
-            path = os.path.join(args.out, f"race_divergence_{name}.json")
-            with open(path, "w") as fh:
-                json.dump(result, fh, indent=2, sort_keys=True)
-        print(f"\nartifacts written to {args.out}/")
-
-    if failures or engine_mismatch:
-        print(f"\n{len(failures)} of {len(results)} subject(s) violated "
-              f"the race contract"
-              + ("; engine divergence detected" if engine_mismatch else ""),
-              file=sys.stderr)
-        return 1
-    races = sum((r.get("scan") or r["case"]["scan"])["races"]
-                for r in results)
-    print(f"\nall {len(results)} subject(s) clean ({races} races, "
-          f"0 contract violations)")
-    return 0
+    return run_sweep(RACE, argv)
 
 
 if __name__ == "__main__":

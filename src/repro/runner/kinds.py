@@ -40,11 +40,9 @@ _LAZY: Dict[str, str] = {
     "fuzz.shard": "repro.fuzz.parallel:run_shard_job",
     "harness.matrix_cell": "repro.analysis.harness:matrix_cell_job",
     "bench.artifact": "repro.analysis.bench:run_artifact_job",
-    "device.selftest": "repro.device.selftest:device_selftest_job",
     "oracle.diff": "repro.oracle.runner:oracle_diff_job",
     "service.shard": "repro.service.executor:run_service_shard",
-    "race.scan": "repro.racedetect.runner:race_scan_job",
-    "profile.workload": "repro.profiler.runner:profile_shard_job",
+    "sweep.shard": "repro.runner.sweep:run_sweep_shard",
 }
 
 

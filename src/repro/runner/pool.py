@@ -46,13 +46,7 @@ def _pool_context():
 
 
 _CACHE_COUNTER_KEYS = ("hits", "misses", "cold_builds", "releases",
-                       "discards", "resets")
-
-#: Pool-occupancy counters surfaced separately under ``device.pool.*``:
-#: the warm pool's hit/miss/evict economics, which the serving layer
-#: watches under contention.  Telemetry like ``device.cache.*`` — both
-#: prefixes are excluded from determinism digests.
-_POOL_COUNTER_KEYS = ("hits", "misses", "evictions")
+                       "discards", "resets", "evictions")
 
 
 def _merge_device_cache_stats(stats, before: Dict[str, int]) -> None:
@@ -69,10 +63,6 @@ def _merge_device_cache_stats(stats, before: Dict[str, int]) -> None:
              for key in _CACHE_COUNTER_KEYS}
     if any(delta.values()):
         stats.counters("device.cache").update(delta)
-    pool_delta = {key: after.get(key, 0) - before.get(key, 0)
-                  for key in _POOL_COUNTER_KEYS}
-    if any(pool_delta.values()):
-        stats.counters("device.pool").update(pool_delta)
 
 
 def execute_attempt(spec: JobSpec, attempt: int) -> JobResult:

@@ -28,6 +28,7 @@ import sys
 from typing import List, Optional
 
 from repro.fuzz.spec import ATTACK_KINDS
+from repro.runner.sweep import ensure_out_dir
 from repro.service.attacks import render_matrix, run_attack_matrix
 from repro.service.audit import write_audit_log
 from repro.service.simulator import ServiceConfig, run_service
@@ -113,6 +114,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not 0.0 <= args.attack_ratio <= 1.0:
         print("--attack-ratio must be in [0, 1]", file=sys.stderr)
         return 2
+    if not ensure_out_dir(args.out):
+        return 2
 
     failed = False
     matrix = None
@@ -143,7 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             failed = True
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         if report is not None:
             write_audit_log(
                 os.path.join(args.out, "audit.jsonl"), report.events,

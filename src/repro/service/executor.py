@@ -47,7 +47,7 @@ from repro.device import memo as warm_memo
 from repro.fuzz.generator import ShieldMutator, build_workload
 from repro.gpu.config import GPUConfig, nvidia_config
 from repro.runner.job import JobContext, JobSpec
-from repro.runner.shard import default_shard_count, plan_shards
+from repro.runner.shard import plan_slice_jobs
 from repro.service.scheduler import Placement
 from repro.service.tenant import buffer_namespace
 from repro.service.traffic import ServiceRequest
@@ -298,35 +298,33 @@ def plan_service_shards(placements: Sequence[Placement], *, seed: int,
                         timeout: float = DEFAULT_SHARD_TIMEOUT,
                         max_retries: int = 1) -> List[JobSpec]:
     """Cut the plan into contiguous, self-contained shard jobs."""
-    shards = shards or default_shard_count(len(placements), jobs)
-    plan: List[JobSpec] = []
-    for shard in plan_shards(len(placements), shards):
-        chunk = placements[shard.start:shard.stop]
-        plan.append(JobSpec(
-            job_id=f"service-{shard.index:04d}",
-            kind=SERVICE_KIND,
-            seed=seed,
-            timeout=timeout,
-            max_retries=max_retries,
-            retry_backoff=0.5,
-            payload={
-                "index_base": shard.start,
-                "placements": [p.to_dict() for p in chunk],
-                "num_cores": num_cores,
-                "fail_every": fail_every,
-            }))
-    return plan
+    return plan_slice_jobs(
+        [p.to_dict() for p in placements], kind=SERVICE_KIND,
+        prefix="service", seed=seed, jobs=jobs, shards=shards,
+        key="placements",
+        payload={"num_cores": num_cores, "fail_every": fail_every},
+        timeout=timeout, max_retries=max_retries)
 
 
-def run_service_shard(payload: dict, ctx: JobContext) -> dict:
-    """Worker entrypoint (kind ``service.shard``): one plan slice."""
-    results = [execute_placement(wire, seed=ctx.spec.seed,
-                                 num_cores=int(payload["num_cores"]),
-                                 fail_every=int(payload["fail_every"]))
-               for wire in payload["placements"]]
-    counters = ctx.stats.counters("service.exec")
+def execute_placements(placements: Sequence, *, seed: int,
+                       num_cores: int, fail_every: int,
+                       stats) -> List[dict]:
+    """Execute placements in order, counted under ``service.exec``."""
+    results = [execute_placement(p, seed=seed, num_cores=num_cores,
+                                 fail_every=fail_every)
+               for p in placements]
+    counters = stats.counters("service.exec")
     counters["placements"] = len(results)
     counters["resets"] = sum(r["resets"] for r in results)
     counters["violations"] = sum(len(e["violations"])
                                  for r in results for e in r["entries"])
+    return results
+
+
+def run_service_shard(payload: dict, ctx: JobContext) -> dict:
+    """Worker entrypoint (kind ``service.shard``): one plan slice."""
+    results = execute_placements(
+        payload["placements"], seed=ctx.spec.seed,
+        num_cores=int(payload["num_cores"]),
+        fail_every=int(payload["fail_every"]), stats=ctx.stats)
     return {"index_base": payload["index_base"], "placements": results}

@@ -11,10 +11,9 @@ so the fan-out changes wall-clock only.
 Everything observable — the audit-event stream and its digest, per-
 tenant latency histograms (in simulated cycles: queueing wait from the
 schedule clock plus measured device cycles), shed/expired counts —
-is a pure function of (config, seed).  Runner/pool telemetry
-(``device.cache.*``, ``device.pool.*``) is deliberately excluded from
-the merged stats, mirroring the fuzz campaign's serial-vs-parallel
-equivalence.
+is a pure function of (config, seed).  Warm-cache telemetry
+(``device.cache.*``) is deliberately excluded from the merged stats,
+mirroring the fuzz campaign's serial-vs-parallel equivalence.
 """
 
 from __future__ import annotations
@@ -26,14 +25,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.stats import StatsRegistry
 from repro.runner.job import OK, TIMEOUT
 from repro.service.audit import AuditEvent, audit_digest, order_events
-from repro.service.executor import (SERVICE_NUM_CORES, execute_placement,
+from repro.service.executor import (SERVICE_NUM_CORES, execute_placements,
                                     plan_service_shards)
 from repro.service.scheduler import (SHED, SchedulerConfig, ServicePlan,
                                      schedule)
 from repro.service.tenant import TenantSpec, default_tenants
 from repro.service.traffic import ServiceRequest, TrafficGenerator
-
-_EXCLUDED_STATS_PREFIXES = ("device.cache.", "device.pool.")
 
 
 @dataclass(frozen=True)
@@ -174,36 +171,20 @@ def _execute_plan(cfg: ServiceConfig, plan: ServicePlan, *, jobs: int,
                   stats: StatsRegistry, reporter=None) -> List[dict]:
     """Phase 3: run every placement, serially or on the runner."""
     if jobs <= 0 or not plan.placements:
-        results = [execute_placement(p, seed=cfg.seed,
-                                     num_cores=cfg.num_cores,
-                                     fail_every=cfg.fail_every)
-                   for p in plan.placements]
-        counters = stats.counters("service.exec")
-        counters["placements"] = len(results)
-        counters["resets"] = sum(r["resets"] for r in results)
-        counters["violations"] = sum(len(e["violations"])
-                                     for r in results
-                                     for e in r["entries"])
-        return results
+        return execute_placements(plan.placements, seed=cfg.seed,
+                                  num_cores=cfg.num_cores,
+                                  fail_every=cfg.fail_every, stats=stats)
     from repro.runner import run_jobs
+    from repro.runner.shard import merge_slice_stats, merge_slices
     shard_plan = plan_service_shards(plan.placements, seed=cfg.seed,
                                      jobs=jobs, num_cores=cfg.num_cores,
                                      fail_every=cfg.fail_every)
     report = run_jobs(shard_plan, jobs=jobs,
                       run_name=f"service-seed{cfg.seed}",
                       reporter=reporter)
-    if report.failures:
-        detail = "; ".join(f"{r.job_id}: {r.status} ({r.error})"
-                           for r in report.failures)
-        raise RuntimeError(f"{len(report.failures)} service shard(s) "
-                           f"failed terminally: {detail}")
-    results: List[dict] = []
-    ordered = sorted((report.results[s.job_id] for s in shard_plan),
-                     key=lambda r: int(r.payload["index_base"]))
-    for result in ordered:
-        results.extend(result.payload["placements"])
-        stats.merge({k: v for k, v in result.stats.items()
-                     if not k.startswith(_EXCLUDED_STATS_PREFIXES)})
+    shard_results = [report.results[s.job_id] for s in shard_plan]
+    results = merge_slices(shard_results, "placements", "service")
+    merge_slice_stats(shard_results, stats)
     return results
 
 

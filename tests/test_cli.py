@@ -6,9 +6,18 @@ return exit code 2; contract failures return 1; argparse's own
 rejections (missing/unknown arguments) raise SystemExit(2).
 """
 
+import importlib
+
 import pytest
 
 from repro.__main__ import ARTIFACTS, main, run_artifact
+
+
+def _blocked(tmp_path):
+    """A path whose parent is a plain file: no directory can be made."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return blocker / "sub"
 
 
 class TestCli:
@@ -69,6 +78,14 @@ class TestFuzzCliErrors:
         assert fuzz_main(["--cases", "1", "--resume"]) == 2
         assert "--journal" in capsys.readouterr().err
 
+    def test_uncreatable_out_dir(self, tmp_path, capsys):
+        from repro.fuzz.cli import main as fuzz_main
+        assert fuzz_main(["--cases", "1",
+                          "--out", str(_blocked(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert "cannot create --out directory" in captured.err
+        assert "expectation matrix" not in captured.out   # nothing ran
+
 
 class TestBenchCliErrors:
     def test_unknown_artifacts(self, capsys):
@@ -128,6 +145,14 @@ class TestRaceCliErrors:
                           "--fuzz-cases", "0"]) == 2
         assert capsys.readouterr().err
 
+    def test_uncreatable_out_dir(self, tmp_path, capsys):
+        from repro.racedetect.cli import main as race_main
+        assert race_main(["--workloads", "none", "--fuzz-cases", "1",
+                          "--out", str(_blocked(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert "cannot create --out directory" in captured.err
+        assert "race scan" not in captured.out   # nothing ran
+
 
 class TestProfileCliErrors:
     def test_unknown_workloads(self, capsys):
@@ -179,3 +204,40 @@ class TestServeOracleCliErrors:
         with pytest.raises(SystemExit) as exc:
             oracle_main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_serve_uncreatable_out_dir(self, tmp_path, capsys):
+        from repro.service.cli import main as serve_main
+        assert serve_main(["--requests", "1",
+                           "--out", str(_blocked(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert "cannot create --out directory" in captured.err
+        assert "service run" not in captured.out   # nothing ran
+
+    def test_oracle_uncreatable_report_dir(self, tmp_path, capsys):
+        from repro.oracle.cli import main as oracle_main
+        report = str(_blocked(tmp_path) / "r.json")
+        assert oracle_main(["check", "--subjects", "fuzz:1",
+                            "--report", report]) == 2
+        captured = capsys.readouterr()
+        assert "cannot create --report directory" in captured.err
+        assert "oracle invariants" not in captured.out   # nothing ran
+
+
+class TestSweepEngineDivergence:
+    """A forced engine mismatch exits 1 through the shared sweep path."""
+
+    @pytest.mark.parametrize("module,plugin", [
+        ("repro.racedetect.cli", "RACE"),
+        ("repro.profiler.cli", "PROFILE"),
+    ])
+    def test_forced_mismatch_exits_1(self, module, plugin, monkeypatch,
+                                     capsys):
+        cli = importlib.import_module(module)
+        legs = iter([["slow-leg"], ["fast-leg"]])
+        monkeypatch.setattr(type(getattr(cli, plugin)), "engine_key",
+                            lambda self, result: next(legs))
+        assert cli.main(["--workloads", "none", "--fuzz-cases", "1",
+                         "--engines", "slow,fast"]) == 1
+        err = capsys.readouterr().err
+        assert "ENGINE DIVERGENCE slow vs fast: slow-leg != fast-leg" in err
+        assert "engine divergence detected" in err

@@ -14,13 +14,11 @@ import pytest
 
 from repro.analysis.stats import StatsRegistry
 from repro.core.shield import ShieldConfig
-from repro.device import (MAX_IDLE_PER_KEY, GpuDevice, acquire_device,
-                          device_cache_stats, device_fingerprint,
-                          max_idle_per_key, release_device,
-                          reset_device_cache, set_max_idle_per_key,
-                          set_warm_devices, warm_devices,
-                          warm_devices_enabled)
-from repro.device.selftest import device_selftest_job
+from repro.device import (GpuDevice, acquire_device, device_cache_stats,
+                          device_fingerprint, release_device,
+                          reset_device_cache, set_warm_devices,
+                          warm_devices, warm_devices_enabled)
+from repro.device.cache import MAX_IDLE_PER_KEY
 from repro.engine import ENGINES, engine
 from repro.gpu.config import intel_config, nvidia_config
 from tests.conftest import build_vecadd
@@ -139,19 +137,6 @@ class TestResetEquivalence:
         assert device.seed == 31
         assert _run_vecadd(device) == fresh
 
-    @pytest.mark.parametrize("eng", ENGINES)
-    def test_selftest_job_passes(self, eng):
-        result = device_selftest_job({"engine": eng, "seed": 13})
-        assert result["identical"]
-
-    def test_selftest_runs_as_a_runner_job(self):
-        from repro.runner import JobSpec, run_jobs
-        plan = [JobSpec(job_id="selftest", kind="device.selftest",
-                        payload={"seed": 17})]
-        report = run_jobs(plan, jobs=0)
-        assert report.ok
-        assert report.stats.get("device.selftest.identical") == 1
-
 
 class TestSnapshotRestore:
     def test_restore_replays_from_the_snapshot_point(self):
@@ -244,43 +229,6 @@ class TestDeviceCache:
         # (cold/duplicate/disabled releases).
         assert stats["evictions"] == 2
         assert stats["discards"] == 0
-
-    def test_max_idle_is_configurable(self):
-        cfg = nvidia_config(num_cores=2)
-        previous = set_max_idle_per_key(2)
-        try:
-            assert max_idle_per_key() == 2
-            assert device_cache_stats()["max_idle_per_key"] == 2
-            devices = [acquire_device(cfg, None, seed=i) for i in range(4)]
-            for device in devices:
-                release_device(device)
-            stats = device_cache_stats()
-            assert stats["idle"] == 2
-            assert stats["evictions"] == 2
-        finally:
-            set_max_idle_per_key(previous)
-
-    def test_shrinking_the_limit_evicts_oldest_first(self):
-        cfg = nvidia_config(num_cores=2)
-        previous = set_max_idle_per_key(3)
-        try:
-            devices = [acquire_device(cfg, None, seed=i) for i in range(3)]
-            for device in devices:
-                release_device(device)
-            assert device_cache_stats()["idle"] == 3
-            assert set_max_idle_per_key(1) == 3
-            stats = device_cache_stats()
-            assert stats["idle"] == 1
-            assert stats["evictions"] == 2
-            # The survivor is the most recently released device.
-            assert acquire_device(cfg, None, seed=9) is devices[-1]
-            release_device(devices[-1])
-        finally:
-            set_max_idle_per_key(previous)
-
-    def test_negative_limit_is_rejected(self):
-        with pytest.raises(ValueError):
-            set_max_idle_per_key(-1)
 
     def test_double_release_is_idempotent(self):
         device = acquire_device(nvidia_config(num_cores=2), None, seed=1)

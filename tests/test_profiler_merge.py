@@ -1,8 +1,9 @@
 """ProfileSnapshot merge algebra + the serial-vs-sharded contract.
 
-The parallel profile runner folds shard snapshots in completion order;
-the fold reproduces the serial profile only because merge is
-commutative and associative with the empty snapshot as identity.
+The sharded profile folds per-subject snapshots gathered from shards;
+the fold reproduces the serial profile whatever the grouping because
+merge is commutative and associative with the empty snapshot as
+identity.
 Hypothesis pins the algebra; a seeded fuzz slice pins the end-to-end
 equality.
 """
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import StatsRegistry
 from repro.fuzz.generator import CaseGenerator
+from repro.profiler.cli import PROFILE
 from repro.profiler.profile import ProfileSnapshot
-from repro.profiler.runner import (PROFILE_KIND, merge_profiles,
-                                   plan_profile_shards,
-                                   profile_shard_job)
 from repro.runner.job import JobContext, JobResult
+from repro.runner.shard import merge_slices
+from repro.runner.sweep import (SWEEP_KIND, plan_sweep, run_slice,
+                                run_sweep_shard, sweep_subjects)
 
 _PATHS = st.sampled_from([
     f"cores.{cid}.{key}"
@@ -82,22 +84,24 @@ class TestMergeAlgebra:
 def _run_shard(spec) -> JobResult:
     """Execute one shard job in-process, as the worker would."""
     ctx = JobContext(spec=spec, stats=StatsRegistry())
-    payload = profile_shard_job(spec.payload, ctx)
+    payload = run_sweep_shard(spec.payload, ctx)
     return JobResult(job_id=spec.job_id, status="ok", payload=payload)
 
 
 class TestSerialVsSharded:
     def test_fuzz_slice_profiles_identically(self):
-        from repro.profiler.cli import _profile_serial
         specs = [CaseGenerator(1).draw_kind("safe", i) for i in range(8)]
-        serial_snap, serial_rows = _profile_serial([], specs, seed=1)
+        subjects = sweep_subjects([], specs)
+        serial_snap, serial_rows = PROFILE.fold(
+            run_slice(PROFILE, subjects, 1, {}))
 
-        plan = plan_profile_shards([], specs, seed=1, jobs=3)
+        plan = plan_sweep(PROFILE, subjects, seed=1, jobs=3)
         assert len(plan) > 1
-        assert all(s.kind == PROFILE_KIND for s in plan)
-        # Fold in reversed completion order: merge order must not matter.
+        assert all(s.kind == SWEEP_KIND for s in plan)
+        # Merge in reversed completion order: order must not matter.
         results = [_run_shard(s) for s in reversed(plan)]
-        sharded_snap, sharded_rows = merge_profiles(results)
+        sharded_snap, sharded_rows = PROFILE.fold(
+            merge_slices(results, "records", "profile"))
 
         assert sharded_snap == serial_snap
         assert sharded_snap.wall_ns.keys() == serial_snap.wall_ns.keys()
@@ -109,4 +113,4 @@ class TestSerialVsSharded:
         bad = JobResult(job_id="profile-0000", status="crashed",
                         error="boom")
         with pytest.raises(RuntimeError, match="boom"):
-            merge_profiles([bad])
+            merge_slices([bad], "records", "profile")

@@ -306,18 +306,29 @@ class TestEngineInvariance:
 
 class TestShardInvariance:
     def test_parallel_scan_matches_serial(self):
-        from repro.racedetect.cli import _scan_serial, _summary_key
-        from repro.racedetect.runner import merge_scans, plan_race_shards
+        from repro.racedetect.cli import RACE, _summary_key
         from repro.runner import run_jobs
+        from repro.runner.shard import merge_slices
+        from repro.runner.sweep import plan_sweep, run_slice, sweep_subjects
         specs = [CaseGenerator(1).draw_kind("safe", i) for i in range(4)]
-        workloads = ["bfs"]
-        serial = _scan_serial(workloads, specs, 11, False)
-        plan = plan_race_shards(workloads, specs, seed=11, jobs=2)
-        assert len(plan) > 1
-        report = run_jobs(plan, jobs=2, run_name="race-test")
-        merged = merge_scans([report.results[s.job_id] for s in plan])
-        assert ([_summary_key(r) for r in merged]
-                == [_summary_key(r) for r in serial])
+        subjects = sweep_subjects(["bfs"], specs)
+        for full_report in (False, True):
+            options = {"full_report": full_report}
+            serial = run_slice(RACE, subjects, 11, options)
+            plan = plan_sweep(RACE, subjects, seed=11, jobs=2,
+                              options=options)
+            assert len(plan) > 1
+            report = run_jobs(plan, jobs=2, run_name="race-test")
+            merged = merge_slices([report.results[s.job_id] for s in plan],
+                                  "records", "race scan")
+            assert ([_summary_key(r) for r in merged]
+                    == [_summary_key(r) for r in serial])
+            # Whole records, static findings included: the options
+            # travel to the workers.
+            assert merged == serial
+            reports = [(r.get("scan") or r["case"]["scan"])["static_report"]
+                       for r in merged]
+            assert all((rep is not None) == full_report for rep in reports)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.runner import Shard, default_shard_count, plan_shards, shard_items
+from repro.analysis.stats import StatsRegistry
+from repro.runner import (JobResult, Shard, default_shard_count, plan_shards,
+                          shard_items)
+from repro.runner.kinds import _LAZY, resolve
+from repro.runner.shard import merge_slice_stats, merge_slices, plan_slice_jobs
 
 
 class TestPlanShards:
@@ -74,3 +78,54 @@ def test_shard_is_frozen():
     shard = Shard(index=0, start=0, stop=3)
     with pytest.raises(AttributeError):
         shard.start = 1
+
+
+class TestSliceJobs:
+    """The one plan and merge every sharded runner kind goes through."""
+
+    def _plan(self):
+        return plan_slice_jobs(list("abcdefg"), kind="util.echo",
+                               prefix="t", seed=3, jobs=1, shards=3,
+                               key="letters", payload={"x": 1})
+
+    def test_slices_carry_index_base_and_the_extra_payload(self):
+        plan = self._plan()
+        assert [s.job_id for s in plan] == ["t-0000", "t-0001", "t-0002"]
+        assert [s.payload["index_base"] for s in plan] == [0, 3, 5]
+        assert [s.payload["letters"] for s in plan] \
+            == [list("abc"), list("de"), list("fg")]
+        assert all(s.kind == "util.echo" and s.seed == 3
+                   and s.payload["x"] == 1 for s in plan)
+
+    def test_merge_follows_index_base_not_completion_order(self):
+        results = [JobResult(job_id=s.job_id, status="ok",
+                             payload={"index_base": s.payload["index_base"],
+                                      "letters": s.payload["letters"]})
+                   for s in reversed(self._plan())]
+        assert merge_slices(results, "letters", "t") == list("abcdefg")
+
+    def test_merge_raises_naming_every_failed_slice(self):
+        results = [JobResult(job_id="t-0000", status="ok",
+                             payload={"index_base": 0, "letters": ["a"]}),
+                   JobResult(job_id="t-0001", status="crashed", error="boom"),
+                   JobResult(job_id="t-0002", status="timeout")]
+        with pytest.raises(RuntimeError,
+                           match=r"2 t shard\(s\) failed terminally: "
+                                 r"t-0001: crashed \(boom\); t-0002"):
+            merge_slices(results, "letters", "t")
+
+    def test_slice_stats_sum_without_warm_cache_telemetry(self):
+        results = [JobResult(job_id=f"t-{i}", status="ok",
+                             stats={"sweep.race.subjects": 2,
+                                    "device.cache.hits": i})
+                   for i in range(3)]
+        stats = StatsRegistry()
+        merge_slice_stats(results, stats)
+        assert stats.snapshot().as_dict() == {"sweep.race.subjects": 6}
+
+
+def test_builtin_kinds_resolve():
+    assert sorted(_LAZY) == ["bench.artifact", "fuzz.shard",
+                             "harness.matrix_cell", "oracle.diff",
+                             "service.shard", "sweep.shard"]
+    assert all(callable(resolve(kind)) for kind in _LAZY)
