@@ -48,11 +48,11 @@ def run_pair(workgroups: int, wg_size: int = 64):
     return dynamic.cycles / static.cycles
 
 
-def test_heap_malloc_slowdown(benchmark, publish):
+def test_heap_malloc_slowdown(publish):
     def sweep():
         return {wgs: run_pair(wgs) for wgs in (8, 32, 128, 512)}
 
-    ratios = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    ratios = sweep()
     lines = ["Ablation: device malloc vs preallocation "
              "(paper: 4.9-63.7x slowdown)"]
     for wgs, ratio in ratios.items():

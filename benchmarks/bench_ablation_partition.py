@@ -43,7 +43,7 @@ def run_pair_hit_rate(a: str, b: str, partitioned: bool) -> float:
     return result.l1_rcache_hit_rate
 
 
-def test_partitioned_rcache(benchmark, publish):
+def test_partitioned_rcache(publish):
     def run_all():
         out = {}
         for a, b in PAIRS:
@@ -53,7 +53,7 @@ def test_partitioned_rcache(benchmark, publish):
             }
         return out
 
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    data = run_all()
     lines = ["Ablation: intra-core L1 RCache sharing vs partitioning "
              "(hit rate %)"]
     for pair, v in data.items():

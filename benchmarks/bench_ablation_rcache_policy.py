@@ -14,7 +14,7 @@ from repro.workloads.suite import RCACHE_SENSITIVE, get_benchmark
 SIZES = (1, 2, 4)
 
 
-def test_fifo_vs_lru(benchmark, publish):
+def test_fifo_vs_lru(publish):
     config = nvidia_config()
     names = RCACHE_SENSITIVE[:8]
 
@@ -35,7 +35,7 @@ def test_fifo_vs_lru(benchmark, publish):
                         rec.l1_rcache_hit_rate
         return out
 
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    data = run_all()
     lines = ["Ablation: L1 RCache FIFO vs LRU hit rates (%)"]
     header = "  benchmark        " + "  ".join(
         f"{p}-{e}" for p in ("fifo", "lru") for e in SIZES)

@@ -16,7 +16,7 @@ from repro.workloads.suite import get_benchmark
 BENCHES = ["bfs", "lud", "streamcluster", "kmeans"]
 
 
-def test_static_analysis_helps_software_schemes(benchmark, publish):
+def test_static_analysis_helps_software_schemes(publish):
     config = nvidia_config()
 
     def run_all():
@@ -42,7 +42,7 @@ def test_static_analysis_helps_software_schemes(benchmark, publish):
             }
         return out
 
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    data = run_all()
     lines = ["Ablation: static filtering applied to software checks "
              "(paper §8.5)"]
     for name, v in data.items():

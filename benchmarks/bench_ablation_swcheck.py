@@ -17,7 +17,7 @@ from repro.analysis.harness import run_workload
 from repro.baselines.swbounds import kmeans_swap_sw_checks
 
 
-def test_software_checks_overhead(benchmark, publish):
+def test_software_checks_overhead(publish):
     config = nvidia_config()
 
     def run_all():
@@ -45,7 +45,7 @@ def test_software_checks_overhead(benchmark, publish):
         }
         return out
 
-    ratios = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    ratios = run_all()
     lines = ["Ablation: software bounds checks on kmeans-swap "
              "(paper: up to 76% cycle overhead on hardware)"]
     for variant, v in ratios.items():

@@ -13,7 +13,7 @@ from repro.analysis.harness import run_workload
 BENCHES = ["bfs", "kmeans", "nn", "streamcluster", "GEMM"]
 
 
-def test_type3_offset_optimization(benchmark, publish):
+def test_type3_offset_optimization(publish):
     config = intel_config()
 
     def run_all():
@@ -38,7 +38,7 @@ def test_type3_offset_optimization(benchmark, publish):
             }
         return out
 
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    data = run_all()
     lines = ["Ablation: Type-3 offset-optimised pointers (Intel)"]
     for name, v in data.items():
         lines.append(

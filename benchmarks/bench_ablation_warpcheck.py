@@ -15,7 +15,7 @@ from repro.workloads.suite import get_benchmark
 BENCHES = ["streamcluster", "bfs-dtc", "ScalarProd", "Histogram"]
 
 
-def test_warp_vs_lane_checking(benchmark, publish):
+def test_warp_vs_lane_checking(publish):
     config = nvidia_config()
 
     def run_all():
@@ -35,7 +35,7 @@ def test_warp_vs_lane_checking(benchmark, publish):
                          "lane": lane.cycles / base.cycles}
         return out
 
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    data = run_all()
     lines = ["Ablation: warp-level vs per-lane bounds checking"]
     for name, v in data.items():
         lines.append(f"  {name:14s} warp={v['warp']:.3f}  "

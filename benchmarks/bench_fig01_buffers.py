@@ -1,15 +1,7 @@
 """Figure 1: distribution of buffer counts over 145 benchmarks."""
 
-from repro.analysis import figures
 
-
-def test_figure1(benchmark, publish):
-    data = benchmark(figures.figure1)
-    publish("figure01", figures.render_figure1(data),
-            data={"summary": data["summary"],
-                  "rows": [{"suite": r.suite, "total": r.total,
-                            **r.buckets} for r in data["rows"]]},
-            metrics={"benchmarks": data["summary"]["benchmarks"],
-                     "avg_buffers": data["summary"]["average"]})
-    assert data["summary"]["benchmarks"] == 145
-    assert abs(data["summary"]["average"] - 6.5) < 0.1
+def test_figure1(regenerate):
+    summary = regenerate("fig1")["data"]["summary"]
+    assert summary["benchmarks"] == 145
+    assert abs(summary["average"] - 6.5) < 0.1

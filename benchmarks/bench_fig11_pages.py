@@ -1,14 +1,10 @@
 """Figure 11: 4KB pages per buffer across the Rodinia suite."""
 
-from repro.analysis import figures
 
-
-def test_figure11(benchmark, publish):
-    data = benchmark(figures.figure11)
-    avg = sum(data.values()) / len(data)
-    publish("figure11", figures.render_figure11(data), data=data,
-            metrics={"avg_pages_per_buffer": avg})
+def test_figure11(regenerate):
+    final = regenerate("fig11")
+    avg = final["metrics"]["avg_pages_per_buffer"]
     # Paper: 1425 pages per buffer on average; shape check: within 2x.
     assert 700 < avg < 2900
     # The long tail (hybridsort-style) exists.
-    assert max(data.values()) > 5 * avg
+    assert max(final["data"].values()) > 5 * avg

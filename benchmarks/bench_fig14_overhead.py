@@ -6,32 +6,22 @@ Expected shape (paper): every category ~1.00; DM (streamcluster) worst;
 geomean overhead well under 1%.
 """
 
-from conftest import subset
-
-from repro.analysis import figures
 from repro.analysis.results import geomean
-from repro.workloads.suite import CUDA_BENCHMARKS
 
 
-def test_figure14(benchmark, publish):
-    names = subset(CUDA_BENCHMARKS)
-
-    result = benchmark.pedantic(figures.figure14, args=(names,),
-                                rounds=1, iterations=1)
-    overall = geomean([v["L1:1,L2:3"]
-                       for v in result.per_benchmark.values()])
-    publish("figure14", figures.render_figure14(result),
-            data=result.per_benchmark,
-            metrics={"cycles": sum(r.cycles for r in result.records),
-                     "overhead_percent": (overall - 1.0) * 100.0})
+def test_figure14(regenerate):
+    final = regenerate("fig14")
+    per_benchmark = final["data"]["per_benchmark"]
+    per_category = final["data"]["per_category"]
+    overall = geomean([v["L1:1,L2:3"] for v in per_benchmark.values()])
 
     # Paper: 0.8% average slowdown at the default configuration.
     assert overall < 1.05
     # The slower RCache never beats the faster one systematically.
-    slow = geomean([v["L1:2,L2:5"] for v in result.per_benchmark.values()])
+    slow = geomean([v["L1:2,L2:5"] for v in per_benchmark.values()])
     assert slow >= overall - 0.01
-    if "streamcluster" in result.per_benchmark and len(names) > 40:
-        worst_cat = max(result.per_category,
-                        key=lambda c: result.per_category[c]["L1:1,L2:3"])
+    if "streamcluster" in per_benchmark and len(per_benchmark) > 40:
+        worst_cat = max(per_category,
+                        key=lambda c: per_category[c]["L1:1,L2:3"])
         assert worst_cat == "DM", (
             "streamcluster's DM category should dominate the overhead")

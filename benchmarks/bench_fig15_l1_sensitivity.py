@@ -5,28 +5,12 @@ benchmark set.  Expected shape (paper): hit rate grows with size and a
 4-entry L1 RCache reaches ~100% for most benchmarks.
 """
 
-from conftest import subset
 
-from repro.analysis import figures
-from repro.analysis.results import geomean
-from repro.workloads.suite import RCACHE_SENSITIVE
-
-
-def test_figure15(benchmark, publish):
-    names = subset(RCACHE_SENSITIVE)
-    data = benchmark.pedantic(figures.figure15, args=(names,),
-                              rounds=1, iterations=1)
-    publish("figure15",
-            figures.render_rcache_sensitivity(data, "Figure 15 (Nvidia)"),
-            data={k: {str(s): v for s, v in vals.items()}
-                  for k, vals in data.items()},
-            metrics={"hit_rate_4entry":
-                     geomean([vals[4] for vals in data.values()])})
-
-    for name, vals in data.items():
-        sizes = sorted(vals)
+def test_figure15(regenerate):
+    final = regenerate("fig15")
+    for name, vals in final["data"].items():
         # Monotone non-decreasing hit rate with capacity.
-        rates = [vals[s] for s in sizes]
+        rates = [vals[s] for s in sorted(vals, key=int)]
         assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:])), name
     # 4 entries suffice on (geometric) average — the paper's conclusion.
-    assert geomean([vals[4] for vals in data.values()]) > 0.85
+    assert final["metrics"]["hit_rate_4entry"] > 0.85

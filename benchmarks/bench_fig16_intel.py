@@ -4,22 +4,8 @@ Same sweep as Figure 15 but over the 17 OpenCL benchmarks on the
 Intel configuration (SIMD8 sub-workgroups, Method-C addressing).
 """
 
-from conftest import subset
 
-from repro.analysis import figures
-from repro.analysis.results import geomean
-from repro.workloads.suite import OPENCL_BENCHMARKS
-
-
-def test_figure16(benchmark, publish):
-    names = subset(OPENCL_BENCHMARKS)
-    data = benchmark.pedantic(figures.figure16, args=(names,),
-                              rounds=1, iterations=1)
-    publish("figure16",
-            figures.render_rcache_sensitivity(data, "Figure 16 (Intel)"),
-            data={k: {str(s): v for s, v in vals.items()}
-                  for k, vals in data.items()},
-            metrics={"hit_rate_4entry":
-                     geomean([vals[4] for vals in data.values()])})
+def test_figure16(regenerate):
+    final = regenerate("fig16")
     # Paper: near-100% hit rate with 4 entries for most benchmarks.
-    assert geomean([vals[4] for vals in data.values()]) > 0.85
+    assert final["metrics"]["hit_rate_4entry"] > 0.85

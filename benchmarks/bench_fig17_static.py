@@ -7,37 +7,25 @@ overhead; graph benchmarks (bc, bfs-dtc, gc-dtc, sssp-dwc, nw) keep low
 reduction rates because of indirect accesses, lud reaches 100%.
 """
 
-from conftest import subset
-
-from repro.analysis import figures
 from repro.analysis.results import geomean
-from repro.workloads.suite import RCACHE_SENSITIVE
 
 
-def test_figure17(benchmark, publish):
-    names = subset(RCACHE_SENSITIVE)
-    result = benchmark.pedantic(figures.figure17, args=(names,),
-                                rounds=1, iterations=1)
+def test_figure17(regenerate):
+    final = regenerate("fig17")
+    normalized = final["data"]["normalized"]
+    reduction = final["data"]["reduction"]
+
     with_static = geomean([v["L1:1,L2:5+static"]
-                           for v in result.normalized.values()])
-    publish("figure17", figures.render_figure17(result),
-            data={"normalized": result.normalized,
-                  "reduction": result.reduction},
-            metrics={"overhead_percent_static":
-                     (with_static - 1.0) * 100.0,
-                     "mean_reduction_percent":
-                     sum(result.reduction.values())
-                     / max(len(result.reduction), 1)})
-
-    without = geomean([v["L1:1,L2:5"] for v in result.normalized.values()])
+                           for v in normalized.values()])
+    without = geomean([v["L1:1,L2:5"] for v in normalized.values()])
     assert with_static <= without + 0.001
 
-    if "lud-64" in result.reduction:
-        assert result.reduction["lud-64"] == 100.0
+    if "lud-64" in reduction:
+        assert reduction["lud-64"] == 100.0
     graphish = [n for n in ("bc", "bfs-dtc", "gc-dtc", "sssp-dwc", "nw")
-                if n in result.reduction]
+                if n in reduction]
     for name in graphish:
-        assert result.reduction[name] < 70.0, (
+        assert reduction[name] < 70.0, (
             f"{name} is indirect-heavy; static filtering must stay partial")
-    if "streamcluster" in result.reduction:
-        assert 30.0 < result.reduction["streamcluster"] < 70.0
+    if "streamcluster" in reduction:
+        assert 30.0 < reduction["streamcluster"] < 70.0

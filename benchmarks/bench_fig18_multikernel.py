@@ -6,27 +6,13 @@ the same pair without bounds checking.  Expected shape (paper): average
 overhead under ~1%, worst pairs a few percent.
 """
 
-import os
-
-from repro.analysis import figures
 from repro.analysis.results import geomean
-from repro.workloads.suite import MULTIKERNEL_SET
 
 
-def test_figure18(benchmark, publish):
-    pairs = [(a, b) for i, a in enumerate(MULTIKERNEL_SET)
-             for b in MULTIKERNEL_SET[i + 1:]]
-    limit = os.environ.get("REPRO_SUBSET")
-    if limit:
-        pairs = pairs[: int(limit)]
-
-    data = benchmark.pedantic(figures.figure18, args=(pairs,),
-                              rounds=1, iterations=1)
+def test_figure18(regenerate):
+    data = regenerate("fig18")["data"]
     inter = geomean([v["inter_core"] for v in data.values()])
     intra = geomean([v["intra_core"] for v in data.values()])
-    publish("figure18", figures.render_figure18(data), data=data,
-            metrics={"overhead_percent_inter": (inter - 1.0) * 100.0,
-                     "overhead_percent_intra": (intra - 1.0) * 100.0})
 
     # Paper: <0.3% average overhead; allow a loose band for the model.
     assert inter < 1.08

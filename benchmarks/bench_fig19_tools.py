@@ -5,27 +5,15 @@ clArmor ~3.1x, GMOD ~1.5x average but exploding on streamcluster's 1000
 launches, GPUShield ~0.8% — orderings and extremes, not exact factors.
 """
 
-from conftest import subset
-
-from repro.analysis import figures
 from repro.analysis.results import geomean
-from repro.workloads.suite import RODINIA_FIG19
 
 
-def test_figure19(benchmark, publish):
-    names = subset(RODINIA_FIG19)
-    data = benchmark.pedantic(figures.figure19, args=(names,),
-                              rounds=1, iterations=1)
+def test_figure19(regenerate):
+    data = regenerate("fig19")["data"]
     mc = geomean([v["cuda-memcheck"] for v in data.values()])
     ca = geomean([v["clarmor"] for v in data.values()])
     gm = geomean([v["gmod"] for v in data.values()])
     shield = geomean([v["gpushield"] for v in data.values()])
-    publish("figure19", figures.render_figure19(data), data=data,
-            metrics={"slowdown_memcheck": mc, "slowdown_clarmor": ca,
-                     "slowdown_gmod": gm,
-                     "gpushield_overhead_percent":
-                     (shield - 1.0) * 100.0})
-
 
     assert shield < 1.05, "GPUShield must be near-free"
     assert mc > 10, "instrumentation must be an order of magnitude worse"

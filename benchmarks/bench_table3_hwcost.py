@@ -1,18 +1,9 @@
 """Table 3: area and power overhead of the BCU structures."""
 
-from repro.analysis import figures
 
-
-def test_table3(benchmark, publish):
-    rows = benchmark(figures.table3)
-    total = rows[-1]
-    publish("table03", figures.render_table3(rows),
-            data=[r.__dict__ for r in rows],
-            metrics={"sram_bytes": total.sram_bytes,
-                     "area_mm2": total.area_mm2,
-                     "leakage_uw": total.leakage_uw,
-                     "dynamic_mw": total.dynamic_mw})
-    assert abs(total.sram_bytes - 909.5) < 1.0
-    assert abs(total.area_mm2 - 0.0858) < 0.001
-    assert abs(total.leakage_uw - 799.75) < 1.0
-    assert abs(total.dynamic_mw - 203.36) < 1.0
+def test_table3(regenerate):
+    total = regenerate("table3")["metrics"]
+    assert abs(total["sram_bytes"] - 909.5) < 1.0
+    assert abs(total["area_mm2"] - 0.0858) < 0.001
+    assert abs(total["leakage_uw"] - 799.75) < 1.0
+    assert abs(total["dynamic_mw"] - 203.36) < 1.0

@@ -22,91 +22,42 @@ readable results; see ``python -m repro bench --help``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Optional
 
-from repro.analysis import figures
-from repro.workloads.suite import (
-    CUDA_BENCHMARKS,
-    MULTIKERNEL_SET,
-    OPENCL_BENCHMARKS,
-    RCACHE_SENSITIVE,
-    RODINIA_FIG19,
-)
-
-
-def _maybe(names, subset: Optional[int]):
-    names = list(names)
-    return names[:subset] if subset else names
+from repro.analysis.figures import ARTIFACTS
 
 
 def run_artifact(name: str, subset: Optional[int] = None) -> str:
     """Regenerate one artefact and return its rendered text."""
-    if name == "fig1":
-        return figures.render_figure1(figures.figure1())
-    if name == "fig11":
-        return figures.render_figure11(figures.figure11())
-    if name == "table3":
-        return figures.render_table3(figures.table3())
-    if name == "fig14":
-        result = figures.figure14(_maybe(CUDA_BENCHMARKS, subset))
-        return figures.render_figure14(result)
-    if name == "fig15":
-        data = figures.figure15(_maybe(RCACHE_SENSITIVE, subset))
-        return figures.render_rcache_sensitivity(data, "Figure 15 (Nvidia)")
-    if name == "fig16":
-        data = figures.figure16(_maybe(OPENCL_BENCHMARKS, subset))
-        return figures.render_rcache_sensitivity(data, "Figure 16 (Intel)")
-    if name == "fig17":
-        result = figures.figure17(_maybe(RCACHE_SENSITIVE, subset))
-        return figures.render_figure17(result)
-    if name == "fig18":
-        pairs = [(a, b) for i, a in enumerate(MULTIKERNEL_SET)
-                 for b in MULTIKERNEL_SET[i + 1:]]
-        data = figures.figure18(pairs[:subset] if subset else pairs)
-        return figures.render_figure18(data)
-    if name == "fig19":
-        data = figures.figure19(_maybe(RODINIA_FIG19, subset))
-        return figures.render_figure19(data)
-    raise SystemExit(f"unknown artefact {name!r} (try: python -m repro list)")
+    if name not in ARTIFACTS:
+        raise SystemExit(f"unknown artefact {name!r} "
+                         f"(try: python -m repro list)")
+    return ARTIFACTS[name].run(subset)["text"]
 
 
-ARTIFACTS = ["fig1", "fig11", "table3", "fig14", "fig15", "fig16",
-             "fig17", "fig18", "fig19"]
+#: Subcommands forwarded to their own CLI: ``python -m repro <cmd> ...``.
+SUBCOMMANDS = {
+    "fuzz": "repro.fuzz.cli",              # differential fuzzing campaign
+    "bench": "repro.analysis.bench",       # artefacts on the parallel runner
+    "oracle": "repro.oracle.cli",          # conformance oracle
+    "serve": "repro.service.cli",          # multi-tenant serving simulator
+    "race": "repro.racedetect.cli",        # race scanner
+    "profile": "repro.profiler.cli",       # hierarchical perf attribution
+}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "fuzz":
-        # Forward to the fuzzing campaign CLI: python -m repro fuzz ...
-        from repro.fuzz.cli import main as fuzz_main
-        return fuzz_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # Forward to the bench driver: python -m repro bench --jobs N ...
-        from repro.analysis.bench import main as bench_main
-        return bench_main(argv[1:])
-    if argv and argv[0] == "oracle":
-        # Forward to the conformance oracle: python -m repro oracle diff ...
-        from repro.oracle.cli import main as oracle_main
-        return oracle_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # Forward to the serving simulator: python -m repro serve ...
-        from repro.service.cli import main as serve_main
-        return serve_main(argv[1:])
-    if argv and argv[0] == "race":
-        # Forward to the race scanner: python -m repro race ...
-        from repro.racedetect.cli import main as race_main
-        return race_main(argv[1:])
-    if argv and argv[0] == "profile":
-        # Forward to the profiler: python -m repro profile ...
-        from repro.profiler.cli import main as profile_main
-        return profile_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return importlib.import_module(SUBCOMMANDS[argv[0]]).main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate GPUShield paper tables/figures.")
     parser.add_argument("artifact",
-                        help="one of: list, fuzz, bench, oracle, serve, "
-                             "race, profile, " + ", ".join(ARTIFACTS))
+                        help="one of: " + ", ".join(
+                            ["list", *SUBCOMMANDS, *ARTIFACTS]))
     parser.add_argument("--subset", type=int, default=None,
                         help="restrict sweeps to the first N benchmarks")
     args = parser.parse_args(argv)

@@ -1,11 +1,11 @@
 """The bench driver: ``python -m repro bench`` on the parallel runner.
 
-Re-targets the ``benchmarks/`` sweeps (each a paper table/figure) onto
+Runs the paper artefacts of :data:`repro.analysis.figures.ARTIFACTS` on
 :mod:`repro.runner`: every artefact becomes one or more ``bench.artifact``
-jobs — single-shot for the cheap tables, sharded by benchmark name for
-the big sweeps (Figures 14-19) — executed with crash isolation,
-timeouts and checkpointing, then merged back into exactly the structure
-the serial ``figures.*`` functions return.
+jobs — one for the cheap tables, one per contiguous slice of benchmark
+names (or Figure 18 pairs) for the sweeps — executed with crash
+isolation, timeouts and checkpointing, then merged by the table's own
+merge, so a sharded run renders exactly what a serial one does.
 
 Every artefact also lands as a **machine-readable result record** under
 ``benchmarks/results/`` (see :func:`write_result_record`: an envelope
@@ -23,39 +23,11 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.analysis import figures
-from repro.analysis.results import geomean
+from repro.analysis.figures import ARTIFACTS
 
 RESULT_SCHEMA = 2
-
-#: Sharded sweeps: artefact -> item-list factory.  Items are the unit
-#: of sharding (benchmark names; name pairs for Figure 18).
-_SWEEPS = {
-    "fig14": lambda: _names("CUDA_BENCHMARKS"),
-    "fig15": lambda: _names("RCACHE_SENSITIVE"),
-    "fig16": lambda: _names("OPENCL_BENCHMARKS"),
-    "fig17": lambda: _names("RCACHE_SENSITIVE"),
-    "fig18": lambda: _pairs(),
-    "fig19": lambda: _names("RODINIA_FIG19"),
-}
-
-#: Single-job artefacts (no simulation sweep to shard).
-_SINGLES = ("fig1", "fig11", "table3")
-
-ARTIFACTS = tuple(_SINGLES) + tuple(_SWEEPS)
-
-
-def _names(suite_attr: str) -> List[str]:
-    from repro.workloads import suite
-    return list(getattr(suite, suite_attr))
-
-
-def _pairs() -> List[List[str]]:
-    from repro.workloads.suite import MULTIKERNEL_SET
-    return [[a, b] for i, a in enumerate(MULTIKERNEL_SET)
-            for b in MULTIKERNEL_SET[i + 1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -103,220 +75,75 @@ def write_result_record(results_dir: str, name: str, text: str, *,
     return json_path
 
 
-def default_record_config() -> dict:
-    """The environment knobs that shaped a bench run."""
+def default_record_config(**settings) -> dict:
+    """The environment knobs that shaped a bench run, plus ``settings``."""
     return {
         "scale": float(os.environ.get("REPRO_SCALE", 1.0)),
         "subset": (int(os.environ["REPRO_SUBSET"])
                    if os.environ.get("REPRO_SUBSET") else None),
         "cpu_count": os.cpu_count(),
+        **settings,
     }
 
 
+def publish_artifact(results_dir: str, name: str, final: dict, *,
+                     subset: Optional[int], seed: int, jobs: int) -> str:
+    """Write one artefact's record: the table's text, data and metrics."""
+    return write_result_record(
+        results_dir, ARTIFACTS[name].record, final["text"],
+        data=final["data"], metrics=final["metrics"],
+        config=default_record_config(subset=subset, seed=seed, jobs=jobs))
+
+
 # ---------------------------------------------------------------------------
-# Worker-side execution (kind "bench.artifact")
+# The driver: one bench.artifact job per slice, the table's merge
 # ---------------------------------------------------------------------------
-
-
-def _run_single(name: str) -> dict:
-    """Fully compute a single-job artefact: text, data, and metrics."""
-    if name == "fig1":
-        result = figures.figure1()
-        summary = result["summary"]
-        return {
-            "text": figures.render_figure1(result),
-            "data": {"summary": summary,
-                     "rows": [{"suite": r.suite, "total": r.total,
-                               **r.buckets} for r in result["rows"]]},
-            "metrics": {"benchmarks": summary["benchmarks"],
-                        "avg_buffers": summary["average"]},
-        }
-    if name == "fig11":
-        data = figures.figure11()
-        return {
-            "text": figures.render_figure11(data),
-            "data": data,
-            "metrics": {"avg_pages_per_buffer":
-                        sum(data.values()) / len(data)},
-        }
-    if name == "table3":
-        rows = figures.table3()
-        total = rows[-1]
-        return {
-            "text": figures.render_table3(rows),
-            "data": [r.__dict__ for r in rows],
-            "metrics": {"sram_bytes": total.sram_bytes,
-                        "area_mm2": total.area_mm2,
-                        "leakage_uw": total.leakage_uw,
-                        "dynamic_mw": total.dynamic_mw},
-        }
-    raise ValueError(f"unknown single artefact {name!r}")
-
-
-def _run_fragment(name: str, items: Sequence, seed: int) -> dict:
-    """Compute one shard of a sweep artefact (JSON-serializable)."""
-    if name == "fig14":
-        result = figures.figure14(list(items), seed=seed)
-        return {"per_benchmark": result.per_benchmark,
-                "cycles": sum(r.cycles for r in result.records)}
-    if name == "fig15":
-        return {"data": figures.figure15(list(items), seed=seed)}
-    if name == "fig16":
-        return {"data": figures.figure16(list(items), seed=seed)}
-    if name == "fig17":
-        result = figures.figure17(list(items), seed=seed)
-        return {"normalized": result.normalized,
-                "reduction": result.reduction}
-    if name == "fig18":
-        pairs = [tuple(p) for p in items]
-        return {"data": figures.figure18(pairs, seed=seed)}
-    if name == "fig19":
-        return {"data": figures.figure19(list(items), seed=seed)}
-    raise ValueError(f"unknown sweep artefact {name!r}")
 
 
 def run_artifact_job(payload: dict, ctx) -> dict:
-    """Runner entrypoint (kind ``bench.artifact``)."""
-    name = payload["artifact"]
-    counters = ctx.stats.counters("bench")
-    counters["fragments"] = 1
-    counters["items"] = len(payload.get("items") or [])
-    if name in _SINGLES:
-        return {"artifact": name, "final": _run_single(name)}
-    return {"artifact": name,
-            "fragment": _run_fragment(name, payload["items"],
-                                      int(payload["seed"]))}
+    """Runner entrypoint (kind ``bench.artifact``): one artefact slice."""
+    artifact = ARTIFACTS[payload["artifact"]]
+    return {"index_base": payload["index_base"],
+            "slices": [artifact.compute(payload["items"], ctx.spec.seed)]}
 
 
-# ---------------------------------------------------------------------------
-# Parent-side merge: shard fragments -> the serial structures
-# ---------------------------------------------------------------------------
+def run_artifacts(artifacts: Sequence[str], *, jobs: int = 0,
+                  subset: Optional[int] = None, seed: int = 11,
+                  reporter=None, **run_options):
+    """Run ``artifacts`` on the runner and merge each one.
 
+    Every artefact is one ``bench.artifact`` job per contiguous slice of
+    its items (sweeps shard when ``jobs > 1``).  Returns ``(finals,
+    results)``, mapping each artefact to its ``{text, data, metrics}``
+    and to its job results; ``run_options`` go to
+    :func:`repro.runner.run_jobs`.  Raises ``RuntimeError`` naming the
+    failed jobs when any slice failed.
+    """
+    from repro.runner import HeartbeatReporter, run_jobs
+    from repro.runner.shard import (default_shard_count, merge_slices,
+                                    plan_slice_jobs)
 
-def _int_keys(data: Dict[str, Dict[str, float]]) -> Dict[str, Dict[int, float]]:
-    """Undo JSON's stringification of the entries-sweep keys."""
-    return {name: {int(k): v for k, v in vals.items()}
-            for name, vals in data.items()}
-
-
-def _merge_union(fragments: List[dict], key: str = "data") -> dict:
-    merged: dict = {}
-    for frag in fragments:
-        merged.update(frag[key])
-    return merged
-
-
-def _finalize(name: str, payloads: List[dict]) -> dict:
-    """Merge ordered job payloads into {text, data, metrics}."""
-    if name in _SINGLES:
-        return payloads[0]["final"]
-    fragments = [p["fragment"] for p in payloads]
-
-    if name == "fig14":
-        from repro.workloads.suite import get_benchmark
-        per_bench = _merge_union(fragments, "per_benchmark")
-        cycles = sum(frag["cycles"] for frag in fragments)
-        per_cat: Dict[str, Dict[str, float]] = {}
-        for cat in figures.CATEGORY_ORDER:
-            members = [n for n in per_bench
-                       if get_benchmark(n).category == cat]
-            if members:
-                per_cat[cat] = {
-                    label: geomean([per_bench[n][label] for n in members])
-                    for label in next(iter(per_bench.values()))}
-        result = figures.OverheadResult(per_benchmark=per_bench,
-                                        per_category=per_cat)
-        overall = geomean([v["L1:1,L2:3"] for v in per_bench.values()])
-        return {"text": figures.render_figure14(result),
-                "data": {"per_benchmark": per_bench,
-                         "per_category": per_cat},
-                "metrics": {"cycles": cycles,
-                            "overhead_percent": (overall - 1.0) * 100.0}}
-    if name in ("fig15", "fig16"):
-        data = _int_keys(_merge_union(fragments))
-        title = "Figure 15 (Nvidia)" if name == "fig15" else \
-            "Figure 16 (Intel)"
-        return {"text": figures.render_rcache_sensitivity(data, title),
-                "data": {k: {str(s): v for s, v in vals.items()}
-                         for k, vals in data.items()},
-                "metrics": {"hit_rate_4entry":
-                            geomean([vals[4] for vals in data.values()])}}
-    if name == "fig17":
-        normalized = _merge_union(fragments, "normalized")
-        reduction = _merge_union(fragments, "reduction")
-        result = figures.StaticResult(normalized=normalized,
-                                      reduction=reduction)
-        with_static = geomean([v["L1:1,L2:5+static"]
-                               for v in normalized.values()])
-        return {"text": figures.render_figure17(result),
-                "data": {"normalized": normalized, "reduction": reduction},
-                "metrics": {
-                    "overhead_percent_static": (with_static - 1.0) * 100.0,
-                    "mean_reduction_percent":
-                        sum(reduction.values()) / max(len(reduction), 1)}}
-    if name == "fig18":
-        data = _merge_union(fragments)
-        return {"text": figures.render_figure18(data),
-                "data": data,
-                "metrics": {
-                    "overhead_percent_inter": (geomean(
-                        [v["inter_core"] for v in data.values()]) - 1)
-                    * 100.0,
-                    "overhead_percent_intra": (geomean(
-                        [v["intra_core"] for v in data.values()]) - 1)
-                    * 100.0}}
-    if name == "fig19":
-        data = _merge_union(fragments)
-        return {"text": figures.render_figure19(data),
-                "data": data,
-                "metrics": {
-                    "slowdown_memcheck": geomean(
-                        [v["cuda-memcheck"] for v in data.values()]),
-                    "slowdown_clarmor": geomean(
-                        [v["clarmor"] for v in data.values()]),
-                    "slowdown_gmod": geomean(
-                        [v["gmod"] for v in data.values()]),
-                    "gpushield_overhead_percent": (geomean(
-                        [v["gpushield"] for v in data.values()]) - 1)
-                    * 100.0}}
-    raise ValueError(f"unknown artefact {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# The driver
-# ---------------------------------------------------------------------------
-
-
-def plan_bench_jobs(artifacts: Sequence[str], *, jobs: int,
-                    subset: Optional[int] = None, seed: int = 11,
-                    timeout: float = 1800.0):
-    """One-or-more JobSpecs per artefact; sweeps shard when jobs > 1."""
-    from repro.runner import JobSpec, default_shard_count, shard_items
-
-    plan = []
+    plan = {}
     for name in artifacts:
-        if name not in ARTIFACTS:
-            raise ValueError(f"unknown artefact {name!r} "
-                             f"(have {list(ARTIFACTS)})")
-        if name in _SINGLES:
-            plan.append(JobSpec(
-                job_id=f"bench-{name}", kind="bench.artifact", seed=seed,
-                timeout=timeout, max_retries=1, retry_backoff=0.5,
-                payload={"artifact": name, "items": None, "seed": seed}))
-            continue
-        items = _SWEEPS[name]()
-        if subset:
-            items = items[:subset]
+        items = ARTIFACTS[name].items(subset)
         shards = (default_shard_count(len(items), jobs, per_worker=2)
                   if jobs > 1 else 1)
-        for i, chunk in enumerate(shard_items(items, shards)):
-            plan.append(JobSpec(
-                job_id=f"bench-{name}-{i:03d}", kind="bench.artifact",
-                seed=seed, timeout=timeout, max_retries=1,
-                retry_backoff=0.5,
-                payload={"artifact": name, "items": list(chunk),
-                         "seed": seed}))
-    return plan
+        plan[name] = plan_slice_jobs(
+            items, kind="bench.artifact", prefix=f"bench-{name}",
+            key="items", seed=seed, jobs=jobs, shards=shards,
+            payload={"artifact": name}, timeout=1800.0)
+    specs = [spec for name in artifacts for spec in plan[name]]
+    report = run_jobs(specs, jobs=jobs, run_name="bench-suite",
+                      reporter=reporter or HeartbeatReporter(
+                          len(specs), label="bench"),
+                      meta={"artifacts": list(artifacts), "subset": subset,
+                            "seed": seed}, **run_options)
+    results = {name: [report.results[s.job_id] for s in plan[name]]
+               for name in artifacts}
+    finals = {name: ARTIFACTS[name].merge(
+                  merge_slices(results[name], "slices", f"bench {name}"))
+              for name in artifacts}
+    return finals, results
 
 
 def run_bench_suite(artifacts: Optional[Sequence[str]] = None, *,
@@ -325,54 +152,24 @@ def run_bench_suite(artifacts: Optional[Sequence[str]] = None, *,
                     results_dir: str = "benchmarks/results",
                     out_dir: Optional[str] = None,
                     journal_path: Optional[str] = None,
-                    resume: bool = False, reporter=None,
-                    write_records: bool = True,
-                    capture_finals: Optional[Dict[str, dict]] = None) -> dict:
-    """Run the artefact sweeps on the runner; returns a run summary."""
-    from repro.runner import HeartbeatReporter, run_jobs
+                    resume: bool = False, reporter=None) -> dict:
+    """Run the artefacts and write their records.
 
+    Returns each artefact's metrics, job count and summed job seconds.
+    """
     artifacts = list(artifacts or ARTIFACTS)
-    plan = plan_bench_jobs(artifacts, jobs=jobs, subset=subset, seed=seed)
-    if reporter is None:
-        reporter = HeartbeatReporter(len(plan), label="bench")
-    report = run_jobs(plan, jobs=jobs, run_name="bench-suite",
-                      journal_path=journal_path, resume=resume,
-                      out_dir=out_dir, reporter=reporter,
-                      meta={"artifacts": artifacts, "subset": subset,
-                            "seed": seed})
-    if report.failures:
-        detail = "; ".join(f"{r.job_id}: {r.status} ({r.error})"
-                           for r in report.failures)
-        raise RuntimeError(f"{len(report.failures)} bench job(s) failed: "
-                           f"{detail}")
-
-    summary: Dict[str, dict] = {}
-    config = default_record_config()
-    config.update({"subset": subset, "seed": seed, "jobs": jobs})
-    for name in artifacts:
-        ordered = [report.results[s.job_id] for s in plan
-                   if s.payload["artifact"] == name]
-        final = _finalize(name, [r.payload for r in ordered])
-        if capture_finals is not None:
-            capture_finals[name] = final
-        wall = sum(r.wall_seconds for r in ordered)
-        if write_records:
-            record_name = {"fig1": "figure01", "fig11": "figure11",
-                           "table3": "table03"}.get(
-                               name, name.replace("fig", "figure"))
-            write_result_record(results_dir, record_name, final["text"],
-                                data=final["data"], config=config,
-                                metrics=final["metrics"])
+    finals, results = run_artifacts(
+        artifacts, jobs=jobs, subset=subset, seed=seed, out_dir=out_dir,
+        journal_path=journal_path, resume=resume, reporter=reporter)
+    summary = {}
+    for name, final in finals.items():
+        publish_artifact(results_dir, name, final, subset=subset,
+                         seed=seed, jobs=jobs)
+        wall = sum(r.wall_seconds for r in results[name])
         summary[name] = {"metrics": final["metrics"],
-                         "jobs": len(ordered),
+                         "jobs": len(results[name]),
                          "wall_seconds": round(wall, 3)}
-    return {
-        "artifacts": summary,
-        "wall_seconds": round(report.wall_seconds, 3),
-        "jobs": jobs,
-        "stats": report.stats.as_dict(),
-        "manifest_path": report.manifest_path,
-    }
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +197,8 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
     corpus under each engine and comparing digests of everything each
     produces ({text, data, metrics} per artefact; the full per-case
     outcome digest, which covers cycle counts, for the campaign) — and
-    records the digest table in ``BENCH_hotpath.json``.  Host time is
-    ``bench/``'s to measure, not this check's.
+    records the digest table in ``BENCH_hotpath.json``, the only record
+    it writes.  Host time is ``bench/``'s to measure, not this check's.
     """
     from repro.engine import ENGINES, engine
     from repro.fuzz.campaign import run_campaign
@@ -416,13 +213,8 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
     legs: Dict[str, dict] = {}
     for leg in ENGINES:
         with engine(leg):
-            finals: Dict[str, dict] = {}
-            # Only the fast leg (the process default) leaves records in
-            # results_dir; the slow leg only contributes digests.
-            run_bench_suite(artifacts, jobs=jobs, subset=subset,
-                            seed=seed, results_dir=results_dir,
-                            write_records=(leg == "fast"),
-                            capture_finals=finals)
+            finals, _results = run_artifacts(
+                artifacts, jobs=jobs, subset=subset, seed=seed)
             fuzz_digest = None
             if specs:
                 campaign = run_campaign(specs, seed=fuzz_seed,
@@ -463,14 +255,13 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
         "legs": legs,
         "text": text,
     }
-    config = default_record_config()
-    config.update({"subset": subset, "seed": seed, "jobs": jobs,
-                   "fuzz_cases": len(specs), "fuzz_seed": fuzz_seed})
     write_result_record(
         results_dir, "BENCH_hotpath", text,
         data={"artifacts": artifacts, "legs": legs,
               "mismatches": mismatches},
-        config=config,
+        config=default_record_config(
+            subset=subset, seed=seed, jobs=jobs, fuzz_cases=len(specs),
+            fuzz_seed=fuzz_seed),
         metrics={"digests_identical": identical})
     return result
 
@@ -552,15 +343,13 @@ def compare_service(*, tenants: int = 3, attackers: int = 1,
         "matrix": matrix,
         "text": text,
     }
-    config = default_record_config()
-    config.update({"tenants": tenants, "attackers": attackers,
-                   "requests_per_tenant": requests, "seed": seed,
-                   "jobs": jobs})
     write_result_record(
         results_dir, "BENCH_service", text,
         data={"legs": legs, "mismatches": mismatches,
               "attack_matrix": matrix},
-        config=config,
+        config=default_record_config(
+            tenants=tenants, attackers=attackers,
+            requests_per_tenant=requests, seed=seed, jobs=jobs),
         metrics={"digests_identical": identical,
                  "detection_rate": matrix["detection_rate"],
                  "false_positives": matrix["false_positives"],
@@ -672,7 +461,7 @@ def main(argv=None) -> int:
         artifacts, jobs=args.jobs, subset=args.subset, seed=args.seed,
         results_dir=args.results_dir, out_dir=args.manifest_dir,
         resume=args.resume)
-    for name, info in summary["artifacts"].items():
+    for name, info in summary.items():
         print(f"[bench] {name}: {info['jobs']} job(s), "
               f"{info['wall_seconds']:.1f}s, "
               f"metrics={json.dumps(info['metrics'], sort_keys=True)}")

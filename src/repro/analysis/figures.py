@@ -2,8 +2,10 @@
 
 Each ``figure*``/``table*`` function runs the required simulations and
 returns structured results; ``render_*`` helpers turn them into the same
-rows/series the paper plots.  The benchmark harness (benchmarks/) calls
-these and prints them; tests call them on reduced inputs.
+rows/series the paper plots.  :data:`ARTIFACTS`, at the end, is the one
+table of the nine artefacts: ``python -m repro <artefact>``, ``python -m
+repro bench`` and the ``benchmarks/`` regenerators all loop over it.
+Tests call the figure functions on reduced inputs.
 
 Paper-vs-measured numbers are recorded in EXPERIMENTS.md.
 """
@@ -11,13 +13,13 @@ Paper-vs-measured numbers are recorded in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.harness import run_workload
+from repro.analysis.harness import WorkloadRunner, _init_buffer, run_workload
 from repro.analysis.results import RunRecord, geomean
 from repro.analysis import report
 from repro.core.bcu import BCUConfig
-from repro.core.hwcost import HardwareCostModel, table3 as _table3_rows
+from repro.core.hwcost import HardwareCostModel, table3
 from repro.core.shield import ShieldConfig
 from repro.gpu.config import GPUConfig, intel_config, nvidia_config
 from repro.workloads import characterization
@@ -32,6 +34,15 @@ from repro.workloads.suite import (
 
 # Table 6 category order used throughout the paper's figures.
 CATEGORY_ORDER = ["ML", "LA", "GT", "GI", "PS", "IM", "DM"]
+
+
+def _column_geomean(rows: Dict[str, dict], key) -> float:
+    """Geomean of column ``key`` over every row of a figure's data."""
+    return geomean([vals[key] for vals in rows.values()])
+
+
+def _overhead_percent(rows: Dict[str, dict], key) -> float:
+    return (_column_geomean(rows, key) - 1.0) * 100.0
 
 
 def _shield(l1_latency=1, l2_latency=3, l1_entries=4, static=True,
@@ -98,10 +109,6 @@ def render_figure11(data: Dict[str, float]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def table3(config: Optional[BCUConfig] = None):
-    return _table3_rows(config)
-
-
 def render_table3(rows) -> str:
     headers = ["structure", "entries", "SRAM (B)", "area (mm2)",
                "leakage (uW)", "dynamic (mW)"]
@@ -151,28 +158,32 @@ def figure14(benchmarks: Optional[Sequence[str]] = None,
             records.append(rec)
             per_bench[name][label] = rec.normalized_to(base)
 
+    return OverheadResult(per_benchmark=per_bench,
+                          per_category=_per_category(per_bench),
+                          records=records)
+
+
+def _per_category(per_bench: Dict[str, Dict[str, float]]
+                  ) -> Dict[str, Dict[str, float]]:
+    """Geomean of each config's normalized time over each category."""
+    labels = list(next(iter(per_bench.values()), {}))
     per_cat: Dict[str, Dict[str, float]] = {}
     for cat in CATEGORY_ORDER:
-        members = [n for n in names
-                   if get_benchmark(n).category == cat]
-        if not members:
-            continue
-        per_cat[cat] = {
-            label: geomean([per_bench[n][label] for n in members])
-            for label in configs
-        }
-    return OverheadResult(per_benchmark=per_bench, per_category=per_cat,
-                          records=records)
+        members = [n for n in per_bench if get_benchmark(n).category == cat]
+        if members:
+            per_cat[cat] = {
+                label: geomean([per_bench[n][label] for n in members])
+                for label in labels}
+    return per_cat
 
 
 def render_figure14(result: OverheadResult) -> str:
     headers = ["category", "L1:1,L2:3 (default)", "L1:2,L2:5"]
-    body = [[cat, vals["L1:1,L2:3"], vals["L1:2,L2:5"]]
+    labels = ("L1:1,L2:3", "L1:2,L2:5")
+    body = [[cat] + [vals[label] for label in labels]
             for cat, vals in result.per_category.items()]
-    all_norms = {label: geomean([v[label] for v in
-                                 result.per_benchmark.values()])
-                 for label in ("L1:1,L2:3", "L1:2,L2:5")}
-    body.append(["GEOMEAN", all_norms["L1:1,L2:3"], all_norms["L1:2,L2:5"]])
+    body.append(["GEOMEAN"] + [_column_geomean(result.per_benchmark, label)
+                               for label in labels])
     return report.table(
         "Figure 14: normalized exec time per category "
         "(paper: ~1.00 everywhere, DM worst)", headers, body, ".4f")
@@ -227,13 +238,13 @@ def figure16(benchmarks: Optional[Sequence[str]] = None,
 
 def render_rcache_sensitivity(data: Dict[str, Dict[int, float]],
                               title: str) -> str:
-    sizes = sorted(next(iter(data.values())).keys())
+    # Sizes sort numerically whether keyed by int or (from JSON) by str.
+    sizes = sorted(next(iter(data.values())), key=int)
     headers = ["benchmark"] + [f"{s}-entry" for s in sizes]
     body = [[name] + [100.0 * vals[s] for s in sizes]
             for name, vals in data.items()]
-    means = ["GEOMEAN"] + [
-        100.0 * geomean([vals[s] for vals in data.values()]) for s in sizes]
-    body.append(means)
+    body.append(["GEOMEAN"] + [100.0 * _column_geomean(data, s)
+                               for s in sizes])
     return report.table(title + " — L1 RCache hit rate (%)", headers,
                         body, ".1f")
 
@@ -284,8 +295,7 @@ def render_figure17(result: StaticResult) -> str:
         body.append([name] + [vals[l] for l in labels]
                     + [result.reduction.get(name, 0.0)])
     body.append(["GEOMEAN"]
-                + [geomean([v[l] for v in result.normalized.values()])
-                   for l in labels]
+                + [_column_geomean(result.normalized, l) for l in labels]
                 + [sum(result.reduction.values())
                    / max(len(result.reduction), 1)])
     return report.table("Figure 17: static bounds-check filtering",
@@ -297,6 +307,11 @@ def render_figure17(result: StaticResult) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The 21 pairs of the multi-kernel set, as JSON-safe name lists.
+MULTIKERNEL_PAIRS = [[a, b] for i, a in enumerate(MULTIKERNEL_SET)
+                     for b in MULTIKERNEL_SET[i + 1:]]
+
+
 def figure18(pair_names: Optional[Sequence[Tuple[str, str]]] = None,
              config: Optional[GPUConfig] = None,
              seed: int = 11) -> Dict[str, Dict[str, float]]:
@@ -304,8 +319,7 @@ def figure18(pair_names: Optional[Sequence[Tuple[str, str]]] = None,
     pair running without bounds checking."""
     config = config or intel_config()
     if pair_names is None:
-        pair_names = [(a, b) for i, a in enumerate(MULTIKERNEL_SET)
-                      for b in MULTIKERNEL_SET[i + 1:]]
+        pair_names = MULTIKERNEL_PAIRS
     out: Dict[str, Dict[str, float]] = {}
     for a, b in pair_names:
         label = f"{a}_{b}"
@@ -326,7 +340,6 @@ def figure18(pair_names: Optional[Sequence[Tuple[str, str]]] = None,
 
 def _run_pair(a: str, b: str, config: GPUConfig,
               shield: Optional[ShieldConfig], mode: str, seed: int) -> int:
-    from repro.analysis.harness import WorkloadRunner
     wl_a = get_benchmark(a, opencl=True).build()
     wl_b = get_benchmark(b, opencl=True).build()
     # Multi-kernel runs use each workload's first kernel launch, repeated
@@ -338,7 +351,6 @@ def _run_pair(a: str, b: str, config: GPUConfig,
         buffers_b = {}
         for i, spec in enumerate(wl_b.buffers):
             buf = session.driver.malloc(spec.nbytes, name=f"b:{spec.name}")
-            from repro.analysis.harness import _init_buffer
             _init_buffer(session, buf, spec, seed=seed * 31 + i)
             buffers_b[spec.name] = buf
 
@@ -365,9 +377,8 @@ def render_figure18(data: Dict[str, Dict[str, float]]) -> str:
     headers = ["pair", "inter-core", "intra-core"]
     body = [[pair, vals["inter_core"], vals["intra_core"]]
             for pair, vals in data.items()]
-    body.append(["GEOMEAN",
-                 geomean([v["inter_core"] for v in data.values()]),
-                 geomean([v["intra_core"] for v in data.values()])])
+    body.append(["GEOMEAN", _column_geomean(data, "inter_core"),
+                 _column_geomean(data, "intra_core")])
     return report.table(
         "Figure 18: multi-kernel normalized exec time "
         "(paper: <0.3% average overhead)", headers, body, ".4f")
@@ -380,19 +391,16 @@ def render_figure18(data: Dict[str, Dict[str, float]]) -> str:
 
 def figure19(benchmarks: Optional[Sequence[str]] = None,
              config: Optional[GPUConfig] = None,
-             seed: int = 11, jobs: int = 0) -> Dict[str, Dict[str, float]]:
+             seed: int = 11) -> Dict[str, Dict[str, float]]:
     """Tool slowdowns over the protection-config matrix.
 
     The per-(benchmark, tool) cells come from
-    :func:`repro.analysis.harness.run_protection_matrix`; with
-    ``jobs>=1`` the cells fan out over the parallel runner (every cell
-    is an isolated session, so results are identical either way).
+    :func:`repro.analysis.harness.run_protection_matrix`.
     """
     from repro.analysis.harness import run_protection_matrix
 
     names = list(benchmarks or RODINIA_FIG19)
-    matrix = run_protection_matrix(names, config=config, seed=seed,
-                                   jobs=jobs)
+    matrix = run_protection_matrix(names, config=config, seed=seed)
     out: Dict[str, Dict[str, float]] = {}
     for name in names:
         cells = matrix[name]
@@ -412,25 +420,179 @@ def render_figure19(data: Dict[str, Dict[str, float]]) -> str:
                "GPUShield", "check reduction %"]
     body = [[name, v["cuda-memcheck"], v["clarmor"], v["gmod"],
              v["gpushield"], v["reduction"]] for name, v in data.items()]
-    body.append([
-        "GEOMEAN",
-        geomean([v["cuda-memcheck"] for v in data.values()]),
-        geomean([v["clarmor"] for v in data.values()]),
-        geomean([v["gmod"] for v in data.values()]),
-        geomean([v["gpushield"] for v in data.values()]),
-        sum(v["reduction"] for v in data.values()) / len(data),
-    ])
+    means = {label: _column_geomean(data, key) for label, key in (
+        ("CUDA-MEMCHECK", "cuda-memcheck"), ("clArmor", "clarmor"),
+        ("GMOD", "gmod"), ("GPUShield", "gpushield"))}
+    body.append(["GEOMEAN", *means.values(),
+                 sum(v["reduction"] for v in data.values()) / len(data)])
     text = report.table(
         "Figure 19: tool slowdowns over no checking "
         "(paper geomeans: 72.3x / 3.1x / 1.5x / 1.008x)",
         headers, body, ".2f")
-    chart = report.bars(
-        "geomean slowdown (log scale)",
-        {
-            "CUDA-MEMCHECK": geomean([v["cuda-memcheck"]
-                                      for v in data.values()]),
-            "clArmor": geomean([v["clarmor"] for v in data.values()]),
-            "GMOD": geomean([v["gmod"] for v in data.values()]),
-            "GPUShield": geomean([v["gpushield"] for v in data.values()]),
-        }, log_scale=True)
+    chart = report.bars("geomean slowdown (log scale)", means,
+                        log_scale=True)
     return text + "\n\n" + chart
+
+
+# ---------------------------------------------------------------------------
+# The artefact table: every front-end loops over it
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One paper artefact, as ``python -m repro``, ``bench`` and
+    ``benchmarks/`` regenerate it.
+
+    ``suite`` holds the shard items (benchmark names, or Figure 18 name
+    pairs); without one the artefact is a single ``[None]`` slice.
+    ``compute(items, seed)`` runs one slice and returns JSON-safe data;
+    ``merge`` folds the slices, in item order, into ``{text, data,
+    metrics}``: the rendered artefact plus what its result record
+    ``record`` publishes.
+    """
+
+    name: str
+    record: str
+    compute: Callable[[list, int], dict]
+    merge: Callable[[List[dict]], dict]
+    suite: Optional[Iterable] = None
+
+    def items(self, subset: Optional[int] = None) -> list:
+        """The shard items, restricted to the first ``subset``."""
+        if self.suite is None:
+            return [None]
+        return list(self.suite)[:subset or None]
+
+    def run(self, subset: Optional[int] = None, seed: int = 11) -> dict:
+        """Regenerate serially: one slice over every item."""
+        return self.merge([self.compute(self.items(subset), seed)])
+
+
+def _union(slices: List[dict], key: Optional[str] = None) -> dict:
+    merged: dict = {}
+    for piece in slices:
+        merged.update(piece[key] if key else piece)
+    return merged
+
+
+def _only(slices: List[dict]) -> dict:
+    (final,) = slices
+    return final
+
+
+def _union_merge(render, metrics):
+    """A merge whose slices are disjoint parts of one ``data`` dict."""
+
+    def merge(slices: List[dict]) -> dict:
+        data = _union(slices)
+        return {"text": render(data), "data": data, "metrics": metrics(data)}
+
+    return merge
+
+
+def _figure1_final(_items, _seed) -> dict:
+    result = figure1()
+    summary = result["summary"]
+    return {"text": render_figure1(result),
+            "data": {"summary": summary,
+                     "rows": [{"suite": r.suite, "total": r.total,
+                               **r.buckets} for r in result["rows"]]},
+            "metrics": {"benchmarks": summary["benchmarks"],
+                        "avg_buffers": summary["average"]}}
+
+
+def _table3_final(_items, _seed) -> dict:
+    rows = table3()
+    total = rows[-1]
+    return {"text": render_table3(rows),
+            "data": [r.__dict__ for r in rows],
+            "metrics": {"sram_bytes": total.sram_bytes,
+                        "area_mm2": total.area_mm2,
+                        "leakage_uw": total.leakage_uw,
+                        "dynamic_mw": total.dynamic_mw}}
+
+
+def _figure14_slice(items, seed) -> dict:
+    result = figure14(items, seed=seed)
+    return {"per_benchmark": result.per_benchmark,
+            "cycles": sum(r.cycles for r in result.records)}
+
+
+def _figure14_merge(slices) -> dict:
+    per_bench = _union(slices, "per_benchmark")
+    per_cat = _per_category(per_bench)
+    result = OverheadResult(per_benchmark=per_bench, per_category=per_cat)
+    return {"text": render_figure14(result),
+            "data": {"per_benchmark": per_bench, "per_category": per_cat},
+            "metrics": {"cycles": sum(s["cycles"] for s in slices),
+                        "overhead_percent":
+                            _overhead_percent(per_bench, "L1:1,L2:3")}}
+
+
+def _sensitivity_slice(figure):
+    """Figure 15 or 16 over one slice, its sizes keyed as JSON keys them."""
+    return lambda items, seed: {
+        name: {str(size): rate for size, rate in vals.items()}
+        for name, vals in figure(items, seed=seed).items()}
+
+
+def _sensitivity_merge(title: str):
+    return _union_merge(
+        lambda data: render_rcache_sensitivity(data, title),
+        lambda data: {"hit_rate_4entry": _column_geomean(data, "4")})
+
+
+def _figure17_slice(items, seed) -> dict:
+    result = figure17(items, seed=seed)
+    return {"normalized": result.normalized, "reduction": result.reduction}
+
+
+def _figure17_merge(slices) -> dict:
+    normalized = _union(slices, "normalized")
+    reduction = _union(slices, "reduction")
+    return {"text": render_figure17(StaticResult(normalized, reduction)),
+            "data": {"normalized": normalized, "reduction": reduction},
+            "metrics": {
+                "overhead_percent_static": _overhead_percent(
+                    normalized, "L1:1,L2:5+static"),
+                "mean_reduction_percent":
+                    sum(reduction.values()) / max(len(reduction), 1)}}
+
+
+#: The paper's evaluation, in ``python -m repro list`` order.
+ARTIFACTS: Dict[str, Artifact] = {art.name: art for art in (
+    Artifact("fig1", "figure01", _figure1_final, _only),
+    Artifact("fig11", "figure11", lambda _items, _seed: figure11(),
+             _union_merge(render_figure11, lambda data: {
+                 "avg_pages_per_buffer": sum(data.values()) / len(data)})),
+    Artifact("table3", "table03", _table3_final, _only),
+    Artifact("fig14", "figure14", _figure14_slice, _figure14_merge,
+             CUDA_BENCHMARKS),
+    Artifact("fig15", "figure15", _sensitivity_slice(figure15),
+             _sensitivity_merge("Figure 15 (Nvidia)"),
+             RCACHE_SENSITIVE),
+    Artifact("fig16", "figure16", _sensitivity_slice(figure16),
+             _sensitivity_merge("Figure 16 (Intel)"),
+             OPENCL_BENCHMARKS),
+    Artifact("fig17", "figure17", _figure17_slice, _figure17_merge,
+             RCACHE_SENSITIVE),
+    Artifact("fig18", "figure18",
+             lambda items, seed: figure18([tuple(p) for p in items],
+                                          seed=seed),
+             _union_merge(render_figure18, lambda data: {
+                 "overhead_percent_inter":
+                     _overhead_percent(data, "inter_core"),
+                 "overhead_percent_intra":
+                     _overhead_percent(data, "intra_core")}),
+             MULTIKERNEL_PAIRS),
+    Artifact("fig19", "figure19",
+             lambda items, seed: figure19(items, seed=seed),
+             _union_merge(render_figure19, lambda data: {
+                 "slowdown_memcheck": _column_geomean(data, "cuda-memcheck"),
+                 "slowdown_clarmor": _column_geomean(data, "clarmor"),
+                 "slowdown_gmod": _column_geomean(data, "gmod"),
+                 "gpushield_overhead_percent":
+                     _overhead_percent(data, "gpushield")}),
+             RODINIA_FIG19),
+)}

@@ -304,10 +304,6 @@ def run_benchmark(bench: BenchmarkDef, config: Optional[GPUConfig] = None,
 #: paper's tool-comparison matrix (Figure 19 derives overheads from it).
 MATRIX_TOOLS = ("base", "gpushield", "cuda-memcheck", "clarmor", "gmod")
 
-#: GPU configs the parallel matrix path can name in a job payload
-#: (payloads are JSON; an arbitrary GPUConfig object cannot travel).
-_NAMED_CONFIGS = {"nvidia": nvidia_config}
-
 
 def default_shield(**kw) -> ShieldConfig:
     """The paper's default GPUShield configuration (L1:1,L2:3, static)."""
@@ -325,10 +321,10 @@ def run_matrix_cell(bench_name: str, tool: str,
     Every cell builds a fresh workload and takes a warm device for its
     (config, tool) fingerprint — reset to ``seed``, so cells are
     independent of each other, of execution order, and of which process
-    runs them — the property that lets the matrix fan out over the
-    parallel runner.  ``seed`` is threaded through every tool runner
-    explicitly: the device layer re-seeds per cell, never falling back
-    to the session default.
+    runs them — the property that lets ``bench`` shard Figure 19 by
+    benchmark over the parallel runner.  ``seed`` is threaded through
+    every tool runner explicitly: the device layer re-seeds per cell,
+    never falling back to the session default.
     """
     from repro.workloads.suite import get_benchmark
     config = config or nvidia_config()
@@ -356,53 +352,20 @@ def run_matrix_cell(bench_name: str, tool: str,
         tool_runner.runner.close()
 
 
-def matrix_cell_job(payload: dict, ctx) -> dict:
-    """Runner entrypoint (kind ``harness.matrix_cell``): one cell."""
-    config = _NAMED_CONFIGS[payload.get("gpu", "nvidia")]()
-    record = run_matrix_cell(payload["bench"], payload["tool"],
-                             config=config, seed=int(payload["seed"]))
-    ctx.stats.counters("matrix")["cells"] = 1
-    return {"bench": payload["bench"], "tool": payload["tool"],
-            "record": record.to_json()}
-
-
 def run_protection_matrix(benchmarks, tools=MATRIX_TOOLS, *,
                           config: Optional[GPUConfig] = None,
-                          seed: int = 11, jobs: int = 0,
-                          reporter=None) -> Dict[str, Dict[str, RunRecord]]:
-    """The full matrix: ``benchmark -> tool -> RunRecord``.
+                          seed: int = 11,
+                          jobs: int = 0) -> Dict[str, Dict[str, RunRecord]]:
+    """The full matrix, in-process: ``benchmark -> tool -> RunRecord``.
 
-    ``jobs=0`` runs the cells serially in-process (accepting any
-    ``config`` object); ``jobs>=1`` fans one job per cell out over the
-    parallel runner (``config`` must then be the default — payloads
-    carry config by *name*).  Cell results are identical either way.
+    ``jobs`` must stay 0: the parallel Figure 19 sweep shards by
+    benchmark through ``python -m repro bench --jobs N --artifacts fig19``.
     """
-    names = list(benchmarks)
-    if jobs <= 0:
-        return {name: {tool: run_matrix_cell(name, tool, config=config,
-                                             seed=seed)
-                       for tool in tools}
-                for name in names}
-    if config is not None:
-        raise ValueError("the parallel matrix runs the named default "
-                         "config; pass jobs=0 for a custom GPUConfig")
-    from repro.runner import JobSpec, run_jobs
-    plan = [JobSpec(job_id=f"matrix-{name}-{tool}",
-                    kind="harness.matrix_cell", seed=seed,
-                    timeout=600.0, max_retries=1, retry_backoff=0.5,
-                    payload={"bench": name, "tool": tool, "seed": seed,
-                             "gpu": "nvidia"})
-            for name in names for tool in tools]
-    report = run_jobs(plan, jobs=jobs, run_name="protection-matrix",
-                      reporter=reporter)
-    if report.failures:
-        detail = "; ".join(f"{r.job_id}: {r.status} ({r.error})"
-                           for r in report.failures)
-        raise RuntimeError(f"{len(report.failures)} matrix cell(s) "
-                           f"failed: {detail}")
-    out: Dict[str, Dict[str, RunRecord]] = {name: {} for name in names}
-    for result in report.results.values():
-        payload = result.payload
-        out[payload["bench"]][payload["tool"]] = RunRecord(
-            **payload["record"])
-    return out
+    if jobs != 0:
+        raise ValueError(f"run_protection_matrix runs serially (jobs=0, "
+                         f"got {jobs}); for a parallel sweep use "
+                         f"python -m repro bench --jobs N --artifacts fig19")
+    return {name: {tool: run_matrix_cell(name, tool, config=config,
+                                         seed=seed)
+                   for tool in tools}
+            for name in benchmarks}

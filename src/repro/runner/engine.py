@@ -1,7 +1,7 @@
 """The execution engine: plan in, checkpointed parallel run out.
 
 :func:`run_jobs` is the one entry every parallel campaign goes through
-(fuzz ``--jobs``, the protection-config matrix, the bench driver):
+(fuzz ``--jobs``, the bench driver, the analysis sweeps):
 
 1. validate the plan and fingerprint it;
 2. with ``resume=True``, load the checkpoint journal, verify it belongs

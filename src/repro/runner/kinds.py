@@ -38,7 +38,6 @@ _REGISTRY: Dict[str, Entrypoint] = {}
 #: runner package; resolved (and imported) on first use.
 _LAZY: Dict[str, str] = {
     "fuzz.shard": "repro.fuzz.parallel:run_shard_job",
-    "harness.matrix_cell": "repro.analysis.harness:matrix_cell_job",
     "bench.artifact": "repro.analysis.bench:run_artifact_job",
     "oracle.diff": "repro.oracle.runner:oracle_diff_job",
     "service.shard": "repro.service.executor:run_service_shard",

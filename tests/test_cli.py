@@ -112,6 +112,14 @@ class TestBenchCliErrors:
                            "--results-dir", str(tmp_path)]) == 0
         assert "+ 0 fuzz case(s)" in capsys.readouterr().out
 
+    def test_compare_engines_writes_only_its_digest_table(self, tmp_path):
+        from repro.analysis.bench import main as bench_main
+        assert bench_main(["--compare-engines", "--artifacts", "table3",
+                           "--fuzz-cases", "0",
+                           "--results-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_hotpath.json", "BENCH_hotpath.txt"]
+
     def test_compare_engines_mismatch_exits_1(self, tmp_path, capsys,
                                               monkeypatch):
         from repro.analysis import bench

@@ -126,6 +126,6 @@ class TestSliceJobs:
 
 def test_builtin_kinds_resolve():
     assert sorted(_LAZY) == ["bench.artifact", "fuzz.shard",
-                             "harness.matrix_cell", "oracle.diff",
-                             "service.shard", "sweep.shard"]
+                             "oracle.diff", "service.shard",
+                             "sweep.shard"]
     assert all(callable(resolve(kind)) for kind in _LAZY)
