@@ -19,7 +19,14 @@ exactly the same arithmetic with flat pre-bound structures:
 * :class:`FastMemoryPipeline` — one reusable scratch ``AccessResult``,
   the coalescer and both timing stages inlined into a single loop, and
   batched lane load/store loops that index the sparse physical-memory
-  chunks directly;
+  chunks directly.  A full-warp affine request (every lane active and
+  ``addrs == list(range(a0, a0 + n*s, s))`` for ``0 < s <= line``, or
+  ``s == 0``) skips the lane loops: its transactions are every line of
+  ``[a0, a0 + (n-1)*s + size - 1]``, and when ``s == size`` inside one
+  64 KiB chunk its data moves with one ``Struct('<{n}{code}')``
+  ``unpack_from`` or ``pack``.  Integer stores pack the reference's
+  ``(int(v) + lim) % lim`` residue with the unsigned code, ``i32`` and
+  ``i64`` included; a pack that raises falls back to the per-lane loop;
 * :class:`FastExecutor` — every opcode compiled to one closure, once
   per kernel object and warp width and shared by its launches, inline
   effective-address generation (the ``tagged_add(...) & VA_MASK``
@@ -389,6 +396,44 @@ class FastBoundsCheckingUnit(BoundsCheckingUnit):
 # Fast memory pipeline
 # ---------------------------------------------------------------------------
 
+#: Struct codes of a contiguous run's loads, per dtype.
+_LOAD_CODES = {"f32": "f", "i32": "i", "u32": "I", "i64": "q", "u64": "Q"}
+#: Integer stores pack the reference's ``(v + lim) % lim`` residue, which
+#: lies in [0, lim): the unsigned code per size, signed dtypes included.
+_STORE_CODES = {4: "I", 8: "Q"}
+#: ``(code, n) -> Struct('<{n}{code}')``, built on first use.
+_RUN_STRUCTS: Dict[tuple, struct.Struct] = {}
+
+
+def _run_struct(code: str, n: int) -> struct.Struct:
+    packer = _RUN_STRUCTS.get((code, n))
+    if packer is None:
+        packer = _RUN_STRUCTS[code, n] = struct.Struct(f"<{n}{code}")
+    return packer
+
+
+def _coalesce_lanes(addrs, active, size_m1: int, shift: int):
+    """Per-lane coalesce: ``(sorted line indices, lo, hi)``, the same
+    set arithmetic as :func:`~repro.gpu.coalescer.coalesce`."""
+    a0 = addrs[active[0]]
+    lo = a0
+    hi = a0 + size_m1
+    segs = set()
+    for lane in active:
+        a = addrs[lane]
+        last = a + size_m1
+        if a < lo:
+            lo = a
+        if last > hi:
+            hi = last
+        s0 = a >> shift
+        s1 = last >> shift
+        if s0 == s1:
+            segs.add(s0)
+        else:
+            segs.update(range(s0, s1 + 1))
+    return sorted(segs), lo, hi
+
 
 class FastMemoryPipeline(MemoryPipeline):
     """The assembled fast lane: one loop, one scratch result object.
@@ -414,6 +459,7 @@ class FastMemoryPipeline(MemoryPipeline):
         self.l1tlb = FastTlb(config.l1tlb_entries, name=f"l1tlb{core_id}")
         self._result = AccessResult(space="", is_store=False)
         self._result.per_transaction = []   # never filled on the fast lane
+        self._line_size = config.line_size
         self._line_shift = config.line_size.bit_length() - 1
         self._page_shift = config.page_size.bit_length() - 1
         self._depth = config.lsu_pipeline_depth
@@ -466,29 +512,31 @@ class FastMemoryPipeline(MemoryPipeline):
         result.coalesced = None
         result.check = None
 
-        # Stage 1: coalesce (inline; same set arithmetic as coalesce()).
+        # Stage 1: coalesce.  A full-warp affine request (every lane
+        # active, lane i at a0 + i*s with 0 <= s <= line size) is
+        # answered in closed form: a stride of at most one line cannot
+        # skip a line, so its segments are every line of [lo, hi].
         addrs = request.lane_addrs
         active = request.active_lanes
-        size_m1 = DTYPE_SIZE[request.dtype] - 1
+        size = DTYPE_SIZE[request.dtype]
         shift = self._line_shift
+        n = len(addrs)
         a0 = addrs[active[0]]
-        lo = a0
-        hi = a0 + size_m1
-        segs = set()
-        for lane in active:
-            a = addrs[lane]
-            last = a + size_m1
-            if a < lo:
-                lo = a
-            if last > hi:
-                hi = last
-            s0 = a >> shift
-            s1 = last >> shift
-            if s0 == s1:
-                segs.add(s0)
-            else:
-                segs.update(range(s0, s1 + 1))
-        txs = sorted(segs)
+        stride = -1
+        if len(active) == n > 1:
+            s = addrs[1] - a0
+            if s == 0:
+                if addrs.count(a0) == n:
+                    stride = 0
+            elif (0 < s <= self._line_size
+                  and addrs == list(range(a0, a0 + n * s, s))):
+                stride = s
+        if stride >= 0:
+            lo = a0
+            hi = a0 + (n - 1) * stride + size - 1
+            txs = list(range(lo >> shift, (hi >> shift) + 1))
+        else:
+            txs, lo, hi = _coalesce_lanes(addrs, active, size - 1, shift)
         ntx = len(txs)
         result.transactions = ntx
         result.min_addr = lo
@@ -694,7 +742,12 @@ class FastMemoryPipeline(MemoryPipeline):
                         translate(tx, is_store=is_store)
         except IllegalAddressError as err:
             raise KernelAborted(err) from err
-        if is_store:
+        if stride == size and (a0 & _CHUNK_MASK) + n * size <= _CHUNK_SIZE:
+            if is_store:
+                self._bulk_stores(request, a0, n, size)
+            else:
+                self._bulk_loads(warp, request, a0, n, size)
+        elif is_store:
             self._fast_stores(request)
         else:
             self._fast_loads(warp, request)
@@ -729,6 +782,48 @@ class FastMemoryPipeline(MemoryPipeline):
         return result
 
     # -- batched lane data movement ------------------------------------------
+
+    def _bulk_loads(self, warp: WarpState, request: MemRequest, a0: int,
+                    n: int, size: int) -> None:
+        """One ``unpack_from`` for ``n`` contiguous elements in one chunk."""
+        memory = self.memory
+        chunk = memory._chunks.get(a0 >> _CHUNK_BITS)
+        dtype = request.dtype
+        dst = warp.regs[request.dst]
+        if chunk is None:
+            dst[:n] = [0.0 if dtype == "f32" else 0] * n
+        else:
+            dst[:n] = _run_struct(_LOAD_CODES[dtype], n).unpack_from(
+                chunk, a0 & _CHUNK_MASK)
+        memory.bytes_read += n * size
+
+    def _bulk_stores(self, request: MemRequest, a0: int, n: int,
+                     size: int) -> None:
+        """One ``pack`` for ``n`` contiguous elements in one chunk.
+
+        The values get the reference coercion: ``float(v)`` for f32 and
+        the ``(int(v) + lim) % lim`` residue for ints, which is unsigned
+        even for i32/i64.  Packing into a scratch blob first keeps a
+        failing pack (an f32 above FLT_MAX, say) from writing anything;
+        the per-lane loop then redoes the lanes before the bad one and
+        raises the reference's exception.  ``struct.error`` is not
+        caught: the residues always fit, so it can only mean a wrong code.
+        """
+        values = request.store_values
+        try:
+            if request.dtype == "f32":
+                blob = _run_struct("f", n).pack(*map(float, values))
+            else:
+                lim = 1 << (size * 8)
+                blob = _run_struct(_STORE_CODES[size], n).pack(
+                    *[(int(v) + lim) % lim for v in values])
+        except (ArithmeticError, ValueError, TypeError):
+            self._fast_stores(request)
+            return
+        memory = self.memory
+        off = a0 & _CHUNK_MASK
+        memory._chunk(a0 >> _CHUNK_BITS)[off:off + n * size] = blob
+        memory.bytes_written += n * size
 
     def _fast_loads(self, warp: WarpState, request: MemRequest) -> None:
         """Chunk-direct scalar loads (same bytes_read accounting)."""
@@ -788,33 +883,40 @@ class FastMemoryPipeline(MemoryPipeline):
         values = request.store_values
         active = request.active_lanes
         counted = 0
-        if dtype == "f32":
-            pack_into = _F32.pack_into
-            for lane in active:
-                a = addrs[lane]
-                off = a & _CHUNK_MASK
-                if off <= _CHUNK_SIZE - 4:
-                    pack_into(get_chunk(a >> _CHUNK_BITS), off,
-                              float(values[lane]))
-                    counted += 4
-                else:
-                    memory.write_f32(a, float(values[lane]))
-        else:
-            size = DTYPE_SIZE[dtype]
-            lim = 1 << (size * 8)
-            bound = _CHUNK_SIZE - size
-            for lane in active:
-                a = addrs[lane]
-                off = a & _CHUNK_MASK
-                value = int(values[lane])
-                if off <= bound:
-                    chunk = get_chunk(a >> _CHUNK_BITS)
-                    chunk[off:off + size] = \
-                        ((value + lim) % lim).to_bytes(size, "little")
-                    counted += size
-                else:
-                    memory.write_int(a, size, value)
-        memory.bytes_written += counted
+        try:
+            if dtype == "f32":
+                # Pack, then copy: ``pack_into`` zeroes its target before
+                # it packs, so a value it refuses (above FLT_MAX) would
+                # clobber the old bytes the reference leaves in place.
+                pack = _F32.pack
+                for lane in active:
+                    a = addrs[lane]
+                    off = a & _CHUNK_MASK
+                    if off <= _CHUNK_SIZE - 4:
+                        blob = pack(float(values[lane]))
+                        get_chunk(a >> _CHUNK_BITS)[off:off + 4] = blob
+                        counted += 4
+                    else:
+                        memory.write_f32(a, float(values[lane]))
+            else:
+                size = DTYPE_SIZE[dtype]
+                lim = 1 << (size * 8)
+                bound = _CHUNK_SIZE - size
+                for lane in active:
+                    a = addrs[lane]
+                    off = a & _CHUNK_MASK
+                    value = int(values[lane])
+                    if off <= bound:
+                        chunk = get_chunk(a >> _CHUNK_BITS)
+                        chunk[off:off + size] = \
+                            ((value + lim) % lim).to_bytes(size, "little")
+                        counted += size
+                    else:
+                        memory.write_int(a, size, value)
+        finally:
+            # A store that raises (an f32 above FLT_MAX) keeps the
+            # lanes written before it counted, as the reference does.
+            memory.bytes_written += counted
 
     def do_shared(self, warp: WarpState, job, request: MemRequest) -> None:
         """Shared-memory scratchpad with direct register delivery."""

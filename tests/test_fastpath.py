@@ -764,3 +764,271 @@ class TestDelegationRule:
         spaces, result = self._run_vecadd(monkeypatch, observer)
         assert spaces == ["global"] * result.mem_instructions
         assert seen == spaces
+
+
+# ---------------------------------------------------------------------------
+# Affine warp requests: closed form vs per-lane, one request at a time
+# ---------------------------------------------------------------------------
+
+
+#: 64 KiB physical-memory chunk and the 128 B line both configs use.
+_CHUNK = 1 << 16
+_LINE = 128
+#: Runs start around here: a chunk boundary inside the mapped range.
+_BASE = 0x200000
+#: Every AccessResult field the fast lane fills in.
+_RESULT_FIELDS = ("space", "is_store", "cycle", "latency", "stall",
+                  "allowed", "transactions", "min_addr", "max_addr",
+                  "tlb_l1_hits", "tlb_l2_hits", "page_walks", "l1_hits",
+                  "l2_hits", "dram_accesses")
+
+
+def _lane_pipelines(lanes, prefill_seed):
+    """A reference and a fast pipeline on fresh, identical state: 32
+    lanes run the Nvidia config, 8 lanes the Intel one (64 KiB pages)."""
+    import random
+    from repro.core.checker import RecordingChecker
+    from repro.gpu.config import intel_config, nvidia_config
+    from repro.gpu.dram import Dram
+    from repro.gpu.fastpath import FastMemoryPipeline
+    from repro.gpu.memory import AddressSpace, PhysicalMemory
+    from repro.gpu.pipeline import MemoryPipeline
+    cfg = (nvidia_config if lanes == 32 else intel_config)(num_cores=1)
+    assert cfg.warp_size == lanes and cfg.line_size == _LINE
+    pipes = []
+    for pipe_cls, cache_cls, tlb_cls in (
+            (MemoryPipeline, Cache, Tlb),
+            (FastMemoryPipeline, FastCache, FastTlb)):
+        memory = PhysicalMemory()
+        if prefill_seed is not None:
+            # Old bytes on both sides of the chunk boundaries the runs
+            # straddle, so a store that writes too much or too little
+            # shows up in the memory image.
+            memory.write(_BASE - _CHUNK, random.Random(prefill_seed)
+                         .randbytes(3 * _CHUNK))
+        space = AddressSpace(memory, page_size=cfg.page_size)
+        space.map_range(0, 8 << 20)
+        dram = Dram(channels=cfg.dram_channels, row_bytes=cfg.dram_row_bytes,
+                    line_size=cfg.line_size,
+                    row_hit_latency=cfg.dram_row_hit_latency,
+                    row_miss_latency=cfg.dram_row_miss_latency,
+                    service_interval=cfg.dram_service_interval)
+        pipes.append(pipe_cls(
+            0, cfg, memory, space,
+            cache_cls(cfg.l2_bytes, cfg.l2_assoc, cfg.line_size, name="l2"),
+            tlb_cls(cfg.l2tlb_entries, cfg.l2tlb_assoc, name="l2tlb"),
+            dram, checker=RecordingChecker()))
+    return pipes
+
+
+def _lane_job():
+    """A launch without GPUShield metadata whose executor delivers loads
+    as the reference executor does."""
+    from functools import partial
+    from types import SimpleNamespace
+    from repro.gpu.executor import Executor
+    executor = SimpleNamespace(deliver_load=partial(Executor.deliver_load,
+                                                    None))
+    return SimpleNamespace(executor=executor,
+                           launch=SimpleNamespace(security=None))
+
+
+def _lane_request(addrs, dtype, is_store, space, values):
+    from repro.gpu.executor import MemRequest
+    return MemRequest(instr=None, space=space, dtype=dtype, is_store=is_store,
+                      lane_addrs=list(addrs), base_pointer=0,
+                      store_values=list(values) if is_store else None,
+                      dst=None if is_store else 0,
+                      active_lanes=[i for i, a in enumerate(addrs)
+                                    if a is not None])
+
+
+def _observe(pipe, addrs, dtype, is_store, space, values):
+    """Everything one request leaves behind on ``pipe``."""
+    from repro.gpu.executor import WarpState
+    warp = WarpState(warp_id=0, wg=0, warp_in_wg=0, num_regs=1,
+                     warp_size=len(addrs))
+    request = _lane_request(addrs, dtype, is_store, space, values)
+    try:
+        result = pipe.access(warp, _lane_job(), request, cycle=5)
+        outcome = tuple(getattr(result, f) for f in _RESULT_FIELDS)
+    except Exception as err:    # the reference's own error, compared below
+        outcome = (type(err), str(err))
+    memory = pipe.memory
+    return {
+        "outcome": outcome,
+        "regs": [(type(v), repr(v)) for v in warp.regs[0]],
+        "memory": memory.snapshot_chunks(),
+        "bytes": (memory.bytes_read, memory.bytes_written),
+        "checked": pipe.checker.contexts,
+        "stats": [vars(c.stats) for c in (
+            pipe.l1d, pipe.const_cache, pipe.tex_cache, pipe.l1tlb,
+            pipe.l2cache, pipe.l2tlb, pipe.dram)],
+    }
+
+
+_SHAPES = ("contiguous", "stride<=line", "stride>line", "stride0",
+           "descending", "irregular")
+
+#: Store values the coercion must agree on: negatives, bools, floats
+#: (truncated for ints), i32 values in [2**31, 2**32) that a signed
+#: bulk pack rejects, and 64-bit extremes.
+_STORE_VALUES = st.one_of(
+    st.integers(-8, 8), st.booleans(),
+    st.integers(2 ** 31, 2 ** 32 - 1), st.integers(-2 ** 63, 2 ** 64 - 1),
+    st.floats(-1e6, 1e6, allow_nan=False))
+#: One lane's value that some coercion refuses: above FLT_MAX ('<f'
+#: raises), or not finite (``int()`` raises).
+_POISON = st.sampled_from([1e39, float("inf"), float("nan")])
+
+
+@st.composite
+def _lane_cases(draw):
+    from repro.isa.instructions import DTYPE_SIZE
+    lanes = draw(st.sampled_from([8, 32]))
+    dtype = draw(st.sampled_from(sorted(DTYPE_SIZE)))
+    size = DTYPE_SIZE[dtype]
+    # Half the draws are contiguous: the bulk load/store path.
+    shape = draw(st.one_of(st.just("contiguous"), st.sampled_from(_SHAPES)))
+    stride = {
+        "contiguous": size,
+        "stride<=line": draw(st.integers(1, _LINE)),
+        "stride>line": draw(st.integers(_LINE + 1, 4 * _LINE)),
+        "stride0": 0,
+        "descending": -draw(st.integers(1, 2 * _LINE)),
+        "irregular": None,
+    }[shape]
+    span = lanes * max(size, abs(stride or 0)) + size
+    anchor = draw(st.sampled_from(["chunk", "line", "free"]))
+    if anchor == "chunk":       # straddles the chunk boundary, or ends at it
+        a0 = _BASE + _CHUNK - draw(st.integers(0, span))
+    elif anchor == "line":      # starts just before or on a line boundary
+        a0 = _BASE + _LINE * draw(st.integers(1, 64)) \
+            - draw(st.integers(0, 2 * size))
+    else:
+        a0 = _BASE + draw(st.integers(0, 4096))
+    if stride is None:
+        addrs = [_BASE + draw(st.integers(0, 8192)) for _ in range(lanes)]
+    else:
+        addrs = [a0 + i * stride for i in range(lanes)]
+    if draw(st.integers(0, 3)) == 0:    # partial mask, one lane or more
+        mask = draw(st.lists(st.booleans(), min_size=lanes,
+                             max_size=lanes).filter(any))
+        addrs = [a if on else None for a, on in zip(addrs, mask)]
+    is_store = draw(st.booleans())
+    space = "global" if is_store else draw(
+        st.sampled_from(["global", "const", "texture"]))
+    values = draw(st.lists(_STORE_VALUES, min_size=lanes, max_size=lanes))
+    if draw(st.integers(0, 3)) == 0:
+        # Both engines must raise at the same lane, with the same lanes
+        # before it written.
+        values[draw(st.integers(0, lanes - 1))] = draw(_POISON)
+    prefill = draw(st.one_of(st.none(), st.integers(0, 2 ** 16)))
+    return addrs, dtype, is_store, space, values, prefill
+
+
+class TestAffineRequests:
+    """The closed-form coalesce and bulk load/store of a full-warp
+    affine request are observationally the per-lane reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_lane_cases())
+    def test_matches_reference(self, case):
+        from repro.gpu.coalescer import CoalescedAccess, coalesce
+        from repro.isa.instructions import DTYPE_SIZE
+        addrs, dtype, is_store, space, values, prefill = case
+        ref, fast = _lane_pipelines(len(addrs), prefill)
+        # Fresh caches: every transaction reaches DRAM, in order.
+        txs = []
+        dram_access = fast._dram_access
+
+        def recording(tx, cycle):
+            txs.append(tx)
+            return dram_access(tx, cycle)
+
+        fast._dram_access = recording
+        want = _observe(ref, addrs, dtype, is_store, space, values)
+        got = _observe(fast, addrs, dtype, is_store, space, values)
+        assert got == want
+        expected = coalesce(addrs, DTYPE_SIZE[dtype], _LINE)
+        assert txs == list(expected.transactions)
+        assert CoalescedAccess(
+            transactions=tuple(txs), min_addr=expected.min_addr,
+            max_addr=expected.max_addr,
+            active_lanes=expected.active_lanes).tiles_footprint(_LINE)
+
+    def test_overflowing_f32_run_raises_like_the_reference(self):
+        addrs = [_BASE + 4 * i for i in range(32)]
+        values = [float(i) for i in range(32)]
+        values[5] = 1e39
+        ref, fast = _lane_pipelines(32, 7)
+        want = _observe(ref, addrs, "f32", True, "global", values)
+        assert want["outcome"][0] is OverflowError
+        assert _observe(fast, addrs, "f32", True, "global", values) == want
+
+
+class TestAffineBranch:
+    """Which lane path the fast pipeline takes, seen from outside."""
+
+    def _branches(self, monkeypatch, addrs, dtype="f32", values=None):
+        from repro.gpu import fastpath
+        taken = []
+        per_lane = fastpath._coalesce_lanes
+
+        def coalesce_spy(*args):
+            taken.append("per-lane coalesce")
+            return per_lane(*args)
+
+        def spy(name):
+            method = getattr(fastpath.FastMemoryPipeline, name)
+
+            def wrapper(self, *args):
+                taken.append(name)
+                return method(self, *args)
+            return wrapper
+
+        monkeypatch.setattr(fastpath, "_coalesce_lanes", coalesce_spy)
+        for name in ("_bulk_loads", "_fast_loads", "_bulk_stores",
+                     "_fast_stores"):
+            monkeypatch.setattr(fastpath.FastMemoryPipeline, name, spy(name))
+        ref, fast = _lane_pipelines(len(addrs), 3)
+        is_store = values is not None
+        values = values or [0] * len(addrs)
+        want = _observe(ref, addrs, dtype, is_store, "global", values)
+        assert _observe(fast, addrs, dtype, is_store, "global",
+                        values) == want
+        return taken
+
+    def test_contiguous_f32_load_takes_the_closed_form(self, monkeypatch):
+        addrs = [_BASE + 4 * i for i in range(32)]
+        assert self._branches(monkeypatch, addrs) == ["_bulk_loads"]
+
+    def test_i32_residues_above_int_max_store_in_bulk(self, monkeypatch):
+        """i32 values in [2**31, 2**32) are legal residues: one unsigned
+        pack stores them, with no per-lane retry."""
+        addrs = [_BASE + 4 * i for i in range(32)]
+        values = [2 ** 31 + i for i in range(32)]
+        assert self._branches(monkeypatch, addrs, "i32", values) == [
+            "_bulk_stores"]
+
+    def test_overflowing_f32_store_retries_per_lane(self, monkeypatch):
+        addrs = [_BASE + 4 * i for i in range(32)]
+        values = [float(i) for i in range(32)]
+        values[5] = 1e39
+        assert self._branches(monkeypatch, addrs, "f32", values) == [
+            "_bulk_stores", "_fast_stores"]
+
+    def test_partial_mask_takes_the_per_lane_path(self, monkeypatch):
+        addrs = [_BASE + 4 * i for i in range(31)] + [None]
+        assert self._branches(monkeypatch, addrs) == [
+            "per-lane coalesce", "_fast_loads"]
+
+    def test_stride_above_a_line_takes_the_per_lane_path(self, monkeypatch):
+        addrs = [_BASE + 256 * i for i in range(32)]
+        assert self._branches(monkeypatch, addrs) == [
+            "per-lane coalesce", "_fast_loads"]
+
+    def test_irregular_gather_takes_the_per_lane_path(self, monkeypatch):
+        addrs = [_BASE + (i * 37 % 32) * 4 for i in range(32)]
+        assert self._branches(monkeypatch, addrs) == [
+            "per-lane coalesce", "_fast_loads"]
