@@ -10,10 +10,9 @@ merge, so a sharded run renders exactly what a serial one does.
 Every artefact also lands as a **machine-readable result record** under
 ``benchmarks/results/`` (see :func:`write_result_record`: an envelope
 with the generating config, headline metrics like cycles/overhead %,
-and the raw series).  Besides regeneration the driver runs two
-differentials — slow vs fast engine (``--compare-engines``) and the
-serving layer (``--service``).  Host timing is not its job: ``bench/``
-measures that in fresh processes.
+and the raw series).  Besides regeneration the driver runs one
+differential, slow vs fast engine (``--compare-engines``).  Host timing
+is not its job: ``bench/`` measures that in fresh processes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.figures import ARTIFACTS
@@ -267,101 +265,6 @@ def compare_engines(artifacts: Optional[Sequence[str]] = None, *,
 
 
 # ---------------------------------------------------------------------------
-# Serving differential: the multi-tenant layer's determinism + isolation
-# ---------------------------------------------------------------------------
-
-
-def compare_service(*, tenants: int = 3, attackers: int = 1,
-                    requests: int = 6, seed: int = 5, jobs: int = 2,
-                    results_dir: str = "benchmarks/results") -> dict:
-    """Prove the serving layer's two contracts and record BENCH_service.
-
-    **Determinism**: one fixed trace (co-residency on, one attacker
-    tenant) is served four ways — serial and ``--jobs N`` under each
-    engine — and every leg must produce the same audit digest and the
-    same per-tenant latency histograms.  **Isolation**: the cross-tenant
-    attack matrix must show 100% detection, clean attribution, zero
-    false positives and zero victim-digest drift.
-    """
-    from repro.engine import ENGINES, engine
-    from repro.service.attacks import run_attack_matrix
-    from repro.service.simulator import (default_service_config,
-                                         run_service)
-
-    cfg = default_service_config(tenants, attackers=attackers,
-                                 requests_per_tenant=requests, seed=seed)
-    legs: Dict[str, dict] = {}
-    for eng in ENGINES:
-        for label, leg_jobs in (("serial", 0), (f"jobs{jobs}", jobs)):
-            started = time.monotonic()
-            with engine(eng):
-                report = run_service(cfg, jobs=leg_jobs)
-            legs[f"{eng}/{label}"] = {
-                "audit_digest": report.digest,
-                "latency_digest": _digest_payload(report.latencies),
-                "tenant_digest": _digest_payload(report.tenants),
-                "served": report.counts()["ok"],
-                "violations": report.violations,
-                "wall_seconds": round(time.monotonic() - started, 3),
-            }
-
-    names = sorted(legs)
-    reference = legs[names[0]]
-    mismatches = sorted(
-        name for name in names
-        if any(legs[name][key] != reference[key]
-               for key in ("audit_digest", "latency_digest",
-                           "tenant_digest")))
-    identical = not mismatches
-
-    matrix = run_attack_matrix(seed=seed + 2)
-
-    lines = [f"Serving differential: {tenants} tenant(s) "
-             f"({attackers} attacker), {requests} requests/tenant, "
-             f"seed {seed}, serial vs --jobs {jobs} x slow vs fast", ""]
-    lines.append(f"{'leg':<14} {'audit digest':<18} {'latency':<18} "
-                 f"{'viol':>4} match")
-    for name in names:
-        leg = legs[name]
-        ok = (leg["audit_digest"] == reference["audit_digest"]
-              and leg["latency_digest"] == reference["latency_digest"])
-        lines.append(f"{name:<14} {leg['audit_digest'][:16]:<18} "
-                     f"{leg['latency_digest']:<18} "
-                     f"{leg['violations']:>4} {'yes' if ok else 'NO'}")
-    lines.append("")
-    lines.append(f"attack matrix: detection "
-                 f"{100 * matrix['detection_rate']:.0f}%, false positives "
-                 f"{matrix['false_positives']}, all pass: "
-                 f"{matrix['all_pass']}")
-    lines.append(f"legs identical: {identical}")
-    text = "\n".join(lines)
-
-    result = {
-        "identical": identical,
-        "mismatches": mismatches,
-        "legs": legs,
-        "matrix": matrix,
-        "text": text,
-    }
-    write_result_record(
-        results_dir, "BENCH_service", text,
-        data={"legs": legs, "mismatches": mismatches,
-              "attack_matrix": matrix},
-        config=default_record_config(
-            tenants=tenants, attackers=attackers,
-            requests_per_tenant=requests, seed=seed, jobs=jobs),
-        metrics={"digests_identical": identical,
-                 "detection_rate": matrix["detection_rate"],
-                 "false_positives": matrix["false_positives"],
-                 "attack_matrix_pass": matrix["all_pass"],
-                 "serial_wall_seconds":
-                     legs["fast/serial"]["wall_seconds"],
-                 "parallel_wall_seconds":
-                     legs[f"fast/jobs{jobs}"]["wall_seconds"]})
-    return result
-
-
-# ---------------------------------------------------------------------------
 # CLI: python -m repro bench
 # ---------------------------------------------------------------------------
 
@@ -391,17 +294,6 @@ def _parse_args(argv):
                              "under both the slow and fast engines, "
                              "fail on any digest mismatch, and record "
                              "the digest table in BENCH_hotpath.json")
-    parser.add_argument("--service", action="store_true",
-                        help="run the multi-tenant serving differential "
-                             "(serial vs --jobs N under both engines, "
-                             "plus the cross-tenant attack matrix), fail "
-                             "on any digest mismatch or isolation gap, "
-                             "and record BENCH_service.json")
-    parser.add_argument("--service-tenants", type=int, default=3)
-    parser.add_argument("--service-attackers", type=int, default=1)
-    parser.add_argument("--service-requests", type=int, default=6,
-                        help="requests per tenant for --service "
-                             "(default 6)")
     parser.add_argument("--fuzz-cases", type=int, default=200,
                         help="fuzz cases in the --compare-engines "
                              "campaign (0 = artefacts only)")
@@ -438,21 +330,6 @@ def main(argv=None) -> int:
             print("[bench] ERROR: fast engine diverged from slow "
                   f"(artifacts: {result['mismatches'] or 'none'}, "
                   f"fuzz identical: {result['fuzz_identical']})",
-                  file=sys.stderr)
-            return 1
-        return 0
-
-    if args.service:
-        result = compare_service(
-            tenants=args.service_tenants,
-            attackers=args.service_attackers,
-            requests=args.service_requests, seed=args.seed,
-            jobs=max(args.jobs, 2), results_dir=args.results_dir)
-        print(result["text"])
-        if not result["identical"] or not result["matrix"]["all_pass"]:
-            print("[bench] ERROR: serving layer failed its contract "
-                  f"(legs identical: {result['identical']}, attack "
-                  f"matrix pass: {result['matrix']['all_pass']})",
                   file=sys.stderr)
             return 1
         return 0

@@ -38,12 +38,6 @@ from repro.workloads.templates import BufferSpec, Workload
 #: be larger (Figure 11 footprints) but kernels only touch a prefix.
 _INIT_CAP = 2 << 20
 
-#: A launch hook sees the runner plus the just-finished launch's result —
-#: ``None`` for pre-launch hooks (nothing has run yet) — and returns
-#: extra cycles to charge.
-LaunchHook = Callable[["WorkloadRunner", Optional[LaunchResult]], int]
-
-
 class LaunchInterposer(ABC):
     """Kernel-launch-granularity instrumentation (clArmor, GMOD, ...).
 
@@ -176,22 +170,9 @@ class WorkloadRunner:
         """First byte past the workload's own data in buffer ``name``."""
         return self.buffers[name].va + self.buffers[name].size - self.alloc_pad
 
-    def run(self, pre_launch: Optional[LaunchHook] = None,
-            post_launch: Optional[LaunchHook] = None,
-            interposer: Optional[LaunchInterposer] = None) -> RunRecord:
-        """Execute all launches; hooks return extra cycles to account.
-
-        ``interposer`` bundles both hooks behind the
-        :class:`LaunchInterposer` ABC; explicit ``pre_launch`` /
-        ``post_launch`` callables may still be passed for one-off hooks
-        (both may not name the same side twice).
-        """
-        if interposer is not None:
-            if pre_launch is not None or post_launch is not None:
-                raise ValueError(
-                    "pass either an interposer or bare hooks, not both")
-            pre_launch = interposer.pre_launch
-            post_launch = interposer.post_launch
+    def run(self, interposer: Optional[LaunchInterposer] = None) -> RunRecord:
+        """Execute all launches; the ``interposer``'s hooks return extra
+        cycles to account."""
         workload = self.workload
         record = RunRecord(benchmark=workload.name, config=self.config_name)
         driver = self.session.driver
@@ -215,10 +196,8 @@ class WorkloadRunner:
                         args[pname] = driver.heap.limit + value
                     else:
                         args[pname] = value
-                if pre_launch is not None:
-                    # Pre-launch hooks have no result yet (the
-                    # LaunchHook alias declares Optional[LaunchResult]).
-                    record.cycles += pre_launch(self, None)
+                if interposer is not None:
+                    record.cycles += interposer.pre_launch(self, None)
                 launch = driver.launch(run.kernel, args,
                                        run.workgroups, run.wg_size)
                 if self.launch_mutator is not None:
@@ -241,8 +220,8 @@ class WorkloadRunner:
                         f"violation ({first.reason} on buffer "
                         f"{first.buffer_id}): the workload or the checker "
                         f"is wrong")
-                if post_launch is not None:
-                    record.cycles += post_launch(self, result)
+                if interposer is not None:
+                    record.cycles += interposer.post_launch(self, result)
 
         # Hit rates and totals are cumulative since the device's reset.
         totals = gpu.totals()

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.trace import TRACE_SCHEMA_VERSION, event_from_wire
 from repro.oracle.capture import CapturedTrace, capture
+from repro.oracle.diff import DiffResult, diff_captures
 
 #: The pinned corpus: every template subject (distinct access shapes —
 #: affine streams, halo stencils, indirect gather/scatter, tree
@@ -131,12 +132,12 @@ def load_manifest(root: Optional[Path] = None) -> Dict[str, object]:
 
 
 def verify_golden(subject: str, root: Optional[Path] = None,
-                  engine: str = ""):
+                  engine: str = "") -> Tuple[DiffResult, CapturedTrace]:
     """Capture ``subject`` on the current tree and diff it against the
-    pinned golden recording.  ``engine`` defaults to the process
+    pinned golden recording; returns the diff and the fresh capture
+    (for the invariant checker).  ``engine`` defaults to the process
     engine, so both engines can be held to the same (slow-recorded)
     golden."""
-    from repro.oracle.diff import DiffResult, diff_captures
     root = Path(root) if root is not None else default_golden_root()
     golden = load_golden(root / golden_filename(subject))
     current = capture(subject, engine=engine,
@@ -150,4 +151,4 @@ def verify_golden(subject: str, root: Optional[Path] = None,
         cycles=result.cycles,
         divergence=result.divergence,
         stats_diff=result.stats_diff,
-        violations_equal=result.violations_equal)
+        violations_equal=result.violations_equal), current

@@ -2,8 +2,8 @@
 
 ``oracle.diff`` jobs are self-contained — the payload names a subject
 and a mode, the worker captures every leg in-process and returns the
-serialized :class:`~repro.oracle.diff.DiffResult` plus both legs'
-invariant reports.  Because captures are deterministic, a sharded
+serialized :class:`~repro.oracle.diff.DiffResult` plus each leg's
+invariant report.  Because captures are deterministic, a sharded
 sweep is observably identical to a serial one (the PR 3 runner
 guarantees the rest: crash isolation, retries, checkpoint/resume).
 """
@@ -70,10 +70,11 @@ def oracle_diff_job(payload: dict, ctx: JobContext) -> dict:
         diff = diff_captures(a, b)
     elif mode == "golden":
         engines = payload.get("engines") or [""]
-        diffs = [verify_golden(subject, root=payload.get("golden_root"),
-                               engine=eng) for eng in engines]
+        legs = [verify_golden(subject, root=payload.get("golden_root"),
+                              engine=eng) for eng in engines]
+        captures = [cap for _diff, cap in legs]
         # Report the first failing leg (or the last passing one).
-        diff = next((d for d in diffs if not d.ok), diffs[-1])
+        diff = next((d for d, _cap in legs if not d.ok), legs[-1][0])
     elif mode == "invariants":
         engines = payload.get("engines") or [""]
         captures = [capture(subject, engine=eng, stage_level=stage_level)

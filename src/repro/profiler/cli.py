@@ -5,7 +5,7 @@ Usage::
     python -m repro profile                          # 9 artifact workloads
     python -m repro profile --workloads bfs,gaussian --top 10
     python -m repro profile --fuzz-cases 50 --seed 1 --jobs 4
-    python -m repro profile --engines slow,fast --out profile-artifacts
+    python -m repro profile --out profile-artifacts
 
 Every subject runs on a warm device with the profiler attached (which
 routes the fast engine through the reference pipeline — attribution
@@ -15,16 +15,14 @@ The output is a text top-N report plus, with ``--out``, a flame-style
 ``profile.json`` and the same text in ``profile.txt``.
 
 Attribution is self-checking: every subject's profile must reconcile
-*exactly* with the GPU's stats registry, and ``--engines slow,fast``
-additionally asserts the canonical (cycle) side of the profile is
-bit-identical under both engines.  Exit status is non-zero on any
-reconciliation failure or engine divergence.  ``--jobs N`` shards
-subjects across worker processes; the merged profile is identical to
-the serial one.
+*exactly* with the GPU's stats registry.  Exit status is non-zero on
+any reconciliation failure.  The profile runs on the process engine
+(``REPRO_ENGINE``); ``tests/test_profiler.py`` holds its canonical
+(cycle) side equal on both.  ``--jobs N`` shards subjects across worker
+processes; the merged profile is identical to the serial one.
 
-The flags, the engine loop, sharding and the exit codes are the shared
-sweep's (:mod:`repro.runner.sweep`); this module is its profile
-plug-in.
+The flags, sharding and the exit codes are the shared sweep's
+(:mod:`repro.runner.sweep`); this module is its profile plug-in.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
+from repro.engine import current_engine
 from repro.profiler.collect import profile_benchmark, profile_case
 from repro.profiler.profile import ProfileSnapshot
 from repro.profiler.report import flame, render as render_report
@@ -54,7 +53,6 @@ class Profile(Analysis):
                    "sub-step.")
     out_help = ("directory for profile.json (flame tree + counters) and "
                 "profile.txt")
-    same = "canonical profiles"
     broken = "failed to reconcile with the stats registry"
 
     def add_arguments(self, parser) -> None:
@@ -83,19 +81,16 @@ class Profile(Analysis):
         snapshot, rows = result
         return render_report(snapshot, rows, top_n=args.top)
 
-    def engine_key(self, result: Profiled) -> list:
-        return [result[0].counters_digest()]
-
     def clean(self, result: Profiled) -> str:
         return (f"reconciled exactly ({result[0].latency_cycles()} "
                 f"cycles attributed)")
 
-    def write(self, out, result: Profiled, args, engines, ok) -> None:
+    def write(self, out, result: Profiled, args, ok) -> None:
         snapshot, rows = result
         payload = {
             "schema": 1,
             "seed": args.seed,
-            "engines": engines,
+            "engine": current_engine(),
             "flame": flame(snapshot),
             "profile": snapshot.to_dict(),
             "subjects": rows,

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro race                          # the 9 artifact workloads
     python -m repro race --fuzz-cases 200 --seed 1
-    python -m repro race --workloads bfs,lud --engines slow,fast
+    python -m repro race --workloads bfs,lud
     python -m repro race --fuzz-cases 50 --jobs 4 --out artifacts/
 
 Every subject runs with the shadow-memory detector attached and through
@@ -15,16 +15,16 @@ artifact workload dynamically races (they are all race-free), when a
 dynamic verdicts violate their contract (see
 :mod:`repro.racedetect.scan`).
 
-``--engines slow,fast`` repeats the whole scan per engine and asserts
-the verdicts are bit-identical — the detector observes the committed
-access stream, which the engine contract fixes.  ``--jobs N`` shards
-subjects across worker processes; the merged result is identical to the
-serial scan.  With ``--out`` the full scan lands in ``race_scan.json``
-and each failing subject's race records in a
+The scan runs on the process engine (``REPRO_ENGINE``); the detector
+observes the committed access stream, which the engine contract fixes,
+and ``tests/test_racedetect.py`` holds the verdicts equal on both.
+``--jobs N`` shards subjects across worker processes; the merged result
+is identical to the serial scan.  With ``--out`` the full scan lands in
+``race_scan.json`` and each failing subject's race records in a
 ``race_divergence_<subject>.json`` artifact.
 
-The flags, the engine loop, sharding and the exit codes are the shared
-sweep's (:mod:`repro.runner.sweep`); this module is its race plug-in.
+The flags, sharding and the exit codes are the shared sweep's
+(:mod:`repro.runner.sweep`); this module is its race plug-in.
 """
 
 from __future__ import annotations
@@ -34,19 +34,13 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.engine import current_engine
 from repro.racedetect.scan import scan_benchmark, scan_case
 from repro.runner.sweep import Analysis, run_sweep
 
 
 def _scan(result: dict) -> dict:
     return result.get("scan") or result["case"]["scan"]
-
-
-def _summary_key(result: dict) -> tuple:
-    """What must be engine-invariant about one subject's scan."""
-    scan = _scan(result)
-    return (result["subject"], scan["dynamic_verdict"],
-            scan["static_verdict"], scan["races"])
 
 
 class RaceScan(Analysis):
@@ -58,7 +52,6 @@ class RaceScan(Analysis):
     kinds_help = ("fuzz case kinds to draw (default: safe — "
                   "the false-positive check)")
     out_help = "directory for race_scan.json and divergence artifacts"
-    same = "verdicts"
     broken = "violated the race contract"
 
     def add_arguments(self, parser) -> None:
@@ -95,16 +88,13 @@ class RaceScan(Analysis):
                 f"{'yes' if result['ok'] else 'NO'}")
         return "\n".join(lines)
 
-    def engine_key(self, results: List[dict]) -> list:
-        return [_summary_key(r) for r in results]
-
     def clean(self, results: List[dict]) -> str:
         races = sum(_scan(r)["races"] for r in results)
         return f"clean ({races} races, 0 contract violations)"
 
-    def write(self, out, results, args, engines, ok) -> None:
+    def write(self, out, results, args, ok) -> None:
         with open(os.path.join(out, "race_scan.json"), "w") as fh:
-            json.dump({"seed": args.seed, "engines": engines,
+            json.dump({"seed": args.seed, "engine": current_engine(),
                        "results": results, "ok": ok},
                       fh, indent=2, sort_keys=True)
         for result in self.failures(results):

@@ -1,20 +1,22 @@
 """The sweep front-end shared by ``python -m repro race`` and ``profile``.
 
 Both CLIs have one shape: subjects (artifact workloads, then drawn fuzz
-cases) × engines → one record per subject, computed serially in-process
-or sharded over the runner → one fold in subject order → a report, an
-engine-differential check, artifacts and an exit code.  This module
-owns that shape; an :class:`Analysis` plug-in supplies what differs.
+cases) → one record per subject, computed serially in-process or
+sharded over the runner → one fold in subject order → a report,
+artifacts and an exit code.  This module owns that shape; an
+:class:`Analysis` plug-in supplies what differs.  A sweep runs on the
+process engine (``REPRO_ENGINE``); slow-vs-fast identity is checked by
+``tests/test_fastpath.py``, ``bench --compare-engines`` and ``oracle
+diff --engines``.
 
 Sharded runs use one job kind, ``sweep.shard``: a contiguous slice of
 the subjects plus the analysis name and its options, run by the same
 :func:`run_slice` as the serial path.  Records are JSON-safe, so the
 merged records equal the serial ones for any shard count.
 
-Exit status: 2 for usage errors (unknown workload, kind or engine,
-nothing to do, an ``--out`` that cannot be created) and for a shard
-that failed terminally; 1 when a subject breaks the analysis's
-contract or the engines disagree; else 0.
+Exit status: 2 for usage errors (unknown workload or kind, nothing to
+do, an ``--out`` that cannot be created) and for a shard that failed
+terminally; 1 when a subject breaks the analysis's contract; else 0.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import argparse
 import importlib
 import os
 import sys
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.engine import ENGINES, engine
+from repro.engine import current_engine
 from repro.fuzz.generator import CaseGenerator
 from repro.fuzz.spec import KINDS, CaseSpec
 from repro.gpu.config import nvidia_config
@@ -47,16 +48,14 @@ class Analysis:
     Subclasses set the text attributes and define ``workload(name,
     config, seed, options)`` and ``case(spec, config, options)`` (one
     JSON-safe record per subject), ``failures(result)``,
-    ``render(result, args)``, ``engine_key(result)`` (a list every
-    engine must reproduce), ``clean(result)`` (the tail of the success
-    line) and ``write(out, result, args, engines, ok)`` (the artifacts,
-    into an existing ``out``).
+    ``render(result, args)``, ``clean(result)`` (the tail of the success
+    line) and ``write(out, result, args, ok)`` (the artifacts, into an
+    existing ``out``; they name the engine as ``current_engine()``).
     """
 
     name = ""       # registry key, subcommand, job-id prefix, label
     title = ""      # "<title> [engine]: N workload(s), M fuzz case(s)"
     verb = ""       # "nothing to <verb>", "<verb> incomplete", help text
-    same = ""       # "<same> identical across engines: slow, fast"
     broken = ""     # "N of M subject(s) <broken>"
     description = out_help = ""
     kinds_help = "fuzz case kinds to draw (default: safe)"
@@ -148,9 +147,6 @@ def _parse_args(analysis: Analysis,
     parser.add_argument("--seed", type=int, default=1,
                         help="fuzz draw seed / workload device seed "
                              "(default 1)")
-    parser.add_argument("--engines", default="",
-                        help=f"comma-separated engines to {verb} under "
-                             "and compare (default: the process default)")
     parser.add_argument("--jobs", type=int, default=0,
                         help="worker processes for the parallel runner "
                              "(0 = serial in-process)")
@@ -172,7 +168,7 @@ def _usage(message: str) -> int:
 
 
 def run_sweep(analysis: Analysis, argv: Optional[List[str]] = None) -> int:
-    """Parse ``argv``, sweep subjects × engines, report; the exit code."""
+    """Parse ``argv``, sweep the subjects, report; the exit code."""
     from repro.runner import HeartbeatReporter, run_jobs
     args = _parse_args(analysis, argv)
 
@@ -195,72 +191,41 @@ def run_sweep(analysis: Analysis, argv: Optional[List[str]] = None) -> int:
     if not workloads and not specs:
         return _usage(f"nothing to {analysis.verb} "
                       f"(no workloads, no fuzz cases)")
-    engines = _names(args.engines)
-    bad = [e for e in engines if e not in ENGINES]
-    if bad:
-        return _usage(f"unknown engines: {bad} (have {list(ENGINES)})")
     if not ensure_out_dir(args.out):
         return 2
 
     subjects = sweep_subjects(workloads, specs)
     options = analysis.options(args)
-    per_engine: Dict[str, object] = {}
-    for name in engines or [""]:
-        with engine(name) if name else nullcontext():
-            if args.jobs > 0:
-                plan = plan_sweep(analysis, subjects, seed=args.seed,
-                                  jobs=args.jobs, shards=args.shards,
-                                  options=options)
-                report = run_jobs(
-                    plan, jobs=args.jobs,
-                    run_name=f"{analysis.name}-seed{args.seed}",
-                    out_dir=args.out,
-                    reporter=HeartbeatReporter(len(plan),
-                                               label=analysis.name),
-                    meta={"workloads": workloads, "cases": len(specs),
-                          "seed": args.seed})
-                try:
-                    records = merge_slices(
-                        [report.results[s.job_id] for s in plan],
-                        "records", analysis.title)
-                except RuntimeError as exc:
-                    return _usage(f"{analysis.verb} incomplete: {exc}")
-            else:
-                records = run_slice(analysis, subjects, args.seed, options)
-        result = analysis.fold(records)
-        per_engine[name or "default"] = result
-        label = f" [{name}]" if name else ""
-        print(f"{analysis.title}{label}: {len(workloads)} workload(s), "
-              f"{len(specs)} fuzz case(s)")
-        print(analysis.render(result, args))
+    if args.jobs > 0:
+        plan = plan_sweep(analysis, subjects, seed=args.seed,
+                          jobs=args.jobs, shards=args.shards,
+                          options=options)
+        report = run_jobs(
+            plan, jobs=args.jobs,
+            run_name=f"{analysis.name}-seed{args.seed}", out_dir=args.out,
+            reporter=HeartbeatReporter(len(plan), label=analysis.name),
+            meta={"workloads": workloads, "cases": len(specs),
+                  "seed": args.seed})
+        try:
+            records = merge_slices(
+                [report.results[s.job_id] for s in plan], "records",
+                analysis.title)
+        except RuntimeError as exc:
+            return _usage(f"{analysis.verb} incomplete: {exc}")
+    else:
+        records = run_slice(analysis, subjects, args.seed, options)
+    result = analysis.fold(records)
+    print(f"{analysis.title} [{current_engine()}]: {len(workloads)} "
+          f"workload(s), {len(specs)} fuzz case(s)")
+    print(analysis.render(result, args))
 
-    engine_mismatch = False
-    if len(per_engine) > 1:
-        keys = {eng: analysis.engine_key(result)
-                for eng, result in per_engine.items()}
-        baseline_engine, baseline = next(iter(keys.items()))
-        for eng, key in keys.items():
-            if key != baseline:
-                engine_mismatch = True
-                diffs = [f"{a} != {b}" for a, b in zip(baseline, key)
-                         if a != b]
-                print(f"ENGINE DIVERGENCE {baseline_engine} vs {eng}: "
-                      + "; ".join(diffs[:5]), file=sys.stderr)
-        if not engine_mismatch:
-            print(f"{analysis.same} identical across engines: "
-                  f"{', '.join(per_engine)}")
-
-    result = next(iter(per_engine.values()))
     failures = analysis.failures(result)
     if args.out:
-        analysis.write(args.out, result, args, list(per_engine),
-                       not failures and not engine_mismatch)
+        analysis.write(args.out, result, args, not failures)
         print(f"\nartifacts written to {args.out}/")
-    if failures or engine_mismatch:
+    if failures:
         print(f"\n{len(failures)} of {len(subjects)} subject(s) "
-              f"{analysis.broken}"
-              + ("; engine divergence detected" if engine_mismatch else ""),
-              file=sys.stderr)
+              f"{analysis.broken}", file=sys.stderr)
         return 1
     print(f"\nall {len(subjects)} subject(s) {analysis.clean(result)}")
     return 0

@@ -7,10 +7,12 @@ rejections (missing/unknown arguments) raise SystemExit(2).
 """
 
 import importlib
+import json
 
 import pytest
 
 from repro.__main__ import ARTIFACTS, main, run_artifact
+from repro.engine import current_engine
 
 
 def _blocked(tmp_path):
@@ -134,6 +136,15 @@ class TestBenchCliErrors:
         assert "table3" in captured.err
         assert "NO" in captured.out
 
+    def test_service_flags_are_gone(self):
+        from repro.analysis.bench import _parse_args
+        for argv in (["--service"], ["--service-tenants", "2"],
+                     ["--service-attackers", "1"],
+                     ["--service-requests", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                _parse_args(argv)
+            assert exc.value.code == 2
+
 
 class TestRaceCliErrors:
     def test_unknown_workloads(self, capsys):
@@ -173,12 +184,6 @@ class TestProfileCliErrors:
         assert profile_main(["--workloads", "none", "--fuzz-cases", "1",
                              "--kinds", "bogus"]) == 2
         assert "unknown kinds" in capsys.readouterr().err
-
-    def test_unknown_engines(self, capsys):
-        from repro.profiler.cli import main as profile_main
-        assert profile_main(["--workloads", "none", "--fuzz-cases", "1",
-                             "--engines", "warp9"]) == 2
-        assert "unknown engines" in capsys.readouterr().err
 
     def test_nothing_to_profile(self, capsys):
         from repro.profiler.cli import main as profile_main
@@ -231,21 +236,28 @@ class TestServeOracleCliErrors:
         assert "oracle invariants" not in captured.out   # nothing ran
 
 
-class TestSweepEngineDivergence:
-    """A forced engine mismatch exits 1 through the shared sweep path."""
+class TestSweepProvenance:
+    """A sweep runs on the process engine and its record names it."""
 
-    @pytest.mark.parametrize("module,plugin", [
-        ("repro.racedetect.cli", "RACE"),
-        ("repro.profiler.cli", "PROFILE"),
+    @pytest.mark.parametrize("module,record", [
+        ("repro.racedetect.cli", "race_scan.json"),
+        ("repro.profiler.cli", "profile.json"),
     ])
-    def test_forced_mismatch_exits_1(self, module, plugin, monkeypatch,
-                                     capsys):
+    def test_record_names_the_process_engine(self, module, record,
+                                             tmp_path, capsys):
         cli = importlib.import_module(module)
-        legs = iter([["slow-leg"], ["fast-leg"]])
-        monkeypatch.setattr(type(getattr(cli, plugin)), "engine_key",
-                            lambda self, result: next(legs))
         assert cli.main(["--workloads", "none", "--fuzz-cases", "1",
-                         "--engines", "slow,fast"]) == 1
-        err = capsys.readouterr().err
-        assert "ENGINE DIVERGENCE slow vs fast: slow-leg != fast-leg" in err
-        assert "engine divergence detected" in err
+                         "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / record).read_text())
+        assert payload["engine"] == current_engine()
+        assert payload["ok"] and "engines" not in payload
+        assert f"[{current_engine()}]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["repro.racedetect.cli",
+                                        "repro.profiler.cli"])
+    def test_engines_flag_is_gone(self, module):
+        cli = importlib.import_module(module)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--workloads", "none", "--fuzz-cases", "1",
+                      "--engines", "slow,fast"])
+        assert exc.value.code == 2

@@ -7,7 +7,9 @@ identical to the reference engine:
   (:class:`FastCache`, :class:`FastTlb`, the fast RCaches) and an
   OrderedDict reference with the same random operation sequences and
   compare every observable after every operation — return values,
-  stats counters, residency probes, occupancy.
+  stats counters, residency probes, occupancy.  A fixed set-overflow
+  sequence pins each one's victim choice, and a latency sweep pins the
+  fast BCU's stall at every hiding-window edge.
 * **Differential tests** run whole campaigns/workloads under each
   engine and compare digests: the PR-2 fuzz corpus (per-case outcomes,
   detection matrix, and per-config cycles all feed
@@ -20,12 +22,16 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.bcu import BCUConfig, BoundsCheckingUnit, KernelSecurityContext
 from repro.core.bounds import Bounds
+from repro.core.crypto import IdCipher
+from repro.core.pointer import make_base_pointer
 from repro.core.rcache import L1RCache, L2RCache, RCacheEntry
 from repro.engine import ENGINES, current_engine, engine, resolve, set_engine
 from repro.gpu.cache import Cache
 from repro.gpu.fastpath import (
     _ALU_OPS,
+    FastBoundsCheckingUnit,
     FastCache,
     FastExecutor,
     FastL1RCache,
@@ -97,7 +103,21 @@ _CACHE_GEOMETRIES = [
 ]
 
 
+def _set_overflow(ways, stride):
+    """Keys of one set: fill every way, touch the oldest, overflow by
+    one, then revisit the oldest two — a hit then a miss under LRU, two
+    misses under FIFO, two hits with one way too many."""
+    keys = [i * stride for i in range(ways + 1)]
+    return keys[:ways] + [keys[0], keys[ways], keys[0], keys[1]]
+
+
 class TestFastCacheEquivalence:
+    @pytest.mark.parametrize("geometry", _CACHE_GEOMETRIES)
+    def test_overflowing_a_set_evicts_its_lru_line(self, geometry):
+        ref, fast = Cache(*geometry), FastCache(*geometry)
+        for addr in _set_overflow(ref.assoc, ref.num_sets * ref.line_size):
+            assert ref.access(addr) == fast.access(addr)
+
     @settings(max_examples=60, deadline=None)
     @given(ops=_OPS, geometry=st.sampled_from(_CACHE_GEOMETRIES))
     def test_matches_reference(self, ops, geometry):
@@ -146,6 +166,12 @@ _TLB_OPS = st.lists(st.tuples(st.sampled_from(["access", "flush"]), _PAGES),
 
 
 class TestFastTlbEquivalence:
+    @pytest.mark.parametrize("geometry", _TLB_GEOMETRIES)
+    def test_overflowing_a_set_evicts_its_lru_page(self, geometry):
+        ref, fast = Tlb(*geometry), FastTlb(*geometry)
+        for vpage in _set_overflow(ref.assoc, ref.num_sets):
+            assert ref.access(vpage) == fast.access(vpage)
+
     @settings(max_examples=60, deadline=None)
     @given(ops=_TLB_OPS, geometry=st.sampled_from(_TLB_GEOMETRIES))
     def test_matches_reference(self, ops, geometry):
@@ -211,6 +237,20 @@ def _same_entry(a, b):
     (L2RCache, FastL2RCache, "fifo", True),
 ])
 class TestFastRCacheEquivalence:
+    def test_overflowing_a_bank_evicts_like_the_reference(
+            self, ref_cls, fast_cls, policy, partitioned):
+        def lookup_or_fill(cache, buffer_id):   # as the BCU probes
+            hit = cache.lookup(1, buffer_id) is not None
+            if not hit:
+                cache.fill(_rc_entry(1, buffer_id))
+            return hit
+
+        ref = ref_cls(entries=4, policy=policy, partitioned=partitioned)
+        fast = fast_cls(entries=4, policy=policy, partitioned=partitioned)
+        for buffer_id in _set_overflow(4, 1):
+            assert lookup_or_fill(ref, buffer_id) == \
+                lookup_or_fill(fast, buffer_id)
+
     @settings(max_examples=40, deadline=None)
     @given(ops=_RC_OPS)
     def test_matches_reference(self, ref_cls, fast_cls, policy,
@@ -235,6 +275,42 @@ class TestFastRCacheEquivalence:
                 ((kernel_id, buffer_id) in fast)
             assert (ref.stats.hits, ref.stats.misses) == \
                 (fast.stats.hits, fast.stats.misses)
+
+
+# ---------------------------------------------------------------------------
+# Fast BCU timing vs the reference
+# ---------------------------------------------------------------------------
+
+
+class TestFastBcuEquivalence:
+    """A cold type-2 check stalls ``l2_latency`` minus the LSU hiding
+    window, which a Dcache miss widens by 20 and a TLB miss by 100; the
+    latencies the figures use (at most 5) never reach past a widened
+    window, so sweep ``l2_latency`` across every window edge."""
+
+    @pytest.mark.parametrize("num_transactions", [1, 4])
+    @pytest.mark.parametrize("dcache_hit", [True, False])
+    @pytest.mark.parametrize("tlb_miss", [False, True])
+    def test_cold_check_stall_matches_reference(self, num_transactions,
+                                                dcache_hit, tlb_miss):
+        cipher = IdCipher(0xFEED)
+        ctx = KernelSecurityContext(
+            kernel_id=1, cipher=cipher,
+            rbt_read_entry=lambda buffer_id: Bounds(base_addr=0x2000,
+                                                    size=1024))
+        pointer = make_base_pointer(0x2000, cipher.encrypt(7))
+        for l2_latency in range(1, 130):
+            outcomes = []
+            for cls in (BoundsCheckingUnit, FastBoundsCheckingUnit):
+                bcu = cls(BCUConfig(l2_latency=l2_latency))
+                out = bcu.check(ctx, pointer, 0x2000, 0x20ff,
+                                is_store=False,
+                                num_transactions=num_transactions,
+                                dcache_hit=dcache_hit, tlb_miss=tlb_miss)
+                outcomes.append((out.allowed, out.stall_cycles,
+                                 out.check_latency, out.rbt_fill,
+                                 bcu.stats.stall_cycles))
+            assert outcomes[0] == outcomes[1], l2_latency
 
 
 # ---------------------------------------------------------------------------

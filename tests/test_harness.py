@@ -6,7 +6,8 @@ import os
 import pytest
 
 from repro import ShieldConfig, nvidia_config
-from repro.analysis.harness import WorkloadRunner, run_benchmark, run_workload
+from repro.analysis.harness import (LaunchInterposer, WorkloadRunner,
+                                    run_benchmark, run_workload)
 from repro.analysis.results import RunRecord, geomean, load_records, save_records
 from repro.workloads.suite import get_benchmark
 from repro.workloads.templates import gather, streaming
@@ -69,11 +70,17 @@ class TestRunWorkload:
 
 class TestRunnerHooks:
     def test_hooks_charge_cycles(self):
+        class Flat(LaunchInterposer):
+            def pre_launch(self, runner, result):
+                return 1000
+
+            def post_launch(self, runner, result):
+                return 500
+
         wl = streaming("s", n=128, wg_size=64)
         runner = WorkloadRunner(wl, CFG)
         plain = WorkloadRunner(streaming("s", n=128, wg_size=64), CFG).run()
-        hooked = runner.run(pre_launch=lambda r, _: 1000,
-                            post_launch=lambda r, _: 500)
+        hooked = runner.run(interposer=Flat())
         assert hooked.cycles == plain.cycles + 1500
 
 

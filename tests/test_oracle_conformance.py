@@ -178,7 +178,7 @@ class TestGoldenCorpus:
         assert manifest["schema_version"] == TRACE_SCHEMA_VERSION
         for subject in GOLDEN_SUBJECTS:
             for eng in ENGINES:
-                result = verify_golden(subject, engine=eng)
+                result, _capture = verify_golden(subject, engine=eng)
                 assert result.ok, result.describe()
 
     def test_golden_hash_verification(self, tmp_path):
@@ -270,6 +270,25 @@ class TestRunnerIntegration:
         assert out["ok"]
         assert len(out["invariants"]) == 2
         assert ctx.stats.snapshot().get("oracle.diff.subjects") == 1
+
+    @pytest.mark.parametrize("invariants", [True, False])
+    def test_golden_job_checks_each_fresh_capture(self, invariants):
+        """Golden mode checks invariants on every engine's fresh capture,
+        and ``--no-invariants`` drops those reports."""
+        from repro.analysis.stats import StatsRegistry
+        from repro.runner.job import JobContext, JobSpec
+        spec = JobSpec(job_id="t", kind="oracle.diff", payload={})
+        ctx = JobContext(spec=spec, stats=StatsRegistry(), attempt=1)
+        out = oracle_diff_job({"subject": "tpl:streaming", "mode": "golden",
+                               "engines": list(ENGINES),
+                               "invariants": invariants}, ctx)
+        assert out["ok"] and out["diff"]["divergence"] is None
+        reports = out["invariants"]
+        if invariants:
+            assert [r["engine"] for r in reports] == list(ENGINES)
+            assert all(r["ok"] for r in reports)
+        else:
+            assert reports == []
 
 
 class TestCli:

@@ -6,10 +6,8 @@ byte-identical.  (Warm-pool hygiene for every observer kind, the
 profiler included, lives in ``tests/test_device.py``.)
 """
 
-from repro.engine import ENGINES, engine
-from repro.oracle.golden import (GOLDEN_SUBJECTS, default_golden_root,
-                                 golden_filename, load_manifest,
-                                 record_golden, verify_golden)
+from repro.oracle.golden import (default_golden_root, golden_filename,
+                                 load_manifest, record_golden)
 
 
 class TestGoldenDigestsWithProfilerDetached:
@@ -28,12 +26,3 @@ class TestGoldenDigestsWithProfilerDetached:
             name = golden_filename(subject)
             assert ((tmp_path / name).read_bytes()
                     == (root / name).read_bytes()), subject
-
-    def test_goldens_verify_under_both_engines(self):
-        # The conformance check the tier-1 net already runs, repeated
-        # here as the profiler-off anchor for a quick subject slice.
-        for eng in ENGINES:
-            with engine(eng):
-                for subject in GOLDEN_SUBJECTS[:2]:
-                    result = verify_golden(subject)
-                    assert result.ok, result.describe()

@@ -306,7 +306,7 @@ class TestEngineInvariance:
 
 class TestShardInvariance:
     def test_parallel_scan_matches_serial(self):
-        from repro.racedetect.cli import RACE, _summary_key
+        from repro.racedetect.cli import RACE
         from repro.runner import run_jobs
         from repro.runner.shard import merge_slices
         from repro.runner.sweep import plan_sweep, run_slice, sweep_subjects
@@ -321,10 +321,8 @@ class TestShardInvariance:
             report = run_jobs(plan, jobs=2, run_name="race-test")
             merged = merge_slices([report.results[s.job_id] for s in plan],
                                   "records", "race scan")
-            assert ([_summary_key(r) for r in merged]
-                    == [_summary_key(r) for r in serial])
-            # Whole records, static findings included: the options
-            # travel to the workers.
+            # Whole records, verdicts and static findings included: the
+            # options travel to the workers.
             assert merged == serial
             reports = [(r.get("scan") or r["case"]["scan"])["static_report"]
                        for r in merged]

@@ -196,14 +196,3 @@ class TestLaunchInterposer:
         assert launches == len(tool.post_results) > 0
         assert all(r is not None and r.ok for r in tool.post_results)
         assert record.cycles == free.cycles + 110 * launches
-
-    def test_interposer_excludes_bare_hooks(self):
-        runner = WorkloadRunner(_vecadd_workload(),
-                                nvidia_config(num_cores=2))
-
-        class Passive(LaunchInterposer):
-            pass
-
-        with pytest.raises(ValueError):
-            runner.run(interposer=Passive(),
-                       post_launch=lambda r, result: 0)
