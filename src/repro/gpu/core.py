@@ -173,10 +173,12 @@ class ShaderCore:
                 for i, (warp, _job) in enumerate(resident):
                     if warp.at_barrier:
                         continue
-                    if warp.ready_at <= cycle:
+                    ready = warp.ready_at
+                    if ready <= cycle:
                         chosen = i
                         break
-                    soonest = min(soonest, warp.ready_at)
+                    if ready < soonest:
+                        soonest = ready
                 if chosen < 0:
                     if soonest >= _FAR_FUTURE:
                         stats.cycles = max(stats.cycles, cycle)

@@ -28,11 +28,17 @@ exactly the same arithmetic with flat pre-bound structures:
   ``(int(v) + lim) % lim`` residue with the unsigned code, ``i32`` and
   ``i64`` included; a pack that raises falls back to the per-lane loop;
 * :class:`FastExecutor` — every opcode compiled to one closure, once
-  per kernel object and warp width and shared by its launches, inline
-  effective-address generation (the ``tagged_add(...) & VA_MASK``
-  composition reduces to one masked add), whole-warp ALU ops as C-level
-  ``map`` chains, and issue bursts that retire a warp's run of
-  latency-1 instructions in one ``issue``.
+  per kernel object, warp width and set of non-``int`` launch
+  arguments, and shared by its launches; inline effective-address
+  generation (the ``tagged_add(...) & VA_MASK`` composition reduces to
+  one masked add); whole-warp ALU ops as C-level ``map`` chains; issue
+  bursts that retire a warp's run of latency-1 instructions in one
+  ``issue``.  Compiling proves which registers only ever hold exact
+  ``int`` lanes, so the integer ALU ops and address generation skip
+  the reference's ``int()`` on them (a full warp's addresses are one
+  ``map(and_, map(add, base, offset), masks)``), and the ``endloop`` of
+  a counted loop whose body is all non-SFU ALU ops replays the loop's
+  remaining iterations inside one ``step``.
 
 **Bit-identity contract**: every class here must produce exactly the
 cycle counts, stats-counter values, functional memory contents and
@@ -1008,6 +1014,69 @@ _C_CMP_FUNCS = {
 }
 
 
+#: Writers whose every lane is an exact ``int`` whatever their operands.
+_INT_ALWAYS = frozenset({"and", "or", "xor", "shl", "shr", "not", "setp",
+                         "loop", "endloop"})
+#: Writers whose lanes are exact ``int`` when every value operand's are:
+#: ``+``, ``-``, ``*``, ``//``, ``%``, ``min``, ``max``, ``abs`` and
+#: copies of ``int`` operands all give ``int``.
+_INT_CLOSED = frozenset({"add", "sub", "mul", "min", "max", "div", "mod",
+                         "mad", "abs", "mov", "sel", "fadd", "fsub", "fmul",
+                         "fmad", "fmin", "fmax"})
+#: Memory dtypes that load as ``int`` (``from_bytes``/``unpack``, and 0
+#: for a blocked load).
+_INT_DTYPES = frozenset({"i32", "u32", "i64", "u64"})
+
+
+def _exact_int(operand, ints) -> bool:
+    """Whether every lane of ``operand`` is an exact ``int`` when the
+    registers in ``ints`` are: so is a special, and an immediate whose
+    value's type is ``int`` (``Imm(True)`` and ``Imm(2.5)`` are not)."""
+    if isinstance(operand, Reg):
+        return operand.index in ints
+    if isinstance(operand, Imm):
+        return type(operand.value) is int
+    return True
+
+
+def _int_registers(kernel, non_int_args) -> frozenset:
+    """The registers that hold an exact ``int`` (``type(v) is int``) in
+    every lane at every point of a launch, when the argument registers
+    in ``non_int_args`` are the only ones seeded with something else.
+
+    A flow-insensitive greatest fixed point: start from every register
+    (registers start as ``0``), then drop the destination of any writer
+    that may produce a non-``int`` given the registers still proven,
+    until nothing drops.  Predicated and divergent writes leave other
+    lanes at a value some earlier writer (or the seed) produced, so
+    proving every writer proves every lane.  ``fdiv``, transcendentals,
+    ``f32`` loads, ``malloc`` and every unlisted writer prove nothing.
+    """
+    writers = [instr for instr in kernel.instructions
+               if instr.dst is not None]
+    ints = set(range(kernel.num_regs)).difference(non_int_args)
+    changed = True
+    while changed:
+        changed = False
+        for instr in writers:
+            dst = instr.dst.index
+            if dst not in ints:
+                continue
+            op = instr.op
+            if op in _INT_ALWAYS:
+                continue
+            if op == "ld" or op == "st":
+                if instr.dtype in _INT_DTYPES:
+                    continue
+            elif op in _INT_CLOSED:
+                srcs = instr.srcs[1:] if op == "sel" else instr.srcs
+                if all(_exact_int(src, ints) for src in srcs):
+                    continue
+            ints.discard(dst)
+            changed = True
+    return frozenset(ints)
+
+
 def _mad(a, b, c):
     return a * b + c
 
@@ -1052,12 +1121,15 @@ def _lane_writer(fn, getters):
 
 
 #: Compiled programs by kernel identity: ``id(kernel) -> (ref,
-#: {warp_size: program})``.  Process-wide, because one kernel object
-#: launches on several devices (a fuzz case runs under six configs),
-#: and not stored on the kernel, which must stay picklable.  Identity,
-#: not equality: ``Imm(1) == Imm(1.0)`` (and they hash alike) yet they
-#: compile to different lanes.  The weak reference's callback drops the
-#: entry when the kernel dies, before its ``id`` can be recycled.
+#: {(warp_size, non_int_args): program})``, where ``non_int_args`` is
+#: the frozenset of argument registers whose launch value is not an
+#: exact ``int`` (the integer-register proof depends on it).
+#: Process-wide, because one kernel object launches on several devices
+#: (a fuzz case runs under six configs), and not stored on the kernel,
+#: which must stay picklable.  Identity, not equality: ``Imm(1) ==
+#: Imm(1.0)`` (and they hash alike) yet they compile to different lanes.
+#: The weak reference's callback drops the entry when the kernel dies,
+#: before its ``id`` can be recycled.
 _PROGRAMS: Dict[int, tuple] = {}
 
 
@@ -1078,29 +1150,48 @@ class FastExecutor(Executor):
     run as C-level ``map`` chains; divergent subsets keep the reference
     element functions.
 
-    A kernel compiles once per (kernel object, ``warp_size``), everything
-    a closure is built from, and every later launch reuses the closure
-    list.  What belongs to one launch — the special-register memo and
-    the grid geometry, ``divergent_branches``, the heap and its pointer
-    tagger — the closures reach through ``warp.executor``: each warp
-    this executor makes carries it, so two launches of one kernel may
-    interleave on a core.
+    A kernel compiles once per (kernel object, ``warp_size``, the set of
+    argument registers whose launch value is not an exact ``int``),
+    everything a closure is built from, and every later launch reuses
+    the closure list.  What belongs to one launch — the special-register
+    memo and the grid geometry, ``divergent_branches``, the heap and its
+    pointer tagger, ``fuse`` — the closures reach through
+    ``warp.executor``: each warp this executor makes carries it, so two
+    launches of one kernel may interleave on a core.
 
-    :meth:`step` executes one instruction, as the reference does.  With
-    ``fuse=True`` one :meth:`issue` is an *issue burst*: it keeps
+    Compiling first proves which registers only ever hold exact ``int``
+    lanes (:func:`_int_registers`).  The integer ALU ops, address
+    generation, ``base_pointer`` and shared-memory addresses skip the
+    reference's ``int()`` on proven operands, which is the identity on
+    them; unproven operands keep it.
+
+    With ``fuse=True`` one :meth:`issue` is an *issue burst*: it keeps
     stepping through ALU, control and ``mem-nop`` instructions until it
     meets one with any other outcome (SFU, memory, ``bar``, ``exit``,
     ``malloc``), returns that outcome, and leaves the number retired
     before it in :attr:`burst`.  The GPU fuses only when
     ``alu_latency <= 1``: greedy-then-oldest then re-picks the warp on
     every one of those cycles, so the scheduler accounts the burst as
-    ``burst`` issue cycles and stays bit-identical.  Only :meth:`issue`
-    reads ``fuse``, so it is per launch, not part of the program.
+    ``burst`` issue cycles and stays bit-identical.
+
+    Within a burst, the ``endloop`` of a counted loop whose body holds
+    only non-SFU ALU ops *replays* the loop's remaining iterations in
+    the one :meth:`step` that reaches it: the reference's in-place
+    induction write, then the body's closures in order, per iteration.
+    The instructions it retires beyond the ``endloop`` are added to
+    ``instructions_executed`` and :attr:`replayed`, and :meth:`issue`
+    adds them to :attr:`burst`.  A body op that raises leaves the loop
+    entry, the induction register, ``warp.pc`` and both counters where
+    the reference leaves them.  Without ``fuse`` a step is one
+    instruction, as in the reference.
     """
 
     def __init__(self, *args, fuse: bool, **kwargs):
         super().__init__(*args, **kwargs)
         self._fuse = fuse
+        #: Instructions retired by loop replay beyond the steps that
+        #: reached their ``endloop`` (0 unless ``fuse``).
+        self.replayed = 0
         self._num_instr = len(self.instructions)
         # Special-register vectors ([gtid], [tid], ...) are pure in
         # (name, wg, warp_in_wg) for one launch, and every consumer
@@ -1114,12 +1205,18 @@ class FastExecutor(Executor):
             entry = _PROGRAMS[key] = (
                 weakref.ref(kernel, lambda _ref: _PROGRAMS.pop(key, None)),
                 {})
-        program = entry[1].get(self.warp_size)
+        non_int_args = frozenset(reg for reg, value in
+                                 self.initial_regs.items()
+                                 if type(value) is not int)
+        program_key = (self.warp_size, non_int_args)
+        program = entry[1].get(program_key)
         if program is None:
             self._all_lanes = list(range(self.warp_size))
+            self._ints = _int_registers(kernel, non_int_args)
             program = [self._compile(instr, pc)
                        for pc, instr in enumerate(self.instructions)]
-            entry[1][self.warp_size] = program
+            self._compile_replays(program)
+            entry[1][program_key] = program
         self._program = program
 
     def make_warp(self, wg: int, warp_in_wg: int,
@@ -1171,7 +1268,7 @@ class FastExecutor(Executor):
                 pass
             else:
                 return (lambda warp: const), True
-        return self._getter(operand), False
+        return self._getter(operand), _exact_int(operand, self._ints)
 
     # -- compilation ----------------------------------------------------------
 
@@ -1223,6 +1320,11 @@ class FastExecutor(Executor):
         if op in _INT_FUNCS:
             cfn = _INT_FUNCS[op]
             (i0, c0), (i1, c1) = (self._int_operand(s) for s in srcs[:2])
+            if c0 and c1:
+                # Both operands coerced already: the C operator over them
+                # is the reference element function, lane by lane too.
+                return ((lambda warp: list(map(cfn, i0(warp), i1(warp)))),
+                        cfn, (i0, i1))
 
             def full(warp):
                 a = i0(warp)
@@ -1244,13 +1346,15 @@ class FastExecutor(Executor):
         full, fn, getters = self._alu_kernels(instr)
         partial = _lane_writer(fn, getters)
 
+        # The pc moves after the op, as in the reference: one that raises
+        # leaves it on the faulting instruction (loop replay reads it).
         def run(warp):
-            warp.pc = nxt
             mask = warp.mask
             regs = warp.regs
             if pred_idx is None:
                 if all(mask):
                     regs[dsti] = full(warp)
+                    warp.pc = nxt
                     return out
                 active = [l for l in lanes if mask[l]]
             else:
@@ -1260,9 +1364,11 @@ class FastExecutor(Executor):
                           [l for l in lanes if mask[l] and p[l]])
                 if len(active) == ws:
                     regs[dsti] = full(warp)
+                    warp.pc = nxt
                     return out
             if active:
                 partial(warp, regs[dsti], active)
+            warp.pc = nxt
             return out
         return run
 
@@ -1280,6 +1386,11 @@ class FastExecutor(Executor):
         gbase = self._getter(instr.srcs[0])
         goff = self._getter(instr.srcs[1])
         gstore = self._getter(instr.srcs[2]) if is_store else None
+        # Proven operands skip the reference's int(), the identity on them.
+        exact_off = _exact_int(instr.srcs[1], self._ints)
+        exact = exact_off and _exact_int(instr.srcs[0], self._ints)
+        masks = (VA_MASK,) * ws
+        add, and_ = operator.add, operator.and_
 
         def run(warp):
             warp.pc = nxt
@@ -1297,16 +1408,29 @@ class FastExecutor(Executor):
                 return _MEM_NOP
             base = gbase(warp)
             offset = goff(warp)
-            lane_addrs: List[Optional[int]] = [None] * ws
             if shared:
-                for l in active:
-                    lane_addrs[l] = int(offset[l])
+                if exact_off and len(active) == ws:
+                    lane_addrs = list(offset)
+                else:
+                    lane_addrs = [None] * ws
+                    for l in active:
+                        lane_addrs[l] = int(offset[l])
                 base_pointer = 0
-            else:
+            elif exact:
                 # tagged_add(base, off) & VA_MASK == (base + off) &
                 # VA_MASK: the metadata bits are stripped by the mask
                 # and 2**48 divides 2**64, so 64-bit wrapping cannot
                 # change the low 48 bits of the sum.
+                if len(active) == ws:
+                    lane_addrs = list(map(and_, map(add, base, offset),
+                                          masks))
+                else:
+                    lane_addrs = [None] * ws
+                    for l in active:
+                        lane_addrs[l] = (base[l] + offset[l]) & VA_MASK
+                base_pointer = base[active[0]]
+            else:
+                lane_addrs = [None] * ws
                 for l in active:
                     lane_addrs[l] = (int(base[l]) + int(offset[l])) \
                         & VA_MASK
@@ -1437,6 +1561,61 @@ class FastExecutor(Executor):
                 raise IsaError(f"unhandled opcode {op!r}")
         return run
 
+    def _compile_replays(self, program: List) -> None:
+        """Give every counted loop whose body holds only non-SFU ALU ops
+        an ``endloop`` that replays it (see the class docstring)."""
+        instructions = self.instructions
+        for loop_pc, end_pc in self.flow.items():
+            if instructions[loop_pc].op != "loop":
+                continue
+            body = instructions[loop_pc + 1:end_pc]
+            if all(i.op in _ALU_OPS and i.category == "alu" for i in body):
+                program[end_pc] = self._replay_endloop(
+                    instructions[end_pc], end_pc,
+                    tuple(program[loop_pc + 1:end_pc]), program[end_pc])
+
+    def _replay_endloop(self, instr: Instr, pc: int, body: tuple, plain):
+        """An ``endloop`` that, under ``fuse``, runs every remaining
+        iteration of its all-ALU ``body``; ``plain`` is the one-step
+        ``endloop`` it stands in for without ``fuse``."""
+        ivi = instr.dst.index
+        nxt = pc + 1
+        ws = self.warp_size
+        per_iteration = len(body) + 1       # the body and its endloop
+
+        def run(warp):
+            executor = warp.executor
+            if not executor._fuse:
+                return plain(warp)
+            entry = warp.stack[-1]
+            done = start = entry[3]
+            count = entry[2]
+            body_pc = entry[1]
+            regs = warp.regs
+            try:
+                while done < count:
+                    entry[3] = done + 1
+                    regs[ivi][:] = [done] * ws
+                    warp.pc = body_pc
+                    for op in body:
+                        op(warp)
+                    done += 1
+            except BaseException:
+                # The faulting op left warp.pc on itself: count it and
+                # everything before it, as the reference's steps would.
+                retired = ((done - start) * per_iteration
+                           + warp.pc - body_pc + 1)
+                executor.instructions_executed += retired
+                executor.replayed += retired
+                raise
+            warp.stack.pop()
+            warp.pc = nxt
+            retired = (count - start) * per_iteration
+            executor.instructions_executed += retired
+            executor.replayed += retired
+            return _CTRL
+        return run
+
     # -- dispatch -------------------------------------------------------------
 
     def step(self, warp: WarpState):
@@ -1452,6 +1631,7 @@ class FastExecutor(Executor):
     def issue(self, warp: WarpState):
         step = self.step
         n = 0
+        replayed = self.replayed
         try:
             out = step(warp)
             if self._fuse:
@@ -1460,6 +1640,6 @@ class FastExecutor(Executor):
                     out = step(warp)
         finally:
             # Set even when a step raises: the scheduler still accounts
-            # the instructions retired before it.
-            self.burst = n
+            # the instructions retired before it, replayed ones included.
+            self.burst = n + self.replayed - replayed
         return out

@@ -341,6 +341,56 @@ def _reference_element(op, cmp):
     return 2, _ALU_FUNCS[op]
 
 
+def _check_lane_kernel(op, data, domains, shift, seed):
+    """Draw operands from one of ``domains`` (``shift`` for a shift
+    count), write them into the source registers of a one-op kernel whose
+    launch seeds each source register with ``seed``, step once and
+    compare every lane with the reference element function.  Returns,
+    per register operand, whether the integer-register proof proved it."""
+    from repro.isa.instructions import Imm, Instr, Reg
+    from repro.isa.program import Kernel
+
+    cmp = data.draw(st.sampled_from(["lt", "le", "eq", "ne", "gt", "ge"])
+                    ) if op == "setp" else None
+    arity, element = _reference_element(op, cmp)
+    domain = data.draw(st.sampled_from(domains))
+    srcs, lanes = [], []
+    for i in range(arity):
+        values = shift if op in ("shl", "shr") and i == 1 else domain
+        if data.draw(st.booleans(), label=f"imm{i}"):
+            value = data.draw(values)
+            srcs.append(Imm(value))
+            lanes.append([value] * _WS)
+        else:
+            srcs.append(Reg(i + 1))
+            lanes.append(data.draw(st.lists(values, min_size=_WS,
+                                            max_size=_WS)))
+    mask = data.draw(st.one_of(
+        st.just([True] * _WS),
+        st.lists(st.booleans(), min_size=_WS, max_size=_WS)))
+
+    kernel = Kernel("lane", [Instr(op, dst=Reg(0), srcs=tuple(srcs),
+                                   cmp=cmp), Instr("exit")], num_regs=4)
+    executor = FastExecutor(kernel, workgroups=1, wg_size=_WS,
+                            warp_size=_WS,
+                            initial_regs={i + 1: seed for i in range(arity)},
+                            fuse=False)
+    warp = executor.make_warp(0, 0, 0)
+    for src, values in zip(srcs, lanes):
+        if isinstance(src, Reg):
+            warp.regs[src.index] = list(values)
+    warp.mask = list(mask)
+    executor.step(warp)
+
+    want = [element(*(v[l] for v in lanes)) if mask[l] else 0
+            for l in range(_WS)]
+    got = warp.regs[0]
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    return [src.index in executor._ints for src in srcs
+            if isinstance(src, Reg)]
+
+
 class TestLaneKernels:
     """Every compiled ALU op, over full and divergent masks and register
     and immediate operands, writes per lane exactly the value *and type*
@@ -350,44 +400,24 @@ class TestLaneKernels:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_matches_reference_elements(self, op, data):
-        from repro.isa.instructions import Imm, Instr, Reg
-        from repro.isa.program import Kernel
+        # Bools and floats written straight into registers are values no
+        # launch of a proven register can hold, so a non-int launch value
+        # seeds every source register: the proof leaves them unproven and
+        # the closures keep the reference's int() coercion.
+        proven = _check_lane_kernel(
+            op, data, [st.booleans(), _INTEGRAL, _LANE], _SHIFT, seed=0.5)
+        assert not any(proven)
 
-        cmp = data.draw(st.sampled_from(["lt", "le", "eq", "ne", "gt", "ge"])
-                        ) if op == "setp" else None
-        arity, element = _reference_element(op, cmp)
-        domain = data.draw(st.sampled_from([st.booleans(), _INTEGRAL, _LANE]))
-        srcs, lanes = [], []
-        for i in range(arity):
-            values = _SHIFT if op in ("shl", "shr") and i == 1 else domain
-            if data.draw(st.booleans(), label=f"imm{i}"):
-                value = data.draw(values)
-                srcs.append(Imm(value))
-                lanes.append([value] * _WS)
-            else:
-                srcs.append(Reg(i + 1))
-                lanes.append(data.draw(st.lists(values, min_size=_WS,
-                                                max_size=_WS)))
-        mask = data.draw(st.one_of(
-            st.just([True] * _WS),
-            st.lists(st.booleans(), min_size=_WS, max_size=_WS)))
-
-        kernel = Kernel("lane", [Instr(op, dst=Reg(0), srcs=tuple(srcs),
-                                       cmp=cmp), Instr("exit")], num_regs=4)
-        executor = FastExecutor(kernel, workgroups=1, wg_size=_WS,
-                                warp_size=_WS, initial_regs={}, fuse=False)
-        warp = executor.make_warp(0, 0, 0)
-        for src, values in zip(srcs, lanes):
-            if isinstance(src, Reg):
-                warp.regs[src.index] = list(values)
-        warp.mask = list(mask)
-        executor.step(warp)
-
-        want = [element(*(v[l] for v in lanes)) if mask[l] else 0
-                for l in range(_WS)]
-        got = warp.regs[0]
-        assert got == want
-        assert [type(v) for v in got] == [type(v) for v in want]
+    @pytest.mark.parametrize("op", sorted(_ALU_OPS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_proven_int_operands_match_reference_elements(self, op, data):
+        # Exact ints only: every source register is proven, so the
+        # closures take the coercion-free path.
+        proven = _check_lane_kernel(
+            op, data, [st.integers(-(1 << 40), 1 << 40)],
+            st.integers(0, 63), seed=0)
+        assert all(proven)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +523,60 @@ def _oob_kernel(b):
     b.st_idx(out, b.add(g, 4096), x, dtype="i32")   # every lane past the end
 
 
+def _replay_kernel(b):
+    """The MEMCHECK call-out's shape: an all-ALU counted loop between a
+    load and a store, with a loop of each replayable count around."""
+    out = b.arg_ptr("out")
+    g = b.gtid()
+    acc = b.ld_idx(out, g, dtype="i32")
+    with b.loop(16) as i:
+        b.add(acc, i, out=acc)
+        b.and_(acc, 0xFFFF, out=acc)
+    for count in (0, 1, 2):
+        with b.loop(count) as i:
+            b.xor(acc, i, out=acc)
+    b.st_idx(out, g, acc, dtype="i32")
+
+
+def _replay_predicated_kernel(b):
+    """A predicated all-ALU loop body under a divergent ``if`` mask."""
+    out = b.arg_ptr("out")
+    g = b.gtid()
+    acc = b.mov(g)
+    p = b.setp("lt", b.and_(g, 7), 5)
+    with b.if_(b.setp("eq", b.and_(g, 1), 1)):
+        with b.loop(6) as i:
+            b.add(acc, i, out=acc, pred=p)
+            b.shl(acc, 1, out=acc)
+            b.and_(acc, 0xFFFF, out=acc, pred=p)
+    b.st_idx(out, g, acc, dtype="i32")
+
+
+def _replay_nested_kernel(b):
+    """An outer loop (its body holds a loop, so it is not replayed)
+    around an inner all-ALU loop (replayed)."""
+    out = b.arg_ptr("out")
+    g = b.gtid()
+    acc = b.mov(g)
+    with b.loop(3) as j:
+        with b.loop(4) as i:
+            b.mad(acc, 3, i, out=acc)
+            b.and_(acc, 0xFFF, out=acc)
+        b.add(acc, j, out=acc)
+    b.st_idx(out, g, acc, dtype="i32")
+
+
 #: Kernels whose ALU runs end at each kind of burst boundary: an SFU op,
-#: a barrier, divergent control flow, and a store that aborts the kernel.
+#: a barrier, divergent control flow, a store that aborts the kernel and
+#: the end of a replayed loop.
 _BURST_KERNELS = {
     "sfu": _sfu_kernel,
     "barrier": _barrier_kernel,
     "divergent": _divergent_kernel,
     "oob_precise": _oob_kernel,
+    "replay": _replay_kernel,
+    "replay_predicated": _replay_predicated_kernel,
+    "replay_nested": _replay_nested_kernel,
 }
 
 
@@ -568,10 +645,12 @@ class TestWorkloadEquivalence:
     @pytest.mark.parametrize("alu_latency", [1, 2])
     def test_bursts_fuse_only_at_latency_one(self, monkeypatch, alu_latency):
         calls = {"issue": 0, "step": 0}
+        executors = set()
         issue, step = FastExecutor.issue, FastExecutor.step
 
         def counting_issue(executor, warp):
             calls["issue"] += 1
+            executors.add(executor)
             return issue(executor, warp)
 
         def counting_step(executor, warp):
@@ -580,13 +659,22 @@ class TestWorkloadEquivalence:
 
         monkeypatch.setattr(FastExecutor, "issue", counting_issue)
         monkeypatch.setattr(FastExecutor, "step", counting_step)
-        result, _snapshot = _burst_launch("fast", "divergent", alu_latency)
-        # One step is one instruction on either side of the threshold.
-        assert calls["step"] == result["instructions"]
-        if alu_latency == 1:
-            assert calls["issue"] < result["instructions"] / 4
-        else:
-            assert calls["issue"] == result["instructions"]
+        for kernel in ("divergent", "replay", "replay_predicated",
+                       "replay_nested"):
+            calls.update(issue=0, step=0)
+            executors.clear()
+            result, _snapshot = _burst_launch("fast", kernel, alu_latency)
+            # A step is one instruction plus those its loop replay retired.
+            replayed = sum(executor.replayed for executor in executors)
+            assert calls["step"] + replayed == result["instructions"]
+            if alu_latency == 1:
+                assert calls["issue"] < result["instructions"] / 4
+                assert (replayed > 0) == kernel.startswith("replay")
+            else:
+                # No fusing, so no replay: one issue, one step, one
+                # instruction.
+                assert replayed == 0
+                assert calls["issue"] == result["instructions"]
 
     def test_burst_ended_by_a_raising_op_accounts_like_the_reference(self):
         """A negative shift count raises mid-burst; the instructions the
@@ -730,6 +818,403 @@ class TestCompileCache:
         del kernel
         gc.collect()
         assert key not in fastpath._PROGRAMS
+
+
+# ---------------------------------------------------------------------------
+# The integer-register proof
+# ---------------------------------------------------------------------------
+
+
+def _proof(instrs, num_regs, non_int_args=()):
+    """``_int_registers`` of a hand-built kernel ending in ``exit``."""
+    from repro.gpu.fastpath import _int_registers
+    from repro.isa.instructions import Instr
+    from repro.isa.program import Kernel
+
+    kernel = Kernel("proof", list(instrs) + [Instr("exit")],
+                    num_regs=num_regs)
+    return _int_registers(kernel, frozenset(non_int_args))
+
+
+class TestIntRegisters:
+    """Pinned verdicts of the integer-register proof, its launch key,
+    and a differential over random kernels that mix int and float
+    producers."""
+
+    def test_fdiv_result_and_its_consumers_are_unproven(self):
+        from repro.isa.instructions import Imm, Instr, Reg, Special
+        gtid = Special("gtid")
+        proven = _proof([
+            Instr("fdiv", dst=Reg(1), srcs=(gtid, Imm(2))),
+            Instr("add", dst=Reg(2), srcs=(Reg(1), Imm(1))),
+            Instr("and", dst=Reg(3), srcs=(Reg(1), Imm(3))),   # int()s it
+            Instr("div", dst=Reg(4), srcs=(gtid, Imm(2))),     # int // int
+        ], num_regs=5)
+        assert proven == {0, 3, 4}
+
+    def test_only_integer_loads_are_proven(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        proven = _proof([
+            Instr("ld", dst=Reg(1), srcs=(Reg(0), Imm(0)), space="global",
+                  dtype="f32"),
+            Instr("ld", dst=Reg(2), srcs=(Reg(0), Imm(0)), space="global",
+                  dtype="u64"),
+            Instr("ld", dst=Reg(3), srcs=(Reg(0), Imm(0)), space="shared",
+                  dtype="i32"),
+        ], num_regs=4)
+        assert proven == {0, 2, 3}
+
+    def test_only_exact_int_immediates_are_proven(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        proven = _proof([
+            Instr("mov", dst=Reg(0), srcs=(Imm(True),)),
+            Instr("mov", dst=Reg(1), srcs=(Imm(2.5),)),
+            Instr("mov", dst=Reg(2), srcs=(Imm(7),)),
+            Instr("add", dst=Reg(3), srcs=(Reg(2), Imm(1.0))),
+        ], num_regs=4)
+        assert proven == {2}
+
+    def test_sel_needs_both_values_not_its_predicate(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        proven = _proof([
+            Instr("fadd", dst=Reg(1), srcs=(Reg(0), Imm(0.5))),
+            Instr("sel", dst=Reg(2), srcs=(Reg(0), Imm(1), Reg(1))),
+            Instr("sel", dst=Reg(3), srcs=(Reg(1), Imm(1), Reg(0))),
+        ], num_regs=4)
+        assert proven == {0, 3}
+
+    def test_malloc_and_unlisted_writers_are_unproven(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        proven = _proof([
+            Instr("malloc", dst=Reg(1), srcs=(Imm(64),)),
+            Instr("fsqrt", dst=Reg(2), srcs=(Reg(0),)),
+            Instr("mov", dst=Reg(3), srcs=(Reg(1),)),
+        ], num_regs=4)
+        assert proven == {0}
+
+    def test_self_referential_loop_is_a_greatest_fixed_point(self):
+        """``r = (r + i) & m`` and ``s = s + i`` prove themselves; one
+        float write into the cycle drops every register it reaches."""
+        from repro.isa.instructions import Imm, Instr, Reg
+        loop = [
+            Instr("loop", dst=Reg(9), srcs=(Imm(4),)),
+            Instr("add", dst=Reg(1), srcs=(Reg(1), Reg(9))),
+            Instr("and", dst=Reg(1), srcs=(Reg(1), Imm(255))),
+            Instr("add", dst=Reg(2), srcs=(Reg(2), Reg(9))),
+            Instr("add", dst=Reg(3), srcs=(Reg(3), Reg(4))),
+            Instr("mov", dst=Reg(5), srcs=(Reg(3),)),
+            Instr("endloop", dst=Reg(9)),
+        ]
+        assert _proof(loop, num_regs=10) == set(range(10))
+        floated = loop[:-1] + [Instr("fdiv", dst=Reg(4),
+                                     srcs=(Reg(2), Imm(3))), loop[-1]]
+        assert _proof(floated, num_regs=10) == {0, 1, 2, 6, 7, 8, 9}
+
+    def test_non_int_argument_keys_a_second_program(self):
+        from repro.gpu import fastpath
+        from repro.isa.instructions import Imm, Instr, Reg
+        from repro.isa.program import Kernel, KernelParam
+
+        kernel = Kernel("scalar", [
+            Instr("add", dst=Reg(1), srcs=(Reg(0), Imm(1))),
+            Instr("and", dst=Reg(2), srcs=(Reg(1), Imm(7))),
+            Instr("exit"),
+        ], num_regs=3, params=[KernelParam("s", "scalar")],
+            arg_regs={"s": 0})
+        regs = []
+        for value in (3, 2.5):
+            executor = FastExecutor(kernel, workgroups=1, wg_size=_WS,
+                                    warp_size=_WS, initial_regs={0: value},
+                                    fuse=True)
+            warp = executor.make_warp(0, 0, 0)
+            while executor.issue(warp)[0] != "exit":
+                pass
+            regs.append(warp.regs)
+        assert regs[0][1:] == [[4] * _WS, [4] * _WS]
+        assert regs[1][1:] == [[3.5] * _WS, [3] * _WS]
+        assert type(regs[1][2][0]) is int
+        programs = fastpath._PROGRAMS[id(kernel)][1]
+        assert set(programs) == {(_WS, frozenset()),
+                                 (_WS, frozenset({0}))}
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.data())
+    def test_random_kernels_match_reference(self, spec):
+        from repro.gpu.fastpath import _int_registers
+
+        kernel, scalar = _mixed_kernel(spec)
+        slow = _mixed_launch("slow", kernel, scalar)
+        fast = _mixed_launch("fast", kernel, scalar)
+        assert slow == fast
+        # The proof is sound on what the run left: proven means int.
+        proven = _int_registers(kernel, frozenset(
+            () if type(scalar) is int else (1,)))
+        for regs in fast[1]:
+            for index in proven:
+                assert all(t is int for t, _v in regs[index]), index
+
+
+#: Operands of the random mixed kernels: general registers, the loop
+#: induction register, a special and immediates of each type.
+_MIXED_REGS = list(range(1, 8))
+
+
+def _mixed_kernel(data):
+    """A random kernel over ``buf`` (r0) and scalar ``s`` (r1) whose
+    registers r2-r7 mix int producers (integer ALU, i32/u64 loads, int
+    immediates) and float producers (``fdiv``, ``fsqrt``, f32 loads,
+    float immediates), optionally under a predicate and inside a loop.
+    Addresses stay inside ``buf``: every memory op indexes it with
+    ``(x & 15) << 2``."""
+    from repro.isa.instructions import Imm, Instr, Reg, Special
+    from repro.isa.program import Kernel, KernelParam
+
+    draw = data.draw
+    addr, iv, pred = Reg(8), Reg(9), Reg(10)
+
+    def operand():
+        kind = draw(st.sampled_from(["reg", "reg", "special", "imm"]))
+        if kind == "reg":
+            return Reg(draw(st.sampled_from(_MIXED_REGS + [9])))
+        if kind == "special":
+            return Special(draw(st.sampled_from(["gtid", "lane"])))
+        return Imm(draw(st.one_of(st.integers(-9, 9), st.booleans(),
+                                  st.sampled_from([0.5, 2.5, -1.25]))))
+
+    def statement():
+        dst = Reg(draw(st.sampled_from(_MIXED_REGS[1:])))
+        p = pred if draw(st.integers(0, 3)) == 0 else None
+        kind = draw(st.sampled_from([
+            "add", "sub", "min", "max", "fadd", "fmul", "mov", "sel",
+            "and", "xor", "shl", "setp", "not", "mad", "fdiv", "fsqrt",
+            "abs", "ld", "ld", "ld", "st"]))
+        if kind in ("ld", "st"):
+            dtype = draw(st.sampled_from(["i32", "u32", "f32", "u64"]))
+            index = [Instr("and", dst=addr, srcs=(operand(), Imm(15))),
+                     Instr("shl", dst=addr, srcs=(addr, Imm(2)))]
+            if kind == "ld":
+                return index + [Instr("ld", dst=dst, srcs=(Reg(0), addr),
+                                      pred=p, space="global", dtype=dtype)]
+            return index + [Instr("st", srcs=(Reg(0), addr, operand()),
+                                  pred=p, space="global", dtype=dtype)]
+        if kind == "shl":
+            srcs = (operand(), Imm(draw(st.integers(0, 3))))
+        elif kind == "mad":
+            srcs = (operand(), Imm(draw(st.integers(-3, 3))), operand())
+        elif kind == "fmul":
+            srcs = (operand(), Imm(draw(st.sampled_from([0.5, 2, -1]))))
+        elif kind in ("mov", "not", "fsqrt", "abs"):
+            srcs = (operand(),)
+        elif kind == "sel":
+            srcs = (operand(), operand(), operand())
+        else:
+            srcs = (operand(), operand())
+        return [Instr(kind, dst=dst, srcs=srcs, pred=p,
+                      cmp="lt" if kind == "setp" else None)]
+
+    body = [Instr("setp", dst=pred, srcs=(Special("lane"),
+                                          Imm(draw(st.integers(0, 40)))),
+                  cmp="lt")]
+    statements = [statement() for _ in range(draw(st.integers(1, 8)))]
+    lo = draw(st.integers(0, len(statements)))
+    hi = draw(st.integers(lo, len(statements)))
+    for i, stmt in enumerate(statements):
+        if i == lo and hi > lo:
+            body.append(Instr("loop", dst=iv,
+                              srcs=(Imm(draw(st.integers(0, 3))),)))
+        body.extend(stmt)
+        if i == hi - 1 and hi > lo:
+            body.append(Instr("endloop", dst=iv))
+    body.append(Instr("exit"))
+    kernel = Kernel("mixed", body, num_regs=11,
+                    params=[KernelParam("buf", "buffer"),
+                            KernelParam("s", "scalar")],
+                    arg_regs={"buf": 0, "s": 1})
+    scalar = draw(st.sampled_from([3, 2.5, True]))
+    return kernel, scalar
+
+
+def _mixed_launch(engine_name, kernel, scalar):
+    """Launch ``kernel`` (2 warps of 32, shielded): the launch outcome,
+    every warp's final ``(type, value)`` lanes and ``buf``'s bytes."""
+    from unittest import mock
+
+    from repro import GpuSession, ShieldConfig
+    from repro.gpu.config import nvidia_config
+    from repro.gpu.executor import Executor
+
+    warps = []
+    make_workgroup = Executor.make_workgroup
+
+    def recording(executor, wg, base_warp_id):
+        made = make_workgroup(executor, wg, base_warp_id)
+        warps.extend(made)
+        return made
+
+    with engine(engine_name), mock.patch.object(Executor, "make_workgroup",
+                                                recording):
+        session = GpuSession(nvidia_config(num_cores=1),
+                             shield=ShieldConfig(enabled=True))
+        buf = session.driver.malloc(128, name="buf")
+        session.driver.write(buf, bytes(range(7, 135)))
+        launch = session.driver.launch(kernel, {"buf": buf, "s": scalar},
+                                       1, 64)
+        try:
+            outcome = asdict(session.gpu.run(launch))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+    regs = [[[(type(v), v) for v in reg] for reg in warp.regs]
+            for warp in warps]
+    return outcome, regs, session.driver.read(buf, 128)
+
+
+# ---------------------------------------------------------------------------
+# Loop replay
+# ---------------------------------------------------------------------------
+
+
+def _issue_to_end(executor, warp):
+    """Issue ``warp`` until it exits or an op raises: ``(instructions
+    retired, the exception or None)``.  Memory outcomes are dropped, so
+    only ALU/control kernels belong here."""
+    retired = 0
+    try:
+        while True:
+            kind, _payload = executor.issue(warp)
+            retired += executor.burst + 1
+            if kind == "exit":
+                return retired, None
+    except ValueError as exc:
+        return retired + executor.burst, str(exc)
+
+
+def _loop_state(executor_cls, instrs, mask=None, **options):
+    """Run one warp of a hand-built kernel to its end: everything the
+    reference leaves observable, plus the executor (for ``replayed``)."""
+    from repro.isa.instructions import Instr
+    from repro.isa.program import Kernel
+
+    kernel = Kernel("replay", list(instrs) + [Instr("exit")], num_regs=6)
+    executor = executor_cls(kernel, workgroups=1, wg_size=_WS,
+                            warp_size=_WS, initial_regs={}, **options)
+    warp = executor.make_warp(0, 0, 0)
+    if mask is not None:
+        warp.mask = list(mask)
+    retired, error = _issue_to_end(executor, warp)
+    state = (retired, error, warp.pc, warp.stack, warp.finished,
+             executor.instructions_executed,
+             [[(type(v), v) for v in reg] for reg in warp.regs])
+    return state, executor
+
+
+class TestLoopReplay:
+    """An all-ALU counted loop retires in the one step that reaches its
+    ``endloop``, leaving every observable where the reference's
+    instruction-by-instruction steps leave it."""
+
+    def _compare(self, instrs, mask=None):
+        from repro.gpu.executor import Executor
+        slow, _ = _loop_state(Executor, instrs, mask)
+        fast, executor = _loop_state(FastExecutor, instrs, mask, fuse=True)
+        assert fast == slow
+        unfused, plain = _loop_state(FastExecutor, instrs, mask, fuse=False)
+        assert unfused == slow and plain.replayed == 0
+        return slow, executor
+
+    def _shift_loop(self, count):
+        """``x = gtid; loop i < count { t = 2 - i; x = x << t; x &= m }``
+        — the shift count goes negative at ``i == 3``."""
+        from repro.isa.instructions import Imm, Instr, Reg, Special
+        return [
+            Instr("mov", dst=Reg(1), srcs=(Special("gtid"),)),
+            Instr("loop", dst=Reg(2), srcs=(Imm(count),)),
+            Instr("sub", dst=Reg(3), srcs=(Imm(2), Reg(2))),
+            Instr("shl", dst=Reg(1), srcs=(Reg(1), Reg(3))),
+            Instr("and", dst=Reg(1), srcs=(Reg(1), Imm(0xFFFF))),
+            Instr("endloop", dst=Reg(2)),
+        ]
+
+    def test_body_op_raising_mid_replay_leaves_reference_state(self):
+        (retired, error, pc, stack, *_rest), executor = self._compare(
+            self._shift_loop(4))
+        assert error == "negative shift count"
+        # Faulted in iteration 3 on the shl, with the loop entry live.
+        assert pc == 3 and stack == [["loop", 2, 4, 4]]
+        assert executor.replayed == 2 * 4 + 2   # iterations 1, 2 + sub, shl
+        assert retired == 2 + 3 * 4 + 1   # mov, loop, 3 iterations, sub
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3])
+    def test_counts_replay_what_remains(self, count):
+        state, executor = self._compare(self._shift_loop(count))
+        assert state[1] is None
+        # The first iteration runs before the endloop; replay the rest.
+        assert executor.replayed == max(count - 1, 0) * 4
+
+    def test_predicated_body_under_a_divergent_mask(self):
+        from repro.isa.instructions import Imm, Instr, Reg, Special
+        instrs = [
+            Instr("setp", dst=Reg(4), srcs=(Special("lane"), Imm(5)),
+                  cmp="lt"),
+            Instr("mov", dst=Reg(1), srcs=(Special("gtid"),)),
+            Instr("loop", dst=Reg(2), srcs=(Imm(5),)),
+            Instr("add", dst=Reg(1), srcs=(Reg(1), Reg(2)), pred=Reg(4)),
+            Instr("xor", dst=Reg(1), srcs=(Reg(1), Imm(3)), pred=Reg(4),
+                  pred_invert=True),
+            Instr("endloop", dst=Reg(2)),
+        ]
+        _state, executor = self._compare(
+            instrs, mask=[l % 3 != 0 for l in range(_WS)])
+        assert executor.replayed == 4 * 3
+
+    def test_only_the_inner_of_two_nested_loops_replays(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        instrs = [
+            Instr("loop", dst=Reg(3), srcs=(Imm(3),)),
+            Instr("loop", dst=Reg(2), srcs=(Imm(4),)),
+            Instr("add", dst=Reg(1), srcs=(Reg(1), Reg(2))),
+            Instr("endloop", dst=Reg(2)),
+            Instr("add", dst=Reg(1), srcs=(Reg(1), Reg(3))),
+            Instr("endloop", dst=Reg(3)),
+        ]
+        _state, executor = self._compare(instrs)
+        names = [run.__qualname__.split(".")[1] for run in executor._program]
+        assert names[3] == "_replay_endloop"
+        assert names[5] == "_compile_ctrl"
+        # Each of the 3 outer iterations replays 3 inner iterations.
+        assert executor.replayed == 3 * 3 * 2
+
+    def test_sfu_body_is_not_replayed(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        instrs = [
+            Instr("loop", dst=Reg(2), srcs=(Imm(4),)),
+            Instr("div", dst=Reg(1), srcs=(Reg(2), Imm(2))),
+            Instr("endloop", dst=Reg(2)),
+        ]
+        _state, executor = self._compare(instrs)
+        assert executor.replayed == 0
+
+    def test_raising_replay_accounts_like_the_reference(self):
+        """The launch-level twin of the first test: a shift count that
+        goes negative in iteration 3 of a replayed loop."""
+        from repro import GpuSession, KernelBuilder
+        from repro.gpu.config import nvidia_config
+
+        def raising_launch(engine_name):
+            b = KernelBuilder("replay_raises")
+            x = b.mov(b.gtid())
+            with b.loop(4) as i:
+                b.shl(x, b.sub(2, i), out=x)
+                b.and_(x, 0xFFFF, out=x)
+            with engine(engine_name):
+                session = GpuSession(nvidia_config(num_cores=2))
+                launch = session.driver.launch(b.build(), {}, 2, 64)
+                with pytest.raises(ValueError, match="negative shift"):
+                    session.gpu.run(launch)
+            return session.gpu.stats.snapshot().as_dict()
+
+        slow = raising_launch("slow")
+        assert raising_launch("fast") == slow
+        assert slow["cores.0.issue.instructions"] > 0
 
 
 # ---------------------------------------------------------------------------
