@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.bounds import Bounds
+from repro.utils.stats import CacheStats
 
 
 @dataclass(frozen=True)
@@ -35,29 +36,6 @@ class RCacheEntry:
     @property
     def tag(self) -> Tuple[int, int]:
         return (self.kernel_id, self.buffer_id)
-
-
-@dataclass
-class RCacheStats:
-    """Hit/miss counters, reported per level."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction in [0, 1]; 1.0 when never accessed (vacuously hot)."""
-        if self.accesses == 0:
-            return 1.0
-        return self.hits / self.accesses
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
 
 class _BaseRCache:
@@ -78,7 +56,7 @@ class _BaseRCache:
         self.policy = policy
         self.partitioned = partitioned
         self._banks: "dict[int, OrderedDict]" = {}
-        self.stats = RCacheStats()
+        self.stats = CacheStats()
 
     def _bank(self, kernel_id: int) -> "OrderedDict":
         key = kernel_id if self.partitioned else 0

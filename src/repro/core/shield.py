@@ -62,7 +62,7 @@ class GPUShield:
         """Create the BCU for one shader core (shared violation log).
 
         ``engine="fast"`` returns the bit-identical fast-lane variant
-        (memoized pointer decode, flat RCache banks) — see
+        (memoized pointer decode and ID decrypt) — see
         :mod:`repro.engine`.
         """
         if engine == "fast":

@@ -8,9 +8,10 @@ translate -> cache -> check -> commit, plus the functional executor):
   clarity: one frozen dataclass per stage outcome, OrderedDict-backed
   set-associative structures.
 * ``"fast"`` — the flat pre-bound structures of
-  :mod:`repro.gpu.fastpath`: array-backed probes keyed by precomputed
-  shifts, a reusable scratch :class:`~repro.gpu.pipeline.AccessResult`,
-  memoized pointer decode, batched lane load/store loops.
+  :mod:`repro.gpu.fastpath`: dict-per-set caches and TLBs probed
+  inline, a reusable scratch :class:`~repro.gpu.pipeline.AccessResult`,
+  memoized pointer decode, batched lane load/store loops, and a
+  compiled executor.  The fast BCU keeps the reference RCaches.
 
 Both engines are **bit-identical** in every observable: cycle counts,
 stats counters, functional memory contents, violation records.  The
@@ -26,6 +27,11 @@ Selection is layered:
   whole worker pool inherits the selected engine);
 * a :class:`~repro.gpu.config.GPUConfig` may pin ``engine`` explicitly,
   which beats the global default for that GPU instance.
+
+:class:`~repro.gpu.gpu.GPU` resolves the name once, at construction:
+it picks the pipeline class (whose ``cache_cls``/``tlb_cls`` also build
+the shared L2 cache and L2 TLB), the executor class, and the BCU via
+:meth:`~repro.core.shield.GPUShield.make_bcu`.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ parallel runner (:mod:`repro.runner`): per-shard timeouts, crash
 isolation, a checkpoint journal (``journal.jsonl``) and a run manifest
 (``run_manifest.json``) land next to the artifacts, and ``--resume``
 continues an interrupted campaign from its journal — the merged result
-is bit-identical to an uninterrupted run.  The per-case wall-clock
-``--budget`` applies to the serial path only; parallel campaigns bound
-time with per-shard timeouts instead.
+is bit-identical to an uninterrupted run.  The wall-clock ``--budget``
+applies to the serial path only: parallel campaigns bound time with
+per-shard timeouts instead, and ``--budget`` with ``--jobs`` or
+``--resume`` is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     unknown = [c for c in configs if c not in CONFIG_NAMES]
     if unknown:
         print(f"unknown configs: {unknown} (have {list(CONFIG_NAMES)})",
+              file=sys.stderr)
+        return 2
+    if args.budget is not None and (args.jobs > 0 or args.resume):
+        print("--budget applies to serial campaigns only; parallel ones "
+              "(--jobs, --resume) bound time with --shard-timeout",
               file=sys.stderr)
         return 2
     if args.replay:

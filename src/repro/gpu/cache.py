@@ -9,30 +9,10 @@ reads and writes (write-back write-allocate approximation).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.utils.bitops import is_power_of_two
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 1.0
-        return self.hits / self.accesses
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
+from repro.utils.stats import CacheStats
 
 
 class Cache:

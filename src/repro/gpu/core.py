@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.bcu import BoundsCheckingUnit
-from repro.engine import resolve as resolve_engine
 from repro.errors import KernelAborted
 from repro.gpu.cache import Cache
 from repro.gpu.config import GPUConfig
@@ -64,17 +63,13 @@ class ShaderCore:
     def __init__(self, core_id: int, config: GPUConfig,
                  memory: PhysicalMemory, space: AddressSpace,
                  l2cache: Cache, l2tlb: Tlb, dram: Dram,
-                 bcu: Optional[BoundsCheckingUnit] = None):
+                 bcu: Optional[BoundsCheckingUnit] = None,
+                 pipeline_cls: Type[MemoryPipeline] = MemoryPipeline):
         self.core_id = core_id
         self.config = config
         self.memory = memory
         self.space = space
         self.bcu = bcu
-        if resolve_engine(config.engine) == "fast":
-            from repro.gpu.fastpath import FastMemoryPipeline
-            pipeline_cls = FastMemoryPipeline
-        else:
-            pipeline_cls = MemoryPipeline
         self.pipeline = pipeline_cls(
             core_id, config, memory, space, l2cache, l2tlb, dram,
             checker=bcu.as_checker() if bcu is not None else None)

@@ -7,18 +7,19 @@ OrderedDict probe per set-associative lookup, a full pointer ``decode``
 per access, and a dict build per lane load.  This module re-implements
 exactly the same arithmetic with flat pre-bound structures:
 
-* :class:`FastCache` / :class:`FastTlb` — a list of plain dicts indexed
-  by precomputed line shift + set mask (plain dicts preserve insertion
-  order, so ``del d[next(iter(d))]`` is the FIFO/LRU eviction);
-* :class:`FastL1RCache` / :class:`FastL2RCache` — the same flat-bank
-  treatment for the BCU's RBT caches;
+* :class:`FastCache` — a list of plain dicts indexed by a precomputed
+  line shift and ``% num_sets`` (plain dicts preserve insertion order,
+  so ``del d[next(iter(d))]`` is the LRU eviction); :class:`FastTlb` is
+  a ``FastCache`` with one-byte lines;
 * :class:`FastBoundsCheckingUnit` — memoized pointer decode per raw
   pointer and memoized ID decrypt per (kernel, payload), plus shared
   :class:`~repro.core.checker.CheckOutcome` singletons for the hot
-  allow paths;
-* :class:`FastMemoryPipeline` — one reusable scratch ``AccessResult``,
-  the coalescer and both timing stages inlined into a single loop, and
-  batched lane load/store loops that index the sparse physical-memory
+  allow paths; its RCaches are the reference ones;
+* :class:`FastMemoryPipeline` — builds every cache and TLB as a
+  ``FastCache``/``FastTlb`` (its ``cache_cls``/``tlb_cls``), keeps one
+  reusable scratch ``AccessResult``, inlines the coalescer and every
+  TLB and cache probe into a single loop, and runs batched lane
+  load/store loops that index the sparse physical-memory
   chunks directly.  A full-warp affine request (every lane active and
   ``addrs == list(range(a0, a0 + n*s, s))`` for ``0 < s <= line``, or
   ``s == 0``) skips the lane loops: its transactions are every line of
@@ -55,13 +56,13 @@ from __future__ import annotations
 import operator
 import struct
 import weakref
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.bcu import (BCUAccessChecker, BoundsCheckingUnit,
                             KernelSecurityContext)
 from repro.core.checker import ALLOW, AccessContext, CheckOutcome
 from repro.core.pointer import VA_MASK, PointerType, decode
-from repro.core.rcache import L1RCache, L2RCache, RCacheEntry
+from repro.core.rcache import RCacheEntry
 from repro.core.violations import ViolationRecord
 from repro.errors import IllegalAddressError, IsaError, KernelAborted
 from repro.gpu.cache import Cache
@@ -69,7 +70,6 @@ from repro.gpu.executor import (_ALU_FUNCS, _CMP_FUNCS, _UNARY_FUNCS,
                                 Executor, Instr, MemRequest, WarpState)
 from repro.gpu.memory import _CHUNK_BITS, _CHUNK_MASK, _CHUNK_SIZE
 from repro.gpu.pipeline import AccessResult, MemoryPipeline
-from repro.gpu.tlb import Tlb
 from repro.isa.instructions import DTYPE_SIZE, Imm, Reg
 
 _F32 = struct.Struct("<f")
@@ -97,23 +97,19 @@ class FastCache(Cache):
     """Array-backed variant of :class:`~repro.gpu.cache.Cache`.
 
     One plain dict per set, indexed by a precomputed line shift and
-    (for power-of-two set counts) a set mask.  Insertion order doubles
-    as the LRU chain: a hit re-inserts, eviction drops the first key.
+    ``% num_sets``.  Insertion order doubles as the LRU chain: a hit
+    re-inserts, eviction drops the first key.
     """
 
     def __init__(self, size_bytes: int, assoc: int, line_size: int,
                  name: str = "cache"):
         super().__init__(size_bytes, assoc, line_size, name)
         self._shift = line_size.bit_length() - 1
-        n = self.num_sets
-        self._mask = (n - 1) if n & (n - 1) == 0 else -1
-        self._lines: List[dict] = [{} for _ in range(n)]
+        self._lines: List[dict] = [{} for _ in range(self.num_sets)]
 
     def access(self, addr: int) -> bool:
         line_addr = addr >> self._shift
-        mask = self._mask
-        s = self._lines[line_addr & mask if mask >= 0
-                        else line_addr % self.num_sets]
+        s = self._lines[line_addr % self.num_sets]
         stats = self.stats
         if line_addr in s:
             # Move to the LRU tail: delete + re-insert keeps dict order.
@@ -129,10 +125,7 @@ class FastCache(Cache):
 
     def probe(self, addr: int) -> bool:
         line_addr = addr >> self._shift
-        mask = self._mask
-        s = self._lines[line_addr & mask if mask >= 0
-                        else line_addr % self.num_sets]
-        return line_addr in s
+        return line_addr in self._lines[line_addr % self.num_sets]
 
     def flush(self) -> None:
         # Skip empty sets: a warm reset flushes every L2 set, and most
@@ -142,86 +135,12 @@ class FastCache(Cache):
             s.clear()
 
 
-class FastTlb(Tlb):
-    """Array-backed variant of :class:`~repro.gpu.tlb.Tlb`."""
+class FastTlb(FastCache):
+    """A :class:`FastCache` over page numbers, as
+    :class:`~repro.gpu.tlb.Tlb` is a :class:`~repro.gpu.cache.Cache`."""
 
     def __init__(self, entries: int, assoc: int = 0, name: str = "tlb"):
-        super().__init__(entries, assoc, name)
-        n = self.num_sets
-        self._mask = (n - 1) if n & (n - 1) == 0 else -1
-        self._lines: List[dict] = [{} for _ in range(n)]
-
-    def access(self, vpage: int) -> bool:
-        mask = self._mask
-        s = self._lines[vpage & mask if mask >= 0 else vpage % self.num_sets]
-        stats = self.stats
-        if vpage in s:
-            del s[vpage]
-            s[vpage] = True
-            stats.hits += 1
-            return True
-        stats.misses += 1
-        if len(s) >= self.assoc:
-            del s[next(iter(s))]
-        s[vpage] = True
-        return False
-
-    def flush(self) -> None:
-        for s in filter(None, self._lines):   # as FastCache.flush
-            s.clear()
-
-
-# ---------------------------------------------------------------------------
-# Flat RCache banks
-# ---------------------------------------------------------------------------
-
-
-class _FastRCacheMixin:
-    """Plain-dict banks with inline FIFO/LRU for both RCache levels.
-
-    Mirrors :class:`~repro.core.rcache._BaseRCache` exactly: same tag
-    scheme, same hit/miss accounting, same replacement order.  The
-    inherited ``flush``/``__len__``/``__contains__`` work unchanged on
-    plain dicts.
-    """
-
-    def lookup(self, kernel_id: int,
-               buffer_id: int) -> Optional[RCacheEntry]:
-        bank = self._banks.get(kernel_id if self.partitioned else 0)
-        tag = (kernel_id, buffer_id)
-        entry = None if bank is None else bank.get(tag)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        if self.policy == "lru":
-            del bank[tag]
-            bank[tag] = entry
-        return entry
-
-    def fill(self, entry: RCacheEntry) -> None:
-        key = entry.kernel_id if self.partitioned else 0
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = {}
-            self._banks[key] = bank
-        tag = (entry.kernel_id, entry.buffer_id)
-        if tag in bank:
-            if self.policy == "lru":
-                del bank[tag]
-            bank[tag] = entry
-            return
-        if len(bank) >= self.capacity:
-            del bank[next(iter(bank))]
-        bank[tag] = entry
-
-
-class FastL1RCache(_FastRCacheMixin, L1RCache):
-    pass
-
-
-class FastL2RCache(_FastRCacheMixin, L2RCache):
-    pass
+        super().__init__(entries, assoc or entries, 1, name)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +149,7 @@ class FastL2RCache(_FastRCacheMixin, L2RCache):
 
 
 class FastBoundsCheckingUnit(BoundsCheckingUnit):
-    """Bit-identical BCU with memoized decode/decrypt and flat RCaches.
+    """Bit-identical BCU with memoized decode/decrypt.
 
     The decode memo is pure (a raw pointer always decodes the same
     way); the decrypt memo keys on (kernel_id, payload) — kernel IDs
@@ -243,10 +162,6 @@ class FastBoundsCheckingUnit(BoundsCheckingUnit):
     def __init__(self, config=None, log=None):
         super().__init__(config, log)
         cfg = self.config
-        self.l1 = FastL1RCache(cfg.l1_entries, cfg.l1_policy,
-                               partitioned=cfg.partition_rcache)
-        self.l2 = FastL2RCache(cfg.l2_entries,
-                               partitioned=cfg.partition_rcache)
         self._decode_memo: Dict[int, tuple] = {}
         self._decrypt_memo: Dict[tuple, int] = {}
         self._type3 = cfg.type3_enabled
@@ -450,19 +365,13 @@ class FastMemoryPipeline(MemoryPipeline):
     anyway (a fresh object per access that nothing retains).
     """
 
+    cache_cls = FastCache
+    tlb_cls = FastTlb
+
     def __init__(self, core_id, config, memory, space, l2cache, l2tlb,
                  dram, checker=None):
         super().__init__(core_id, config, memory, space, l2cache, l2tlb,
                          dram, checker=checker)
-        # Swap the per-core structures for their flat variants (fresh
-        # and empty, so probe behaviour starts identical).
-        self.l1d = FastCache(config.l1d_bytes, config.l1d_assoc,
-                             config.line_size, name=f"l1d{core_id}")
-        self.const_cache = FastCache(config.const_cache_bytes, 4, 64,
-                                     name=f"const{core_id}")
-        self.tex_cache = FastCache(config.tex_cache_bytes, 4,
-                                   config.line_size, name=f"tex{core_id}")
-        self.l1tlb = FastTlb(config.l1tlb_entries, name=f"l1tlb{core_id}")
         self._result = AccessResult(space="", is_store=False)
         self._result.per_transaction = []   # never filled on the fast lane
         self._line_size = config.line_size
@@ -472,27 +381,15 @@ class FastMemoryPipeline(MemoryPipeline):
         self._l2_latency = config.l2_latency
         self._tlb_l2_latency = config.tlb_l2_latency
         self._walk_latency = config.page_walk_latency
-        # Pre-bound probes (these objects are never replaced, only
-        # flushed, so binding once is safe).
-        self._l1tlb_access = self.l1tlb.access
-        self._l2tlb_access = self.l2tlb.access
-        self._l2_access = l2cache.access
         self._dram_access = dram.access
-        # GPU-shared L2 structures: inline their probes too when they
-        # are the flat pow2 variants (flush/map mutate in place, so the
-        # bound dicts stay live).
-        self._l2_bundle = None
-        if type(l2cache) is FastCache and l2cache._mask >= 0:
-            self._l2_bundle = (l2cache._lines, l2cache._mask,
-                               l2cache._shift, l2cache.assoc,
-                               l2cache.stats)
-        self._l2tlb_bundle = None
-        if type(l2tlb) is FastTlb and l2tlb._mask >= 0:
-            self._l2tlb_bundle = (l2tlb._lines, l2tlb._mask,
-                                  l2tlb.assoc, l2tlb.stats)
-        self._space_pages = (space._pages
-                             if space.page_size == config.page_size
-                             else None)
+        # The GPU-shared L2 structures are probed inline too (flush and
+        # map mutate in place, so the bound dicts stay live).
+        self._l2_bundle = (l2cache._lines, l2cache.num_sets,
+                           l2cache._shift, l2cache.assoc, l2cache.stats)
+        self._l2tlb_bundle = (l2tlb._lines, l2tlb.num_sets, l2tlb.assoc,
+                              l2tlb.stats)
+        # The driver builds the address space at ``config.page_size``.
+        self._space_pages = space._pages
 
     # -- the assembled pipeline (fast) ---------------------------------------
 
@@ -555,138 +452,87 @@ class FastMemoryPipeline(MemoryPipeline):
             l1 = self.tex_cache
         else:
             l1 = self.l1d
-        l2tlb_access = self._l2tlb_access
-        l2_access = self._l2_access
         dram_access = self._dram_access
         page_shift = self._page_shift
         l2_latency = self._l2_latency
         tlb_l2_lat = self._tlb_l2_latency
         walk_lat = self._walk_latency
-        tlb = self.l1tlb
         tlb_l1_hits = tlb_l2_hits = page_walks = 0
         l1_hits = l2_hits = dram_accesses = 0
         worst = 0
-        l1_mask = l1._mask
-        tlb_mask = tlb._mask
-        if l1_mask >= 0 and tlb_mask >= 0:
-            # Pow2 set counts (the common geometries): probe the set
-            # dicts directly — same hits, victims and stats as the
-            # FastCache/FastTlb methods, minus two calls per tx.
-            l1_lines = l1._lines
-            l1_shift = l1._shift
-            l1_assoc = l1.assoc
-            l1_stats = l1.stats
-            tlb_lines = tlb._lines
-            tlb_assoc = tlb.assoc
-            tlb_stats = tlb.stats
-            l2_bundle = self._l2_bundle
-            l2tlb_bundle = self._l2tlb_bundle
-            for i in range(ntx):
-                seg = txs[i]
-                tx = seg << shift
-                txs[i] = tx
-                vpage = tx >> page_shift
-                s = tlb_lines[vpage & tlb_mask]
+        # Every set-associative probe is inlined: the same hits, victims
+        # and stats as FastCache.access, minus one call per probe.
+        l1_lines = l1._lines
+        l1_sets = l1.num_sets
+        l1_shift = l1._shift
+        l1_assoc = l1.assoc
+        l1_stats = l1.stats
+        tlb = self.l1tlb
+        tlb_lines = tlb._lines
+        tlb_sets = tlb.num_sets
+        tlb_assoc = tlb.assoc
+        tlb_stats = tlb.stats
+        t_lines, t_sets, t_assoc, t_stats = self._l2tlb_bundle
+        c_lines, c_sets, c_shift, c_assoc, c_stats = self._l2_bundle
+        for i in range(ntx):
+            tx = txs[i] << shift
+            txs[i] = tx
+            vpage = tx >> page_shift
+            s = tlb_lines[vpage % tlb_sets]
+            if vpage in s:
+                del s[vpage]
+                s[vpage] = True
+                tlb_stats.hits += 1
+                tlb_l1_hits += 1
+                latency = 0
+            else:
+                tlb_stats.misses += 1
+                if len(s) >= tlb_assoc:
+                    del s[next(iter(s))]
+                s[vpage] = True
+                s = t_lines[vpage % t_sets]
                 if vpage in s:
                     del s[vpage]
                     s[vpage] = True
-                    tlb_stats.hits += 1
-                    tlb_l1_hits += 1
-                    latency = 0
-                else:
-                    tlb_stats.misses += 1
-                    if len(s) >= tlb_assoc:
-                        del s[next(iter(s))]
-                    s[vpage] = True
-                    if l2tlb_bundle is None:
-                        l2tlb_hit = l2tlb_access(vpage)
-                    else:
-                        t_lines, t_mask, t_assoc, t_stats = l2tlb_bundle
-                        s = t_lines[vpage & t_mask]
-                        if vpage in s:
-                            del s[vpage]
-                            s[vpage] = True
-                            t_stats.hits += 1
-                            l2tlb_hit = True
-                        else:
-                            t_stats.misses += 1
-                            if len(s) >= t_assoc:
-                                del s[next(iter(s))]
-                            s[vpage] = True
-                            l2tlb_hit = False
-                    if l2tlb_hit:
-                        tlb_l2_hits += 1
-                        latency = tlb_l2_lat
-                    else:
-                        page_walks += 1
-                        latency = walk_lat
-                line = tx >> l1_shift
-                s = l1_lines[line & l1_mask]
-                if line in s:
-                    del s[line]
-                    s[line] = True
-                    l1_stats.hits += 1
-                    l1_hits += 1
-                else:
-                    l1_stats.misses += 1
-                    if len(s) >= l1_assoc:
-                        del s[next(iter(s))]
-                    s[line] = True
-                    if l2_bundle is None:
-                        l2_hit = l2_access(tx)
-                    else:
-                        c_lines, c_mask, c_shift, c_assoc, c_stats = \
-                            l2_bundle
-                        l2_line = tx >> c_shift
-                        s = c_lines[l2_line & c_mask]
-                        if l2_line in s:
-                            del s[l2_line]
-                            s[l2_line] = True
-                            c_stats.hits += 1
-                            l2_hit = True
-                        else:
-                            c_stats.misses += 1
-                            if len(s) >= c_assoc:
-                                del s[next(iter(s))]
-                            s[l2_line] = True
-                            l2_hit = False
-                    if l2_hit:
-                        l2_hits += 1
-                        latency += l2_latency
-                    else:
-                        dram_accesses += 1
-                        latency += dram_access(tx, cycle + l2_latency) \
-                            - cycle
-                if latency > worst:
-                    worst = latency
-        else:
-            # Non-pow2 sets (e.g. the 24-set texture cache): the
-            # method path, still array-backed.
-            l1_access = l1.access
-            l1tlb_access = self._l1tlb_access
-            for i in range(ntx):
-                seg = txs[i]
-                tx = seg << shift
-                txs[i] = tx
-                if l1tlb_access(tx >> page_shift):
-                    tlb_l1_hits += 1
-                    latency = 0
-                elif l2tlb_access(tx >> page_shift):
+                    t_stats.hits += 1
                     tlb_l2_hits += 1
                     latency = tlb_l2_lat
                 else:
+                    t_stats.misses += 1
+                    if len(s) >= t_assoc:
+                        del s[next(iter(s))]
+                    s[vpage] = True
                     page_walks += 1
                     latency = walk_lat
-                if l1_access(tx):
-                    l1_hits += 1
-                elif l2_access(tx):
+            line = tx >> l1_shift
+            s = l1_lines[line % l1_sets]
+            if line in s:
+                del s[line]
+                s[line] = True
+                l1_stats.hits += 1
+                l1_hits += 1
+            else:
+                l1_stats.misses += 1
+                if len(s) >= l1_assoc:
+                    del s[next(iter(s))]
+                s[line] = True
+                line = tx >> c_shift
+                s = c_lines[line % c_sets]
+                if line in s:
+                    del s[line]
+                    s[line] = True
+                    c_stats.hits += 1
                     l2_hits += 1
                     latency += l2_latency
                 else:
+                    c_stats.misses += 1
+                    if len(s) >= c_assoc:
+                        del s[next(iter(s))]
+                    s[line] = True
                     dram_accesses += 1
                     latency += dram_access(tx, cycle + l2_latency) - cycle
-                if latency > worst:
-                    worst = latency
+            if latency > worst:
+                worst = latency
         result.tlb_l1_hits = tlb_l1_hits
         result.tlb_l2_hits = tlb_l2_hits
         result.page_walks = page_walks
@@ -735,17 +581,13 @@ class FastMemoryPipeline(MemoryPipeline):
         translate = self.space.translate
         pages = self._space_pages
         try:
-            if pages is None:
-                for tx in txs:
+            # Inline the happy path of AddressSpace.translate; any
+            # denial re-runs the method for the precise error.
+            for tx in txs:
+                flags = pages.get(tx >> page_shift)
+                if (flags is None or not flags.accessible
+                        or (is_store and not flags.writable)):
                     translate(tx, is_store=is_store)
-            else:
-                # Inline the happy path of AddressSpace.translate; any
-                # denial re-runs the method for the precise error.
-                for tx in txs:
-                    flags = pages.get(tx >> page_shift)
-                    if (flags is None or not flags.accessible
-                            or (is_store and not flags.writable)):
-                        translate(tx, is_store=is_store)
         except IllegalAddressError as err:
             raise KernelAborted(err) from err
         if stride == size and (a0 & _CHUNK_MASK) + n * size <= _CHUNK_SIZE:

@@ -18,12 +18,11 @@ from typing import TYPE_CHECKING
 from repro.core.shield import GPUShield
 from repro.engine import resolve as resolve_engine
 from repro.errors import BoundsViolation, KernelAborted, LaunchError
-from repro.gpu.cache import Cache
 from repro.gpu.core import CoreJob, ShaderCore
 from repro.gpu.dram import Dram
 from repro.gpu.executor import Executor
 from repro.gpu.observer import Observer
-from repro.gpu.tlb import Tlb
+from repro.gpu.pipeline import MemoryPipeline
 
 if TYPE_CHECKING:  # avoid a circular import; the driver imports gpu.memory
     from repro.driver.driver import GpuDriver, LaunchContext
@@ -92,16 +91,25 @@ class GPU:
         self.config = driver.config
         self.shield: GPUShield = driver.shield
         config = self.config
+        # The one place the engine picks classes: the pipeline (and with
+        # it every cache and TLB, the shared L2 pair included) and the
+        # executor; the shield picks the BCU from the same name.
         self.engine = resolve_engine(config.engine)
         if self.engine == "fast":
-            from repro.gpu.fastpath import FastCache, FastTlb
-            cache_cls, tlb_cls = FastCache, FastTlb
+            from repro.gpu.fastpath import FastExecutor, FastMemoryPipeline
+            pipeline_cls = FastMemoryPipeline
+            self._executor_cls = FastExecutor
+            # Issue bursts are exact only while a retired ALU op leaves
+            # its warp ready on the next cycle (DESIGN.md §9).
+            self._executor_options = {"fuse": config.alu_latency <= 1}
         else:
-            cache_cls, tlb_cls = Cache, Tlb
-        self.l2cache = cache_cls(config.l2_bytes, config.l2_assoc,
-                                 config.line_size, name="l2")
-        self.l2tlb = tlb_cls(config.l2tlb_entries, config.l2tlb_assoc,
-                             name="l2tlb")
+            pipeline_cls = MemoryPipeline
+            self._executor_cls = Executor
+            self._executor_options = {}
+        self.l2cache = pipeline_cls.cache_cls(
+            config.l2_bytes, config.l2_assoc, config.line_size, name="l2")
+        self.l2tlb = pipeline_cls.tlb_cls(
+            config.l2tlb_entries, config.l2tlb_assoc, name="l2tlb")
         self.dram = Dram(channels=config.dram_channels,
                          row_bytes=config.dram_row_bytes,
                          line_size=config.line_size,
@@ -112,7 +120,8 @@ class GPU:
             ShaderCore(i, config, driver.memory, driver.space,
                        self.l2cache, self.l2tlb, self.dram,
                        bcu=(self.shield.make_bcu(engine=self.engine)
-                            if self.shield.enabled else None))
+                            if self.shield.enabled else None),
+                       pipeline_cls=pipeline_cls)
             for i in range(config.num_cores)
         ]
         self.observers: Tuple[Observer, ...] = ()
@@ -248,16 +257,7 @@ class GPU:
         return result
 
     def _make_job(self, launch: LaunchContext) -> CoreJob:
-        if self.engine == "fast":
-            from repro.gpu.fastpath import FastExecutor
-            # Issue bursts are exact only while a retired ALU op leaves
-            # its warp ready on the next cycle (DESIGN.md §9).
-            executor_cls = FastExecutor
-            options = {"fuse": self.config.alu_latency <= 1}
-        else:
-            executor_cls = Executor
-            options = {}
-        executor = executor_cls(
+        executor = self._executor_cls(
             kernel=launch.kernel,
             workgroups=launch.workgroups,
             wg_size=launch.wg_size,
@@ -266,7 +266,7 @@ class GPU:
             heap=self.driver.heap,
             heap_tagger=launch.heap_pointer_tagger,
             launch_key=launch.kernel_id,
-            **options,
+            **self._executor_options,
         )
         return CoreJob(executor=executor, launch=launch)
 

@@ -101,6 +101,11 @@ class AccessResult:
 class MemoryPipeline:
     """Coalesce -> translate -> cache -> check -> commit for one core."""
 
+    #: The set-associative structures this engine builds; the GPU builds
+    #: its shared L2 cache and L2 TLB from the same two classes.
+    cache_cls = Cache
+    tlb_cls = Tlb
+
     def __init__(self, core_id: int, config: GPUConfig,
                  memory: PhysicalMemory, space: AddressSpace,
                  l2cache: Cache, l2tlb: Tlb, dram: Dram,
@@ -109,14 +114,16 @@ class MemoryPipeline:
         self.config = config
         self.memory = memory
         self.space = space
-        self.l1d = Cache(config.l1d_bytes, config.l1d_assoc,
-                         config.line_size, name=f"l1d{core_id}")
+        cache_cls = self.cache_cls
+        self.l1d = cache_cls(config.l1d_bytes, config.l1d_assoc,
+                             config.line_size, name=f"l1d{core_id}")
         # Read-only paths (Table 1: constant and texture memory).
-        self.const_cache = Cache(config.const_cache_bytes, 4, 64,
-                                 name=f"const{core_id}")
-        self.tex_cache = Cache(config.tex_cache_bytes, 4,
-                               config.line_size, name=f"tex{core_id}")
-        self.l1tlb = Tlb(config.l1tlb_entries, name=f"l1tlb{core_id}")
+        self.const_cache = cache_cls(config.const_cache_bytes, 4, 64,
+                                     name=f"const{core_id}")
+        self.tex_cache = cache_cls(config.tex_cache_bytes, 4,
+                                   config.line_size, name=f"tex{core_id}")
+        self.l1tlb = self.tlb_cls(config.l1tlb_entries,
+                                  name=f"l1tlb{core_id}")
         self.l2cache = l2cache
         self.l2tlb = l2tlb
         self.dram = dram

@@ -3,71 +3,21 @@
 * per-core L1 TLB: 64 entries, fully associative, LRU;
 * shared L2 TLB: 1024 entries, 32-way, LRU.
 
-Like the caches, TLBs track only residency of virtual page numbers; actual
-translation (and protection) is done by the driver's
+A TLB is a :class:`~repro.gpu.cache.Cache` over virtual page numbers:
+one-byte "lines", so ``access(vpage)`` probes and fills the page number
+itself.  Like the caches, TLBs track only residency; actual translation
+(and protection) is done by the driver's
 :class:`~repro.gpu.memory.AddressSpace`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict
+from repro.gpu.cache import Cache
 
 
-@dataclass
-class TlbStats:
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 1.0
-        return self.hits / self.accesses
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-class Tlb:
-    """A set-associative TLB over virtual page numbers."""
+class Tlb(Cache):
+    """A set-associative LRU TLB over virtual page numbers."""
 
     def __init__(self, entries: int, assoc: int = 0, name: str = "tlb"):
         # assoc == 0 means fully associative.
-        self.name = name
-        self.assoc = assoc or entries
-        if entries % self.assoc:
-            raise ValueError(f"{name}: {entries} entries not divisible into "
-                             f"{self.assoc}-way sets")
-        self.num_sets = entries // self.assoc
-        self._sets: Dict[int, OrderedDict] = {}
-        self.stats = TlbStats()
-
-    def access(self, vpage: int) -> bool:
-        """Probe-and-fill by virtual page number; True on hit."""
-        index = vpage % self.num_sets
-        s = self._sets.get(index)
-        if s is None:
-            s = OrderedDict()
-            self._sets[index] = s
-        if vpage in s:
-            s.move_to_end(vpage)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        if len(s) >= self.assoc:
-            s.popitem(last=False)
-        s[vpage] = True
-        return False
-
-    def flush(self) -> None:
-        self._sets.clear()
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
+        super().__init__(entries, assoc or entries, 1, name)

@@ -72,7 +72,7 @@ ALU_OPS = frozenset({
     "mov", "add", "sub", "mul", "mad", "min", "max", "abs",
     "and", "or", "xor", "not", "shl", "shr",
     "fadd", "fsub", "fmul", "fmad", "fmin", "fmax",
-    "setp", "sel", "cvt",
+    "setp", "sel",
 })
 SFU_OPS = frozenset({"div", "mod", "fdiv", "fsqrt", "fexp", "flog", "frcp"})
 MEM_OPS = frozenset({"ld", "st"})

@@ -80,6 +80,13 @@ class TestFuzzCliErrors:
         assert fuzz_main(["--cases", "1", "--resume"]) == 2
         assert "--journal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parallel", [["--jobs", "2"], ["--resume"]])
+    def test_budget_on_a_parallel_campaign(self, capsys, parallel):
+        from repro.fuzz.cli import main as fuzz_main
+        assert fuzz_main(["--cases", "1", "--budget", "5", *parallel]) == 2
+        assert "--budget applies to serial campaigns only" in \
+            capsys.readouterr().err
+
     def test_uncreatable_out_dir(self, tmp_path, capsys):
         from repro.fuzz.cli import main as fuzz_main
         assert fuzz_main(["--cases", "1",

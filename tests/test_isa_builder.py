@@ -14,6 +14,11 @@ class TestInstr:
         with pytest.raises(ValueError):
             Instr("frobnicate")
 
+    def test_cvt_is_not_an_opcode(self):
+        """Neither engine executes ``cvt``, so it must not validate."""
+        with pytest.raises(ValueError, match="unknown opcode 'cvt'"):
+            Instr("cvt", dst=Reg(0), srcs=(Reg(1),))
+
     def test_mem_needs_space(self):
         with pytest.raises(ValueError):
             Instr("ld", dst=Reg(0), srcs=(Reg(1), Imm(0)))

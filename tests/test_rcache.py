@@ -134,3 +134,55 @@ class TestDefaults:
         assert L1RCache().capacity == 4
         assert L1RCache().policy == "fifo"
         assert L2RCache().capacity == 64
+
+
+#: The BCU's probe order on one bank of 4: fill every way (buffers
+#: 0-3), touch the oldest, overflow with 4, then revisit 0 and 1.
+_OVERFLOW = [0, 1, 2, 3, 0, 4, 0, 1]
+#: FIFO ignores the hit on 0, so 4 evicts 0 and the revisits miss;
+#: LRU keeps the touched 0 and evicts 1.
+_FIFO_PATTERN = [False] * 4 + [True, False, False, False]
+_LRU_PATTERN = [False] * 4 + [True, False, True, False]
+
+
+@pytest.mark.parametrize("cls,policy,partitioned,pattern", [
+    (L1RCache, "fifo", False, _FIFO_PATTERN),
+    (L1RCache, "lru", False, _LRU_PATTERN),
+    (L2RCache, "lru", False, _LRU_PATTERN),
+    (L2RCache, "lru", True, _LRU_PATTERN),
+    (L2RCache, "fifo", True, _FIFO_PATTERN),
+], ids=["l1-fifo", "l1-lru", "l2-lru", "l2-lru-partitioned",
+        "l2-fifo-partitioned"])
+class TestBankOverflow:
+    """Victim choice when a bank overflows, pinned per (level, policy,
+    partitioned) combination."""
+
+    @staticmethod
+    def _lookup_or_fill(cache, kernel_id, buffer_id):   # as the BCU probes
+        hit = cache.lookup(kernel_id, buffer_id) is not None
+        if not hit:
+            cache.fill(entry(buffer_id, kernel_id=kernel_id))
+        return hit
+
+    def test_overflow_pattern(self, cls, policy, partitioned, pattern):
+        cache = cls(entries=4, policy=policy, partitioned=partitioned)
+        hits = [self._lookup_or_fill(cache, 1, b) for b in _OVERFLOW]
+        assert hits == pattern
+        assert cache.stats.hits == sum(pattern)
+        assert cache.stats.misses == len(pattern) - sum(pattern)
+
+    def test_partitioned_banks_do_not_share_victims(self, cls, policy,
+                                                    partitioned, pattern):
+        """A co-resident kernel overflowing its own bank between every
+        probe leaves kernel 1's pattern alone only when partitioned."""
+        cache = cls(entries=4, policy=policy, partitioned=partitioned)
+        hits = []
+        for i, buffer_id in enumerate(_OVERFLOW):
+            hits.append(self._lookup_or_fill(cache, 1, buffer_id))
+            self._lookup_or_fill(cache, 2, 100 + i)
+        if partitioned:
+            assert hits == pattern
+            assert len(cache) == 8      # two full banks of 4
+        else:
+            assert hits != pattern
+            assert len(cache) == 4

@@ -63,7 +63,8 @@ class TestRegistry:
         snap = reg.snapshot()
         assert snap.hit_rate("cores.0.l1d") == 0.9
         # Never-accessed components are vacuously hot — matches the
-        # CacheStats/TlbStats/RCacheStats convention.
+        # CacheStats convention (repro.utils.stats), which caches, TLBs
+        # and RCaches all share.
         assert snap.hit_rate("cores.1.l1d") == 1.0
         assert snap.hit_rate("cores.*.l1d") == 0.9
 
