@@ -4,8 +4,9 @@ Public API surface (see README.md for a tour):
 
 * :class:`GpuSession` — one-stop driver + GPU context;
 * :class:`GpuDevice` — the lifecycle layer underneath every session:
-  reset/snapshot/restore, the launch queue, and the warm device cache
-  (:func:`acquire_device` / :func:`release_device` / :func:`warm_devices`);
+  reset/snapshot/restore, single and co-resident runs, and the warm
+  device cache (:func:`acquire_device` / :func:`release_device` /
+  :func:`warm_devices`);
 * :class:`GpuDriver` / :class:`GPU` — the two halves explicitly;
 * :class:`GPUShield` / :class:`ShieldConfig` / :class:`BCUConfig` —
   mechanism configuration;

@@ -9,7 +9,6 @@ Usage::
     python -m repro fig19                # software-tool comparison
     python -m repro bench --jobs 4       # all sweeps on the parallel runner
     python -m repro fuzz --cases 200     # differential fuzzing campaign
-    python -m repro serve --tenants 3    # multi-tenant serving simulator
     python -m repro race --fuzz-cases 50 # data-race scan (detector + static)
     python -m repro profile --top 10     # hierarchical perf attribution
 
@@ -42,7 +41,6 @@ SUBCOMMANDS = {
     "fuzz": "repro.fuzz.cli",              # differential fuzzing campaign
     "bench": "repro.analysis.bench",       # artefacts on the parallel runner
     "oracle": "repro.oracle.cli",          # conformance oracle
-    "serve": "repro.service.cli",          # multi-tenant serving simulator
     "race": "repro.racedetect.cli",        # race scanner
     "profile": "repro.profiler.cli",       # hierarchical perf attribution
 }

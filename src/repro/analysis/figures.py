@@ -364,7 +364,7 @@ def _run_pair(a: str, b: str, config: GPUConfig,
                                    run_a.wg_size)
         lb = session.driver.launch(run_b.kernel, args_b, run_b.workgroups,
                                    run_b.wg_size)
-        # The §6.2 co-resident pair rides the device launch queue: both
+        # The §6.2 co-resident pair runs through the device: both
         # kernels are admitted together and torn down per kernel through
         # the scoped (partitioned) RCache flush.
         result, _violations = runner_a.device.run_pair([la, lb], mode=mode)

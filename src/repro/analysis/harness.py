@@ -28,11 +28,12 @@ from repro.device import acquire_device, release_device
 from repro.device import memo as warm_memo
 from repro.device.device import GpuDevice
 from repro.driver.allocator import Buffer
+from repro.driver.driver import LaunchContext
 from repro.gpu.config import GPUConfig, nvidia_config
 from repro.gpu.gpu import LaunchResult
 from repro.session import GpuSession
 from repro.workloads.suite import BenchmarkDef
-from repro.workloads.templates import BufferSpec, Workload
+from repro.workloads.templates import BufferSpec, KernelRun, Workload
 
 #: Cap on host-initialised bytes per buffer; the declared allocation can
 #: be larger (Figure 11 footprints) but kernels only touch a prefix.
@@ -170,6 +171,31 @@ class WorkloadRunner:
         """First byte past the workload's own data in buffer ``name``."""
         return self.buffers[name].va + self.buffers[name].size - self.alloc_pad
 
+    def prepare_launch(self, run: KernelRun,
+                       launch_index: int) -> LaunchContext:
+        """Resolve ``run``'s arguments against this runner's buffers,
+        prepare the launch on the driver and apply the
+        ``launch_mutator`` (as launch ``launch_index``)."""
+        driver = self.session.driver
+        args = {}
+        for pname, (kind, value) in run.args.items():
+            if kind == "buf":
+                args[pname] = self.buffers[value]
+            elif kind == "sizeof":
+                args[pname] = self.buffers[value].size - self.alloc_pad
+            elif kind == "delta":
+                src, dst, extra = value
+                args[pname] = (self.buffers[dst].va
+                               - self.buffers[src].va + extra)
+            elif kind == "heap_off":
+                args[pname] = driver.heap.limit + value
+            else:
+                args[pname] = value
+        launch = driver.launch(run.kernel, args, run.workgroups, run.wg_size)
+        if self.launch_mutator is not None:
+            self.launch_mutator(self, launch, launch_index)
+        return launch
+
     def run(self, interposer: Optional[LaunchInterposer] = None) -> RunRecord:
         """Execute all launches; the ``interposer``'s hooks return extra
         cycles to account."""
@@ -181,27 +207,9 @@ class WorkloadRunner:
         launch_index = 0
         for _rep in range(workload.repeats):
             for run in workload.runs:
-                args = {}
-                for pname, (kind, value) in run.args.items():
-                    if kind == "buf":
-                        args[pname] = self.buffers[value]
-                    elif kind == "sizeof":
-                        args[pname] = (self.buffers[value].size
-                                       - self.alloc_pad)
-                    elif kind == "delta":
-                        src, dst, extra = value
-                        args[pname] = (self.buffers[dst].va
-                                       - self.buffers[src].va + extra)
-                    elif kind == "heap_off":
-                        args[pname] = driver.heap.limit + value
-                    else:
-                        args[pname] = value
                 if interposer is not None:
                     record.cycles += interposer.pre_launch(self, None)
-                launch = driver.launch(run.kernel, args,
-                                       run.workgroups, run.wg_size)
-                if self.launch_mutator is not None:
-                    self.launch_mutator(self, launch, launch_index)
+                launch = self.prepare_launch(run, launch_index)
                 launch_index += 1
                 result = gpu.run(launch)
                 violations = driver.finish(launch)

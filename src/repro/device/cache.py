@@ -122,7 +122,6 @@ def release_device(device: Optional[GpuDevice]) -> None:
     """
     if device is None:
         return
-    device.close()
     # Pool hygiene: no observer (tracer, race detector, profiler) may
     # ride along into the idle pool, or the next acquirer's accesses
     # would feed the releaser's still-live trace, shadow or profile.

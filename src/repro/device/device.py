@@ -5,7 +5,7 @@ GPU, caches, TLBs, RCaches, RBT plumbing) and throw it away afterwards.
 :class:`GpuDevice` inverts that lifetime: the device outlives any one
 workload, and callers return it to a known state instead of rebuilding.
 
-Three lifecycle operations:
+The device's operations:
 
 * :meth:`reset` — back to a **bit-identical post-construction state**
   (optionally under a new seed).  This is the warm path: a reset device
@@ -18,11 +18,10 @@ Three lifecycle operations:
   caches, TLBs, RCaches, statistics, memo tables — is scrubbed on
   restore, exactly like the §5.5 context-switch RCache flush: timing
   structures never survive a context transition.
-* the **launch queue** — :meth:`submit` / :meth:`submit_pair` enqueue
-  prepared launches (sequential, or §6.2 co-resident pairs) and
-  :meth:`drain` executes them FIFO; per-kernel teardown runs through
-  the existing scoped RCache flush (partitioned flush per terminating
-  ``kernel_id`` when §6.2 banking is on).
+* :meth:`run` / :meth:`run_pair` — execute one launch, or prepared
+  §6.2 co-resident launches, and ``finish`` each; per-kernel teardown
+  runs through the existing scoped RCache flush (partitioned flush per
+  terminating ``kernel_id`` when §6.2 banking is on).
 
 The distinction that makes reset correct is *architectural vs scratch*
 state.  Architectural state defines what software can observe across
@@ -63,7 +62,7 @@ class DeviceSnapshot:
 
 
 class GpuDevice:
-    """One long-lived simulated GPU: driver, GPU, shield and a queue."""
+    """One long-lived simulated GPU: driver, GPU and shield."""
 
     def __init__(self, config: Optional[GPUConfig] = None,
                  shield: Optional[ShieldConfig] = None,
@@ -75,9 +74,7 @@ class GpuDevice:
         self.engine = self.gpu.engine
         self.seed = seed
         #: Lifetime accounting (surfaced by the device cache stats).
-        self.launches_run = 0
         self.reset_count = 0
-        self._queue: List[Tuple[List[LaunchContext], str]] = []
         self._cache_key = None   # set by repro.device.cache on build
         # The reset target: the device exactly as constructed.  Taken
         # before any launch, so the image is small (a fresh device has
@@ -98,15 +95,7 @@ class GpuDevice:
     # -- lifecycle -------------------------------------------------------------
 
     def snapshot(self) -> DeviceSnapshot:
-        """Capture the current architectural state.
-
-        Refuses while launches are queued: a snapshot must describe a
-        quiesced device, not one with work in flight.
-        """
-        if self._queue:
-            raise RuntimeError(
-                "cannot snapshot a device with queued launches; "
-                "drain() first")
+        """Capture the current architectural state."""
         return DeviceSnapshot(self.driver.state_snapshot(), id(self))
 
     def restore(self, snap: DeviceSnapshot) -> None:
@@ -119,7 +108,6 @@ class GpuDevice:
         """
         if snap._device_id != id(self):
             raise ValueError("snapshot belongs to a different device")
-        self._queue.clear()
         self.driver.restore_state(snap._driver_state)
         self.gpu.reset()
 
@@ -137,64 +125,22 @@ class GpuDevice:
         self.seed = seed
         self.reset_count += 1
 
-    def close(self) -> None:
-        """Discard queued work; the device may be dropped or cached."""
-        self._queue.clear()
-
-    # -- the launch queue ------------------------------------------------------
-
-    def submit(self, kernel: Kernel, args: Dict[str, ArgValue],
-               workgroups: int, wg_size: int) -> LaunchContext:
-        """Prepare one kernel launch and enqueue it (mode ``single``)."""
-        launch = self.driver.launch(kernel, args, workgroups, wg_size)
-        self._queue.append(([launch], "single"))
-        return launch
-
-    def submit_prepared(self, launch: LaunchContext) -> None:
-        """Enqueue an already-prepared launch (mode ``single``)."""
-        self._queue.append(([launch], "single"))
-
-    def submit_pair(self, launches: Sequence[LaunchContext],
-                    mode: str) -> None:
-        """Enqueue prepared co-resident launches (§6.2 modes)."""
-        self._queue.append((list(launches), mode))
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
-    def drain(self) -> List[Tuple[LaunchResult, List[ViolationRecord]]]:
-        """Execute every queued entry FIFO; returns one (result,
-        violations) per entry.
-
-        Teardown is per kernel: each launch is ``finish``-ed as its
-        entry completes, and kernel termination flushes the RCaches
-        through the existing scoped path (the partitioned per-kernel
-        bank flush when §6.2 RCache partitioning is enabled).
-        """
-        out: List[Tuple[LaunchResult, List[ViolationRecord]]] = []
-        while self._queue:
-            launches, mode = self._queue.pop(0)
-            result = self.gpu.run(
-                launches[0] if mode == "single" else launches, mode=mode)
-            violations: List[ViolationRecord] = []
-            for launch in launches:
-                violations.extend(self.driver.finish(launch))
-            self.launches_run += len(launches)
-            out.append((result, violations))
-        return out
-
-    # -- synchronous conveniences (the session facade's surface) ---------------
+    # -- running launches ------------------------------------------------------
 
     def run(self, kernel: Kernel, args: Dict[str, ArgValue],
             workgroups: int, wg_size: int
             ) -> Tuple[LaunchResult, List[ViolationRecord]]:
-        """Submit one launch and drain: (result, violation report)."""
-        self.submit(kernel, args, workgroups, wg_size)
-        return self.drain()[-1]
+        """Prepare, run and finish one launch: (result, violation report)."""
+        launch = self.driver.launch(kernel, args, workgroups, wg_size)
+        result = self.gpu.run(launch)
+        return result, self.driver.finish(launch)
 
     def run_pair(self, launches: Sequence[LaunchContext], mode: str
                  ) -> Tuple[LaunchResult, List[ViolationRecord]]:
-        """Submit prepared co-resident launches and drain."""
-        self.submit_pair(launches, mode)
-        return self.drain()[-1]
+        """Run prepared co-resident launches (§6.2 modes), then finish
+        each in order: (result, violations of every launch)."""
+        result = self.gpu.run(list(launches), mode=mode)
+        violations: List[ViolationRecord] = []
+        for launch in launches:
+            violations.extend(self.driver.finish(launch))
+        return result, violations

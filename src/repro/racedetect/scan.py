@@ -16,8 +16,9 @@ static may-race pass over the same kernels, and cross-checks the two:
 :func:`scan_case` additionally checks a fuzz case's *constructive*
 verdict (:attr:`CaseSpec.race_verdict` — what the generator promises by
 construction) against the dynamic one: a ``race-free`` promise must
-never dynamically race, which is what lets the attack matrix pick safe
-victims without rejection sampling.
+never dynamically race, which is what lets the co-residency matrix
+(``tests/test_coresident_attacks.py``) pick safe victims without
+rejection sampling.
 
 Scans always drive :class:`~repro.analysis.harness.WorkloadRunner`
 directly — never the memoized ``run_workload`` path, whose warm replay

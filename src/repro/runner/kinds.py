@@ -40,7 +40,6 @@ _LAZY: Dict[str, str] = {
     "fuzz.shard": "repro.fuzz.parallel:run_shard_job",
     "bench.artifact": "repro.analysis.bench:run_artifact_job",
     "oracle.diff": "repro.oracle.runner:oracle_diff_job",
-    "service.shard": "repro.service.executor:run_service_shard",
     "sweep.shard": "repro.runner.sweep:run_sweep_shard",
 }
 

@@ -10,8 +10,8 @@ index-dependent behaviour (the fuzz campaign's every-Nth determinism
 re-check) exactly, and makes merging a simple ordered concatenation.
 
 :func:`plan_slice_jobs` and :func:`merge_slices` are that plan and that
-merge for every sharded runner kind (fuzz campaigns, serving
-placements, analysis sweeps): each job carries its slice's
+merge for every sharded runner kind (fuzz campaigns, artefact
+slices, analysis sweeps): each job carries its slice's
 ``index_base``, and the merge concatenates slices in that order, so
 completion order never shows.
 """

@@ -4,7 +4,7 @@ Most examples, tests and benchmarks follow the same pattern — create a
 driver and a GPU with some shield configuration, allocate buffers, launch
 a kernel, run it and read the results.  :class:`GpuSession` packages that
 pattern as a thin facade over :class:`~repro.device.device.GpuDevice`,
-which owns the driver/GPU/shield stack and the launch queue:
+which owns the driver/GPU/shield stack:
 
 >>> from repro import GpuSession, nvidia_config
 >>> session = GpuSession(nvidia_config(num_cores=2))

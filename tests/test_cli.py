@@ -52,6 +52,10 @@ class TestBaseCliErrors:
         err = capsys.readouterr().err
         assert "fig99" in err and "list" in err
 
+    def test_serve_is_no_longer_a_subcommand(self, capsys):
+        assert main(["serve"]) == 2
+        assert "unknown artefact 'serve'" in capsys.readouterr().err
+
     def test_no_arguments_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -207,31 +211,12 @@ class TestProfileCliErrors:
         assert "cannot create" in capsys.readouterr().err
 
 
-class TestServeOracleCliErrors:
-    def test_serve_rejects_bad_tenant_counts(self, capsys):
-        from repro.service.cli import main as serve_main
-        assert serve_main(["--tenants", "0"]) == 2
-        assert serve_main(["--tenants", "2", "--attackers", "3"]) == 2
-        assert "tenants" in capsys.readouterr().err
-
-    def test_serve_rejects_bad_attack_ratio(self, capsys):
-        from repro.service.cli import main as serve_main
-        assert serve_main(["--attack-ratio", "1.5"]) == 2
-        assert "[0, 1]" in capsys.readouterr().err
-
+class TestOracleCliErrors:
     def test_oracle_rejects_unknown_command(self):
         from repro.oracle.cli import main as oracle_main
         with pytest.raises(SystemExit) as exc:
             oracle_main(["frobnicate"])
         assert exc.value.code == 2
-
-    def test_serve_uncreatable_out_dir(self, tmp_path, capsys):
-        from repro.service.cli import main as serve_main
-        assert serve_main(["--requests", "1",
-                           "--out", str(_blocked(tmp_path))]) == 2
-        captured = capsys.readouterr()
-        assert "cannot create --out directory" in captured.err
-        assert "service run" not in captured.out   # nothing ran
 
     def test_oracle_uncreatable_report_dir(self, tmp_path, capsys):
         from repro.oracle.cli import main as oracle_main

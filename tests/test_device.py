@@ -33,7 +33,7 @@ def _device(seed=11, shielded=True, cores=2):
 
 
 def _run_vecadd(device):
-    """One vecadd through the launch queue; returns an observables tuple."""
+    """One vecadd through ``device.run``; returns an observables tuple."""
     drv = device.driver
     a = drv.malloc(4 * N, name="a", read_only=True)
     b = drv.malloc(4 * N, name="b", read_only=True)
@@ -47,7 +47,7 @@ def _run_vecadd(device):
 
 
 def _run_pair(device, mode):
-    """Two co-resident vecadds (§6.2) through the launch queue."""
+    """Two co-resident vecadds (§6.2) through ``device.run_pair``."""
     drv = device.driver
     launches, outs = [], []
     for _ in range(2):
@@ -151,36 +151,6 @@ class TestSnapshotRestore:
         snap = a.snapshot()
         with pytest.raises(ValueError, match="different device"):
             b.restore(snap)
-
-    def test_snapshot_refuses_queued_launches(self):
-        device = _device(seed=5)
-        drv = device.driver
-        a = drv.malloc(4 * N, read_only=True)
-        b = drv.malloc(4 * N, read_only=True)
-        c = drv.malloc(4 * N)
-        device.submit(build_vecadd(), {"a": a, "b": b, "c": c, "n": N},
-                      2, 64)
-        assert device.pending == 1
-        with pytest.raises(RuntimeError, match="queued launches"):
-            device.snapshot()
-        device.drain()
-        assert device.pending == 0
-        device.snapshot()   # quiesced again
-
-    def test_drain_is_fifo_over_queued_entries(self):
-        device = _device(seed=3)
-        drv = device.driver
-        for _ in range(3):
-            a = drv.malloc(4 * N, read_only=True)
-            b = drv.malloc(4 * N, read_only=True)
-            c = drv.malloc(4 * N)
-            device.submit(build_vecadd(),
-                          {"a": a, "b": b, "c": c, "n": N}, 2, 64)
-        assert device.pending == 3
-        results = device.drain()
-        assert len(results) == 3
-        assert device.pending == 0
-        assert device.launches_run == 3
 
 
 class TestDeviceCache:

@@ -126,6 +126,5 @@ class TestSliceJobs:
 
 def test_builtin_kinds_resolve():
     assert sorted(_LAZY) == ["bench.artifact", "fuzz.shard",
-                             "oracle.diff", "service.shard",
-                             "sweep.shard"]
+                             "oracle.diff", "sweep.shard"]
     assert all(callable(resolve(kind)) for kind in _LAZY)
