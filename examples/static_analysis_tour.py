@@ -14,7 +14,6 @@ Run:  python examples/static_analysis_tour.py
 """
 
 from repro import GpuSession, KernelBuilder, ShieldConfig, nvidia_config
-from repro.compiler.bat import AccessVerdict
 from repro.compiler.dataflow import LaunchBounds
 from repro.compiler.lowering import lower_kernel
 from repro.compiler.static_bounds import StaticBoundsChecker

@@ -25,7 +25,8 @@ exactly the same arithmetic with flat pre-bound structures:
   ``s == 0``) skips the lane loops: its transactions are every line of
   ``[a0, a0 + (n-1)*s + size - 1]``, and when ``s == size`` inside one
   64 KiB chunk its data moves with one ``Struct('<{n}{code}')``
-  ``unpack_from`` or ``pack``.  Integer stores pack the reference's
+  ``unpack_from`` or ``pack``; a ``s == 0`` load inside one chunk reads
+  its value once for every lane.  Integer stores pack the reference's
   ``(int(v) + lim) % lim`` residue with the unsigned code, ``i32`` and
   ``i64`` included; a pack that raises falls back to the per-lane loop;
 * :class:`FastExecutor` — every opcode compiled to one closure, once
@@ -39,7 +40,8 @@ exactly the same arithmetic with flat pre-bound structures:
   the reference's ``int()`` on them (a full warp's addresses are one
   ``map(and_, map(add, base, offset), masks)``), and the ``endloop`` of
   a counted loop whose body is all non-SFU ALU ops replays the loop's
-  remaining iterations inside one ``step``.
+  remaining iterations inside one ``step`` (through one generated
+  Python function per body when every op is a non-raising integer op).
 
 **Bit-identity contract**: every class here must produce exactly the
 cycle counts, stats-counter values, functional memory contents and
@@ -56,7 +58,7 @@ from __future__ import annotations
 import operator
 import struct
 import weakref
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.core.bcu import (BCUAccessChecker, BoundsCheckingUnit,
                             KernelSecurityContext)
@@ -70,7 +72,7 @@ from repro.gpu.executor import (_ALU_FUNCS, _CMP_FUNCS, _UNARY_FUNCS,
                                 Executor, Instr, MemRequest, WarpState)
 from repro.gpu.memory import _CHUNK_BITS, _CHUNK_MASK, _CHUNK_SIZE
 from repro.gpu.pipeline import AccessResult, MemoryPipeline
-from repro.isa.instructions import DTYPE_SIZE, Imm, Reg
+from repro.isa.instructions import DTYPE_SIZE, SPECIAL_NAMES, Imm, Reg, Special
 
 _F32 = struct.Struct("<f")
 
@@ -595,6 +597,9 @@ class FastMemoryPipeline(MemoryPipeline):
                 self._bulk_stores(request, a0, n, size)
             else:
                 self._bulk_loads(warp, request, a0, n, size)
+        elif (stride == 0 and not is_store
+              and (a0 & _CHUNK_MASK) + size <= _CHUNK_SIZE):
+            self._broadcast_loads(warp, request, a0, n, size)
         elif is_store:
             self._fast_stores(request)
         else:
@@ -643,6 +648,21 @@ class FastMemoryPipeline(MemoryPipeline):
         else:
             dst[:n] = _run_struct(_LOAD_CODES[dtype], n).unpack_from(
                 chunk, a0 & _CHUNK_MASK)
+        memory.bytes_read += n * size
+
+    def _broadcast_loads(self, warp: WarpState, request: MemRequest,
+                         a0: int, n: int, size: int) -> None:
+        """``n`` lanes at one address in one chunk: one ``unpack_from``,
+        repeated (``bytes_read`` counts every lane, as the lane loop)."""
+        memory = self.memory
+        chunk = memory._chunks.get(a0 >> _CHUNK_BITS)
+        dtype = request.dtype
+        if chunk is None:
+            value = 0.0 if dtype == "f32" else 0
+        else:
+            value, = _run_struct(_LOAD_CODES[dtype], 1).unpack_from(
+                chunk, a0 & _CHUNK_MASK)
+        warp.regs[request.dst][:n] = [value] * n
         memory.bytes_read += n * size
 
     def _bulk_stores(self, request: MemRequest, a0: int, n: int,
@@ -856,6 +876,30 @@ _C_CMP_FUNCS = {
 }
 
 
+#: Ops a replayed loop body may hold to get generated code: on exact
+#: ``int`` lanes none of them can raise.  ``_GEN_EXPRS`` is each one's
+#: lane expression over its operand terms (``min``/``max`` pick as the
+#: builtins do), ``_GEN_CMPS`` the ``setp`` comparisons and
+#: ``_GEN_ARITY`` the operand count where it is not 2.
+_GEN_EXPRS = {
+    "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}",
+    "and": "{0} & {1}", "or": "{0} | {1}", "xor": "{0} ^ {1}",
+    "min": "{1} if {1} < {0} else {0}", "max": "{1} if {1} > {0} else {0}",
+    "mov": "{0}", "sel": "{1} if {0} else {2}",
+    "setp": "1 if {0} {cmp} {1} else 0",
+}
+_GEN_CMPS = {"lt": "<", "le": "<=", "eq": "==", "ne": "!=", "gt": ">",
+             "ge": ">="}
+_GEN_ARITY = {"mov": 1, "sel": 3}
+#: Specials whose lanes all hold one value.
+_UNIFORM_SPECIALS = frozenset({"ctaid", "ntid", "nctaid"})
+
+
+def _gen_srcs(instr: Instr):
+    """The operands a generated op reads."""
+    return instr.srcs[:_GEN_ARITY.get(instr.op, 2)]
+
+
 #: Writers whose every lane is an exact ``int`` whatever their operands.
 _INT_ALWAYS = frozenset({"and", "or", "xor", "shl", "shr", "not", "setp",
                          "loop", "endloop"})
@@ -963,9 +1007,11 @@ def _lane_writer(fn, getters):
 
 
 #: Compiled programs by kernel identity: ``id(kernel) -> (ref,
-#: {(warp_size, non_int_args): program})``, where ``non_int_args`` is
-#: the frozenset of argument registers whose launch value is not an
-#: exact ``int`` (the integer-register proof depends on it).
+#: {(warp_size, non_int_args): (program, replays)})``, where
+#: ``replays`` maps each replaying ``endloop`` pc to its generated
+#: source (or ``None``) and ``non_int_args`` is the frozenset of
+#: argument registers whose launch value is not an exact ``int`` (the
+#: integer-register proof depends on it).
 #: Process-wide, because one kernel object launches on several devices
 #: (a fuzz case runs under six configs), and not stored on the kernel,
 #: which must stay picklable.  Identity, not equality: ``Imm(1) ==
@@ -1026,6 +1072,21 @@ class FastExecutor(Executor):
     entry, the induction register, ``warp.pc`` and both counters where
     the reference leaves them.  Without ``fuse`` a step is one
     instruction, as in the reference.
+
+    A body whose ops are all ``add/sub/mul/and/or/xor/min/max/mov/setp/
+    sel`` over proven-``int`` registers, ``int`` immediates and
+    specials, none writing the induction register, also gets *generated
+    code* (:meth:`_generate_replay`): one Python function, compiled once
+    with the program, that keeps the body's registers in locals, runs
+    each op as one list comprehension (or, when every register the body
+    reads holds one value in all lanes, as one scalar statement) and
+    writes the results back once.  None of those ops can raise on
+    ``int`` lanes.  It runs only when two guards, tested once per
+    replay, hold: the warp mask is full, and every body predicate
+    selects every lane (a register the body never writes, all true, or
+    all false when inverted).  Otherwise the closure replay above runs,
+    as it does for every other body.  :meth:`source` returns a
+    replaying ``endloop``'s generated source.
     """
 
     def __init__(self, *args, fuse: bool, **kwargs):
@@ -1051,15 +1112,17 @@ class FastExecutor(Executor):
                                  self.initial_regs.items()
                                  if type(value) is not int)
         program_key = (self.warp_size, non_int_args)
-        program = entry[1].get(program_key)
-        if program is None:
+        compiled = entry[1].get(program_key)
+        if compiled is None:
             self._all_lanes = list(range(self.warp_size))
             self._ints = _int_registers(kernel, non_int_args)
             program = [self._compile(instr, pc)
                        for pc, instr in enumerate(self.instructions)]
-            self._compile_replays(program)
-            entry[1][program_key] = program
-        self._program = program
+            compiled = entry[1][program_key] = (
+                program, self._compile_replays(program))
+        #: The closure per pc, and ``{endloop pc: generated source or
+        #: None}`` for every replaying ``endloop``.
+        self._program, self._replays = compiled
 
     def make_warp(self, wg: int, warp_in_wg: int,
                   warp_id: int) -> WarpState:
@@ -1403,23 +1466,153 @@ class FastExecutor(Executor):
                 raise IsaError(f"unhandled opcode {op!r}")
         return run
 
-    def _compile_replays(self, program: List) -> None:
+    def _compile_replays(self, program: List) -> Dict[int, Optional[str]]:
         """Give every counted loop whose body holds only non-SFU ALU ops
-        an ``endloop`` that replays it (see the class docstring)."""
+        an ``endloop`` that replays it (see the class docstring), and
+        return ``{endloop pc: generated source or None}``."""
         instructions = self.instructions
+        replays = {}
         for loop_pc, end_pc in self.flow.items():
             if instructions[loop_pc].op != "loop":
                 continue
             body = instructions[loop_pc + 1:end_pc]
             if all(i.op in _ALU_OPS and i.category == "alu" for i in body):
+                fn, source = self._generate_replay(
+                    instructions[end_pc], end_pc, body) or (None, None)
                 program[end_pc] = self._replay_endloop(
                     instructions[end_pc], end_pc,
-                    tuple(program[loop_pc + 1:end_pc]), program[end_pc])
+                    tuple(program[loop_pc + 1:end_pc]), program[end_pc], fn)
+                replays[end_pc] = source
+        return replays
 
-    def _replay_endloop(self, instr: Instr, pc: int, body: tuple, plain):
+    def _generate_replay(self, instr: Instr, pc: int, body: List):
+        """``(fn, source)``: one generated Python function that runs
+        every remaining iteration of ``body``, or ``None`` when the body
+        does not qualify.
+
+        It qualifies when every op is in :data:`_GEN_EXPRS`, every
+        operand is a proven ``int`` register, an ``int`` immediate or a
+        known special, no op writes the induction register, and no
+        predicate reads a register the body or its ``endloop`` writes.
+        No such op can raise on ``int`` lanes, so the generated function
+        needs no fault bookkeeping.
+
+        ``fn(warp, regs, start, count)`` first tests, once, that the
+        warp mask is full and every body predicate selects every lane;
+        if not, it returns ``False`` having done nothing.  Otherwise the
+        body's registers live in locals and the induction register is
+        the scalar ``done``.  When every register the body reads holds
+        one value in all lanes, and it reads no lane-varying special,
+        each op is one scalar statement and each destination is written
+        back as ``[value] * ws``; else each op is one list
+        comprehension and each destination is written back as the last
+        one's fresh list (``mov`` copies).  Either way the induction
+        register then gets the reference's in-place ``count - 1``.  The
+        caller guarantees ``start < count``.
+        """
+        ivi = instr.dst.index
+        ws = self.warp_size
+        ints = self._ints
+        written = {ivi}
+        guards = []
+        for op in body:
+            if op.op not in _GEN_EXPRS or (op.op == "setp"
+                                           and op.cmp not in _GEN_CMPS):
+                return None
+            if not all(s.name in SPECIAL_NAMES if isinstance(s, Special)
+                       else _exact_int(s, ints) for s in _gen_srcs(op)):
+                return None
+            written.add(op.dst.index)
+            if op.pred is not None:
+                guard = (op.pred.index, op.pred_invert)
+                if guard not in guards:
+                    guards.append(guard)
+        if any(index in written for index, _inv in guards):
+            return None
+        srcs = [s for op in body for s in _gen_srcs(op)]
+        read = sorted({s.index for s in srcs
+                       if isinstance(s, Reg) and s.index != ivi})
+        specials = sorted({s.name for s in srcs if isinstance(s, Special)})
+        dsts = sorted(written - {ivi})
+
+        def term(src):
+            """The operand's lane value: ``u<i>`` for register ``i``,
+            ``u_<name>`` for a special, or a scalar expression."""
+            if isinstance(src, Imm):
+                return f"({src.value!r})"
+            if isinstance(src, Special):
+                return f"u_{src.name}"
+            return "done" if src.index == ivi else f"u{src.index}"
+
+        def expr(op):
+            return _GEN_EXPRS[op.op].format(*map(term, _gen_srcs(op)),
+                                            cmp=_GEN_CMPS.get(op.cmp))
+
+        def vector_op(op):
+            """The op's new list: ``r<i>`` holds register ``i``'s lanes,
+            ``s_<name>`` a special's."""
+            pairs = []          # (lane value, its list), each once
+            for src in _gen_srcs(op):
+                if isinstance(src, Special):
+                    pair = (f"u_{src.name}", f"s_{src.name}")
+                elif isinstance(src, Reg) and src.index != ivi:
+                    pair = (f"u{src.index}", f"r{src.index}")
+                else:
+                    continue
+                if pair not in pairs:
+                    pairs.append(pair)
+            if not pairs:
+                return f"[{expr(op)}] * {ws}"
+            lanes, lists = zip(*pairs)
+            if op.op == "mov":
+                return f"{lists[0]}[:]"
+            source = (lists[0] if len(lists) == 1
+                      else f"zip({', '.join(lists)})")
+            return f"[{expr(op)} for {', '.join(lanes)} in {source}]"
+
+        lines = ["def replay(warp, regs, start, count):",
+                 "    if not all(warp.mask):",
+                 "        return False"]
+        for index, inv in guards:
+            test = f"any(regs[{index}])" if inv else f"not all(regs[{index}])"
+            lines += [f"    if {test}:", "        return False"]
+        lines += [f"    s_{name} = _s_{name}(warp)" for name in specials]
+        lines += [f"    r{index} = regs[{index}]" for index in read]
+        scalar = ["for done in range(start, count):"]
+        scalar += [f"    u{op.dst.index} = {expr(op)}" for op in body]
+        scalar += [f"regs[{index}] = [u{index}] * {ws}" for index in dsts]
+        vector = ["for done in range(start, count):"]
+        vector += [f"    r{op.dst.index} = {vector_op(op)}" for op in body]
+        vector += [f"regs[{index}] = r{index}" for index in dsts]
+        if set(specials) <= _UNIFORM_SPECIALS:
+            uniform = [f"r{index}.count(r{index}[0]) == {ws}"
+                       for index in read]
+            scalar[:0] = [f"u{index} = r{index}[0]" for index in read]
+            scalar[:0] = [f"u_{name} = s_{name}[0]" for name in specials]
+            if uniform:
+                lines.append(f"    if {' and '.join(uniform)}:")
+                lines += ["        " + line for line in scalar]
+                lines.append("    else:")
+                lines += ["        " + line for line in vector]
+            else:
+                lines += ["    " + line for line in scalar]
+        else:
+            lines += ["    " + line for line in vector]
+        lines += [f"    regs[{ivi}][:] = [count - 1] * {ws}",
+                  "    return True"]
+        source = "\n".join(lines) + "\n"
+        namespace = {f"_s_{name}": self._getter(Special(name))
+                     for name in specials}
+        exec(compile(source, f"<replay {self.kernel.name} pc {pc}>",
+                     "exec"), namespace)
+        return namespace["replay"], source
+
+    def _replay_endloop(self, instr: Instr, pc: int, body: tuple, plain,
+                        generated):
         """An ``endloop`` that, under ``fuse``, runs every remaining
         iteration of its all-ALU ``body``; ``plain`` is the one-step
-        ``endloop`` it stands in for without ``fuse``."""
+        ``endloop`` it stands in for without ``fuse``, and ``generated``
+        the body's generated function (or ``None``), tried first."""
         ivi = instr.dst.index
         nxt = pc + 1
         ws = self.warp_size
@@ -1432,24 +1625,27 @@ class FastExecutor(Executor):
             entry = warp.stack[-1]
             done = start = entry[3]
             count = entry[2]
-            body_pc = entry[1]
             regs = warp.regs
-            try:
-                while done < count:
-                    entry[3] = done + 1
-                    regs[ivi][:] = [done] * ws
-                    warp.pc = body_pc
-                    for op in body:
-                        op(warp)
-                    done += 1
-            except BaseException:
-                # The faulting op left warp.pc on itself: count it and
-                # everything before it, as the reference's steps would.
-                retired = ((done - start) * per_iteration
-                           + warp.pc - body_pc + 1)
-                executor.instructions_executed += retired
-                executor.replayed += retired
-                raise
+            if not (generated is not None and done < count
+                    and generated(warp, regs, done, count)):
+                body_pc = entry[1]
+                try:
+                    while done < count:
+                        entry[3] = done + 1
+                        regs[ivi][:] = [done] * ws
+                        warp.pc = body_pc
+                        for op in body:
+                            op(warp)
+                        done += 1
+                except BaseException:
+                    # The faulting op left warp.pc on itself: count it
+                    # and everything before it, as the reference's
+                    # steps would.
+                    retired = ((done - start) * per_iteration
+                               + warp.pc - body_pc + 1)
+                    executor.instructions_executed += retired
+                    executor.replayed += retired
+                    raise
             warp.stack.pop()
             warp.pc = nxt
             retired = (count - start) * per_iteration
@@ -1457,6 +1653,12 @@ class FastExecutor(Executor):
             executor.replayed += retired
             return _CTRL
         return run
+
+    def source(self, pc: int) -> Optional[str]:
+        """The generated source of the replaying ``endloop`` at ``pc``,
+        or ``None`` (not a replaying ``endloop``, or a body that keeps
+        the closure replay only)."""
+        return self._replays.get(pc)
 
     # -- dispatch -------------------------------------------------------------
 

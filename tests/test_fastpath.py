@@ -876,21 +876,38 @@ class TestIntRegisters:
         assert set(programs) == {(_WS, frozenset()),
                                  (_WS, frozenset({0}))}
 
-    @settings(max_examples=150, deadline=None)
-    @given(spec=st.data())
-    def test_random_kernels_match_reference(self, spec):
+    def test_random_kernels_match_reference(self, monkeypatch):
+        """Random kernels run alike on both engines: 150 mixed ones,
+        then 60 all-integer ones whose loop bodies get generated code.
+        Those run it exactly when every body predicate selects every
+        lane, and at least a third of them must."""
         from repro.gpu.fastpath import _int_registers
 
-        kernel, scalar = _mixed_kernel(spec)
-        slow = _mixed_launch("slow", kernel, scalar)
-        fast = _mixed_launch("fast", kernel, scalar)
-        assert slow == fast
-        # The proof is sound on what the run left: proven means int.
-        proven = _int_registers(kernel, frozenset(
-            () if type(scalar) is int else (1,)))
-        for regs in fast[1]:
-            for index in proven:
-                assert all(t is int for t, _v in regs[index]), index
+        generated = _generated_runs(monkeypatch)
+        for fusable, examples in ((False, 150), (True, 60)):
+            took = []
+
+            @settings(max_examples=examples, deadline=None)
+            @given(spec=st.data())
+            def check(spec):
+                kernel, scalar = _mixed_kernel(spec, fusable)
+                slow = _mixed_launch("slow", kernel, scalar)
+                del generated[:]
+                fast = _mixed_launch("fast", kernel, scalar)
+                assert slow == fast
+                if fusable:
+                    took.append(bool(generated) and all(generated))
+                    assert took[-1] == _guards_pass(kernel)
+                # The proof is sound on what the run left: proven means
+                # int.
+                proven = _int_registers(kernel, frozenset(
+                    () if type(scalar) is int else (1,)))
+                for regs in fast[1]:
+                    for index in proven:
+                        assert all(t is int for t, _v in regs[index]), index
+
+            check()
+        assert sum(took) >= len(took) // 3, (sum(took), len(took))
 
 
 #: Operands of the random mixed kernels: general registers, the loop
@@ -898,31 +915,53 @@ class TestIntRegisters:
 _MIXED_REGS = list(range(1, 8))
 
 
-def _mixed_kernel(data):
+def _mixed_kernel(data, fusable=False):
     """A random kernel over ``buf`` (r0) and scalar ``s`` (r1) whose
     registers r2-r7 mix int producers (integer ALU, i32/u64 loads, int
     immediates) and float producers (``fdiv``, ``fsqrt``, f32 loads,
     float immediates), optionally under a predicate and inside a loop.
     Addresses stay inside ``buf``: every memory op indexes it with
-    ``(x & 15) << 2``."""
+    ``(x & 15) << 2``.
+
+    A ``fusable`` kernel is all-integer instead: only the ops a replayed
+    body's generated code may hold, over r2-r7, the induction register, specials and ``int``
+    immediates, around a loop of 2 or 3 iterations, so the replay's
+    generated code qualifies.  Its predicate (``lane < k``, maybe
+    inverted) selects every lane, none, or some."""
+    from repro.gpu.fastpath import _GEN_ARITY, _GEN_CMPS, _GEN_EXPRS
     from repro.isa.instructions import Imm, Instr, Reg, Special
     from repro.isa.program import Kernel, KernelParam
 
     draw = data.draw
     addr, iv, pred = Reg(8), Reg(9), Reg(10)
+    bound = draw(st.sampled_from([0, 40]) if fusable and draw(
+        st.integers(0, 2)) else st.integers(0, 40))
 
     def operand():
         kind = draw(st.sampled_from(["reg", "reg", "special", "imm"]))
         if kind == "reg":
-            return Reg(draw(st.sampled_from(_MIXED_REGS + [9])))
+            regs = _MIXED_REGS[1:] if fusable else _MIXED_REGS
+            return Reg(draw(st.sampled_from(regs + [9])))
         if kind == "special":
             return Special(draw(st.sampled_from(["gtid", "lane"])))
+        if fusable:
+            return Imm(draw(st.integers(-9, 9)))
         return Imm(draw(st.one_of(st.integers(-9, 9), st.booleans(),
                                   st.sampled_from([0.5, 2.5, -1.25]))))
 
     def statement():
         dst = Reg(draw(st.sampled_from(_MIXED_REGS[1:])))
         p = pred if draw(st.integers(0, 3)) == 0 else None
+        if fusable:
+            kind = draw(st.sampled_from(sorted(_GEN_EXPRS)))
+            srcs = tuple(operand() for _ in range(_GEN_ARITY.get(kind, 2)))
+            # Mostly the sense that selects every lane or none: lane <
+            # bound is all true for bound >= 32, all false for 0.
+            invert = (bound == 0) != (draw(st.integers(0, 3)) == 3)
+            return [Instr(kind, dst=dst, srcs=srcs, pred=p,
+                          pred_invert=invert,
+                          cmp=draw(st.sampled_from(sorted(_GEN_CMPS)))
+                          if kind == "setp" else None)]
         kind = draw(st.sampled_from([
             "add", "sub", "min", "max", "fadd", "fmul", "mov", "sel",
             "and", "xor", "shl", "setp", "not", "mad", "fdiv", "fsqrt",
@@ -951,16 +990,15 @@ def _mixed_kernel(data):
         return [Instr(kind, dst=dst, srcs=srcs, pred=p,
                       cmp="lt" if kind == "setp" else None)]
 
-    body = [Instr("setp", dst=pred, srcs=(Special("lane"),
-                                          Imm(draw(st.integers(0, 40)))),
+    body = [Instr("setp", dst=pred, srcs=(Special("lane"), Imm(bound)),
                   cmp="lt")]
     statements = [statement() for _ in range(draw(st.integers(1, 8)))]
-    lo = draw(st.integers(0, len(statements)))
-    hi = draw(st.integers(lo, len(statements)))
+    lo = draw(st.integers(0, len(statements) - fusable))
+    hi = draw(st.integers(lo + fusable, len(statements)))
     for i, stmt in enumerate(statements):
         if i == lo and hi > lo:
-            body.append(Instr("loop", dst=iv,
-                              srcs=(Imm(draw(st.integers(0, 3))),)))
+            body.append(Instr("loop", dst=iv, srcs=(Imm(draw(
+                st.integers(2 if fusable else 0, 3))),)))
         body.extend(stmt)
         if i == hi - 1 and hi > lo:
             body.append(Instr("endloop", dst=iv))
@@ -971,6 +1009,19 @@ def _mixed_kernel(data):
                     arg_regs={"buf": 0, "s": 1})
     scalar = draw(st.sampled_from([3, 2.5, True]))
     return kernel, scalar
+
+
+def _guards_pass(kernel):
+    """Whether a fusable :func:`_mixed_kernel`'s loop body predicates
+    select every lane of a full warp: ``lane < bound`` is all true for
+    ``bound >= 32`` and all false for ``bound == 0``."""
+    instrs = kernel.instructions
+    bound = instrs[0].srcs[1].value
+    ops = [i.op for i in instrs]
+    body = instrs[ops.index("loop") + 1:ops.index("endloop")]
+    return all(i.pred is None
+               or (bound == 0 if i.pred_invert else bound >= 32)
+               for i in body)
 
 
 def _mixed_launch(engine_name, kernel, scalar):
@@ -1027,6 +1078,29 @@ def _issue_to_end(executor, warp):
         return retired + executor.burst, str(exc)
 
 
+def _generated_runs(monkeypatch):
+    """Record every call of a replay's generated code from now on: the
+    returned list gets ``True`` when it ran the loop, ``False`` when a
+    guard sent the replay down the closure path."""
+    calls = []
+    generate = FastExecutor._generate_replay
+
+    def recording(executor, *args):
+        made = generate(executor, *args)
+        if made is None:
+            return None
+        fn, source = made
+
+        def run(*fn_args):
+            ran = fn(*fn_args)
+            calls.append(ran)
+            return ran
+        return run, source
+
+    monkeypatch.setattr(FastExecutor, "_generate_replay", recording)
+    return calls
+
+
 def _loop_state(executor_cls, instrs, mask=None, **options):
     """Run one warp of a hand-built kernel to its end: everything the
     reference leaves observable, plus the executor (for ``replayed``)."""
@@ -1076,6 +1150,7 @@ class TestLoopReplay:
     def test_body_op_raising_mid_replay_leaves_reference_state(self):
         (retired, error, pc, stack, *_rest), executor = self._compare(
             self._shift_loop(4))
+        assert executor.source(5) is None       # shl may raise
         assert error == "negative shift count"
         # Faulted in iteration 3 on the shl, with the loop entry live.
         assert pc == 3 and stack == [["loop", 2, 4, 4]]
@@ -1116,11 +1191,92 @@ class TestLoopReplay:
             Instr("endloop", dst=Reg(3)),
         ]
         _state, executor = self._compare(instrs)
-        names = [run.__qualname__.split(".")[1] for run in executor._program]
-        assert names[3] == "_replay_endloop"
-        assert names[5] == "_compile_ctrl"
+        assert list(executor._replays) == [3]
         # Each of the 3 outer iterations replays 3 inner iterations.
         assert executor.replayed == 3 * 3 * 2
+
+    # -- generated code -------------------------------------------------
+
+    def _memcheck_loop(self, bound=100, invert=False, acc="gtid"):
+        """CUDA-MEMCHECK's check loop: ``acc = (acc + i) & 0xFFFF`` under
+        the memory op's predicate ``gtid < bound`` (inverted on request),
+        written before the loop.  ``acc`` starts as a special: ``gtid``
+        differs per lane, ``ctaid`` is one value in all of them (as a
+        shadow-table entry broadcast to the warp is)."""
+        from repro.isa.instructions import Imm, Instr, Reg, Special
+        return [
+            Instr("setp", dst=Reg(4), srcs=(Special("gtid"), Imm(bound)),
+                  cmp="lt"),
+            Instr("mov", dst=Reg(1), srcs=(Special(acc),)),
+            Instr("loop", dst=Reg(2), srcs=(Imm(64),)),
+            Instr("add", dst=Reg(1), srcs=(Reg(1), Reg(2)), pred=Reg(4),
+                  pred_invert=invert),
+            Instr("and", dst=Reg(1), srcs=(Reg(1), Imm(0xFFFF)),
+                  pred=Reg(4), pred_invert=invert),
+            Instr("endloop", dst=Reg(2)),
+        ]
+
+    @pytest.mark.parametrize("acc", ["gtid", "ctaid"])
+    def test_memcheck_body_runs_generated(self, monkeypatch, acc):
+        calls = _generated_runs(monkeypatch)
+        _state, executor = self._compare(self._memcheck_loop(acc=acc))
+        source = executor.source(5)
+        # One value in every lane: scalars; otherwise list comprehensions.
+        assert f"if r1.count(r1[0]) == {_WS}:" in source
+        assert "u1 = u1 + done" in source
+        assert "r1 = [u1 + done for u1 in r1]" in source
+        assert executor.source(2) is None and executor.source(4) is None
+        assert calls == [True]
+        assert executor.replayed == 63 * 3
+
+    def test_inverted_all_false_predicate_runs_generated(self, monkeypatch):
+        calls = _generated_runs(monkeypatch)
+        self._compare(self._memcheck_loop(bound=0, invert=True))
+        assert calls == [True]
+
+    @pytest.mark.parametrize("case", ["one lane false", "all true inverted",
+                                      "partial mask"])
+    def test_guards_fall_back_to_the_closure_replay(self, monkeypatch, case):
+        calls = _generated_runs(monkeypatch)
+        instrs = self._memcheck_loop(bound=_WS - 1 if case == "one lane false"
+                                     else 100,
+                                     invert=case == "all true inverted")
+        mask = ([l != 3 for l in range(_WS)] if case == "partial mask"
+                else None)
+        _state, executor = self._compare(instrs, mask=mask)
+        assert calls == [False]
+        assert executor.replayed == 63 * 3
+
+    def test_predicate_written_in_the_body_gets_no_generated_code(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        instrs = self._memcheck_loop()
+        instrs.insert(3, Instr("setp", dst=Reg(4), srcs=(Reg(1), Imm(9000)),
+                               cmp="lt"))
+        _state, executor = self._compare(instrs)
+        assert list(executor._replays) == [6]
+        assert executor.source(6) is None
+        assert executor.replayed == 63 * 4
+
+    def test_generated_mov_does_not_alias(self, monkeypatch):
+        """``r3 = r1`` in the body, then a partial write to r3 after the
+        loop: r1 must keep its values."""
+        from repro.isa.instructions import Imm, Instr, Reg, Special
+        calls = _generated_runs(monkeypatch)
+        for start in ("lane", "ctaid"):     # per-lane values, or one
+            instrs = [
+                Instr("setp", dst=Reg(4), srcs=(Special("lane"), Imm(2)),
+                      cmp="lt"),
+                Instr("mov", dst=Reg(1), srcs=(Special(start),)),
+                Instr("loop", dst=Reg(2), srcs=(Imm(3),)),
+                Instr("add", dst=Reg(1), srcs=(Reg(1), Reg(2))),
+                Instr("mov", dst=Reg(3), srcs=(Reg(1),)),
+                Instr("endloop", dst=Reg(2)),
+                Instr("add", dst=Reg(3), srcs=(Reg(3), Imm(7)), pred=Reg(4)),
+            ]
+            del calls[:]
+            _state, executor = self._compare(instrs)
+            assert calls == [True]
+            assert "r3 = r1[:]" in executor.source(5)
 
     def test_sfu_body_is_not_replayed(self):
         from repro.isa.instructions import Imm, Instr, Reg
@@ -1493,7 +1649,10 @@ class TestAffineRequests:
 class TestAffineBranch:
     """Which lane path the fast pipeline takes, seen from outside."""
 
-    def _branches(self, monkeypatch, addrs, dtype="f32", values=None):
+    def _branches(self, monkeypatch, addrs, dtype="f32", values=None,
+                  poke=None):
+        """The lane paths taken; ``poke`` is ``(addr, bytes)`` written
+        to both memories first."""
         from repro.gpu import fastpath
         taken = []
         per_lane = fastpath._coalesce_lanes
@@ -1511,10 +1670,13 @@ class TestAffineBranch:
             return wrapper
 
         monkeypatch.setattr(fastpath, "_coalesce_lanes", coalesce_spy)
-        for name in ("_bulk_loads", "_fast_loads", "_bulk_stores",
-                     "_fast_stores"):
+        for name in ("_bulk_loads", "_broadcast_loads", "_fast_loads",
+                     "_bulk_stores", "_fast_stores"):
             monkeypatch.setattr(fastpath.FastMemoryPipeline, name, spy(name))
         ref, fast = _lane_pipelines(len(addrs), 3)
+        if poke is not None:
+            for pipe in (ref, fast):
+                pipe.memory.write(*poke)
         is_store = values is not None
         values = values or [0] * len(addrs)
         want = _observe(ref, addrs, dtype, is_store, "global", values)
@@ -1525,6 +1687,30 @@ class TestAffineBranch:
     def test_contiguous_f32_load_takes_the_closed_form(self, monkeypatch):
         addrs = [_BASE + 4 * i for i in range(32)]
         assert self._branches(monkeypatch, addrs) == ["_bulk_loads"]
+
+    def test_broadcast_f32_load_reads_once(self, monkeypatch):
+        import struct
+        addrs = [_BASE + 64] * 32
+        assert self._branches(monkeypatch, addrs, "f32", poke=(
+            _BASE + 64, struct.pack("<f", -2.75))) == ["_broadcast_loads"]
+
+    def test_broadcast_negative_i32_load_reads_once(self, monkeypatch):
+        addrs = [_BASE + 128] * 32
+        assert self._branches(monkeypatch, addrs, "i32", poke=(
+            _BASE + 128, (-5).to_bytes(4, "little", signed=True))) == [
+                "_broadcast_loads"]
+
+    @pytest.mark.parametrize("dtype", ["f32", "i32"])
+    def test_broadcast_load_of_an_unwritten_chunk_reads_zero(
+            self, monkeypatch, dtype):
+        addrs = [_BASE + 4 * _CHUNK + 8] * 32
+        assert self._branches(monkeypatch, addrs, dtype) == [
+            "_broadcast_loads"]
+
+    def test_broadcast_load_straddling_a_chunk_goes_per_lane(
+            self, monkeypatch):
+        addrs = [_BASE + _CHUNK - 2] * 32
+        assert self._branches(monkeypatch, addrs, "i32") == ["_fast_loads"]
 
     def test_i32_residues_above_int_max_store_in_bulk(self, monkeypatch):
         """i32 values in [2**31, 2**32) are legal residues: one unsigned
