@@ -592,14 +592,13 @@ class FastMemoryPipeline(MemoryPipeline):
                     translate(tx, is_store=is_store)
         except IllegalAddressError as err:
             raise KernelAborted(err) from err
-        if stride == size and (a0 & _CHUNK_MASK) + n * size <= _CHUNK_SIZE:
+        if ((stride == size or stride == 0 and not is_store)
+                and (a0 & _CHUNK_MASK) + (n if stride else 1) * size
+                <= _CHUNK_SIZE):
             if is_store:
                 self._bulk_stores(request, a0, n, size)
             else:
-                self._bulk_loads(warp, request, a0, n, size)
-        elif (stride == 0 and not is_store
-              and (a0 & _CHUNK_MASK) + size <= _CHUNK_SIZE):
-            self._broadcast_loads(warp, request, a0, n, size)
+                self._bulk_loads(warp, request, a0, n, size, stride)
         elif is_store:
             self._fast_stores(request)
         else:
@@ -637,8 +636,10 @@ class FastMemoryPipeline(MemoryPipeline):
     # -- batched lane data movement ------------------------------------------
 
     def _bulk_loads(self, warp: WarpState, request: MemRequest, a0: int,
-                    n: int, size: int) -> None:
-        """One ``unpack_from`` for ``n`` contiguous elements in one chunk."""
+                    n: int, size: int, stride: int) -> None:
+        """One ``unpack_from`` for ``n`` contiguous elements in one chunk,
+        or, at stride 0, for one element repeated ``n`` times
+        (``bytes_read`` counts every lane, as the lane loop)."""
         memory = self.memory
         chunk = memory._chunks.get(a0 >> _CHUNK_BITS)
         dtype = request.dtype
@@ -646,23 +647,9 @@ class FastMemoryPipeline(MemoryPipeline):
         if chunk is None:
             dst[:n] = [0.0 if dtype == "f32" else 0] * n
         else:
-            dst[:n] = _run_struct(_LOAD_CODES[dtype], n).unpack_from(
-                chunk, a0 & _CHUNK_MASK)
-        memory.bytes_read += n * size
-
-    def _broadcast_loads(self, warp: WarpState, request: MemRequest,
-                         a0: int, n: int, size: int) -> None:
-        """``n`` lanes at one address in one chunk: one ``unpack_from``,
-        repeated (``bytes_read`` counts every lane, as the lane loop)."""
-        memory = self.memory
-        chunk = memory._chunks.get(a0 >> _CHUNK_BITS)
-        dtype = request.dtype
-        if chunk is None:
-            value = 0.0 if dtype == "f32" else 0
-        else:
-            value, = _run_struct(_LOAD_CODES[dtype], 1).unpack_from(
-                chunk, a0 & _CHUNK_MASK)
-        warp.regs[request.dst][:n] = [value] * n
+            k = n if stride else 1
+            dst[:n] = _run_struct(_LOAD_CODES[dtype], k).unpack_from(
+                chunk, a0 & _CHUNK_MASK) * (n // k)
         memory.bytes_read += n * size
 
     def _bulk_stores(self, request: MemRequest, a0: int, n: int,
@@ -1521,6 +1508,8 @@ class FastExecutor(Executor):
                 return None
             if not all(s.name in SPECIAL_NAMES if isinstance(s, Special)
                        else _exact_int(s, ints) for s in _gen_srcs(op)):
+                return None
+            if op.dst.index == ivi:
                 return None
             written.add(op.dst.index)
             if op.pred is not None:

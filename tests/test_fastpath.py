@@ -924,9 +924,10 @@ def _mixed_kernel(data, fusable=False):
     ``(x & 15) << 2``.
 
     A ``fusable`` kernel is all-integer instead: only the ops a replayed
-    body's generated code may hold, over r2-r7, the induction register, specials and ``int``
-    immediates, around a loop of 2 or 3 iterations, so the replay's
-    generated code qualifies.  Its predicate (``lane < k``, maybe
+    body's generated code may hold, over r2-r7, the induction register,
+    specials and ``int`` immediates, around a loop of 2 or 3 iterations,
+    so the replay's generated code qualifies unless a body op writes
+    the induction register.  Its predicate (``lane < k``, maybe
     inverted) selects every lane, none, or some."""
     from repro.gpu.fastpath import _GEN_ARITY, _GEN_CMPS, _GEN_EXPRS
     from repro.isa.instructions import Imm, Instr, Reg, Special
@@ -950,7 +951,10 @@ def _mixed_kernel(data, fusable=False):
                                   st.sampled_from([0.5, 2.5, -1.25]))))
 
     def statement():
-        dst = Reg(draw(st.sampled_from(_MIXED_REGS[1:])))
+        # A fusable body now and then writes the induction register,
+        # which keeps it off the generated path.
+        dst = Reg(9 if fusable and draw(st.integers(0, 9)) == 0
+                  else draw(st.sampled_from(_MIXED_REGS[1:])))
         p = pred if draw(st.integers(0, 3)) == 0 else None
         if fusable:
             kind = draw(st.sampled_from(sorted(_GEN_EXPRS)))
@@ -1012,16 +1016,18 @@ def _mixed_kernel(data, fusable=False):
 
 
 def _guards_pass(kernel):
-    """Whether a fusable :func:`_mixed_kernel`'s loop body predicates
-    select every lane of a full warp: ``lane < bound`` is all true for
-    ``bound >= 32`` and all false for ``bound == 0``."""
+    """Whether a fusable :func:`_mixed_kernel`'s loop body runs
+    generated: no body op writes the induction register, and every body
+    predicate selects every lane of a full warp (``lane < bound`` is all
+    true for ``bound >= 32`` and all false for ``bound == 0``)."""
     instrs = kernel.instructions
     bound = instrs[0].srcs[1].value
     ops = [i.op for i in instrs]
-    body = instrs[ops.index("loop") + 1:ops.index("endloop")]
-    return all(i.pred is None
-               or (bound == 0 if i.pred_invert else bound >= 32)
-               for i in body)
+    loop = ops.index("loop")
+    body = instrs[loop + 1:ops.index("endloop")]
+    return all(i.dst != instrs[loop].dst and (
+        i.pred is None or (bound == 0 if i.pred_invert else bound >= 32))
+        for i in body)
 
 
 def _mixed_launch(engine_name, kernel, scalar):
@@ -1256,6 +1262,27 @@ class TestLoopReplay:
         assert list(executor._replays) == [6]
         assert executor.source(6) is None
         assert executor.replayed == 63 * 4
+
+    def test_body_writing_the_induction_register_gets_no_generated_code(
+            self, monkeypatch):
+        """``i += 5`` then ``x += i`` in the body: the body reads its own
+        write, and the exiting ``endloop`` leaves that write in place."""
+        from repro.isa.instructions import Imm, Instr, Reg, Special
+        calls = _generated_runs(monkeypatch)
+        instrs = [
+            Instr("mov", dst=Reg(1), srcs=(Special("gtid"),)),
+            Instr("loop", dst=Reg(2), srcs=(Imm(4),)),
+            Instr("add", dst=Reg(2), srcs=(Reg(2), Imm(5))),
+            Instr("add", dst=Reg(1), srcs=(Reg(1), Reg(2))),
+            Instr("endloop", dst=Reg(2)),
+        ]
+        (_retired, error, _pc, _stack, *_rest), executor = self._compare(
+            instrs)
+        assert error is None
+        assert list(executor._replays) == [4]
+        assert executor.source(4) is None
+        assert calls == []
+        assert executor.replayed == 3 * 3
 
     def test_generated_mov_does_not_alias(self, monkeypatch):
         """``r3 = r1`` in the body, then a partial write to r3 after the
@@ -1670,8 +1697,8 @@ class TestAffineBranch:
             return wrapper
 
         monkeypatch.setattr(fastpath, "_coalesce_lanes", coalesce_spy)
-        for name in ("_bulk_loads", "_broadcast_loads", "_fast_loads",
-                     "_bulk_stores", "_fast_stores"):
+        for name in ("_bulk_loads", "_fast_loads", "_bulk_stores",
+                     "_fast_stores"):
             monkeypatch.setattr(fastpath.FastMemoryPipeline, name, spy(name))
         ref, fast = _lane_pipelines(len(addrs), 3)
         if poke is not None:
@@ -1692,20 +1719,19 @@ class TestAffineBranch:
         import struct
         addrs = [_BASE + 64] * 32
         assert self._branches(monkeypatch, addrs, "f32", poke=(
-            _BASE + 64, struct.pack("<f", -2.75))) == ["_broadcast_loads"]
+            _BASE + 64, struct.pack("<f", -2.75))) == ["_bulk_loads"]
 
     def test_broadcast_negative_i32_load_reads_once(self, monkeypatch):
         addrs = [_BASE + 128] * 32
         assert self._branches(monkeypatch, addrs, "i32", poke=(
             _BASE + 128, (-5).to_bytes(4, "little", signed=True))) == [
-                "_broadcast_loads"]
+                "_bulk_loads"]
 
     @pytest.mark.parametrize("dtype", ["f32", "i32"])
     def test_broadcast_load_of_an_unwritten_chunk_reads_zero(
             self, monkeypatch, dtype):
         addrs = [_BASE + 4 * _CHUNK + 8] * 32
-        assert self._branches(monkeypatch, addrs, dtype) == [
-            "_broadcast_loads"]
+        assert self._branches(monkeypatch, addrs, dtype) == ["_bulk_loads"]
 
     def test_broadcast_load_straddling_a_chunk_goes_per_lane(
             self, monkeypatch):
