@@ -73,8 +73,6 @@ class GpuDevice:
         self.gpu = GPU(self.driver)
         self.engine = self.gpu.engine
         self.seed = seed
-        #: Lifetime accounting (surfaced by the device cache stats).
-        self.reset_count = 0
         self._cache_key = None   # set by repro.device.cache on build
         # The reset target: the device exactly as constructed.  Taken
         # before any launch, so the image is small (a fresh device has
@@ -123,7 +121,6 @@ class GpuDevice:
             seed = self.driver.seed
         self.driver.reseed(seed)
         self.seed = seed
-        self.reset_count += 1
 
     # -- running launches ------------------------------------------------------
 

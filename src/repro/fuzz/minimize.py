@@ -11,9 +11,8 @@ always replayable by the same campaign code path.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator
 
-from repro.fuzz.campaign import CONFIG_NAMES, run_case
 from repro.fuzz.generator import nearest_valid_elems
 from repro.fuzz.spec import CaseSpec
 
@@ -86,12 +85,3 @@ def minimize(spec: CaseSpec, predicate: Predicate,
             if steps >= max_steps:
                 break
     return spec
-
-
-def still_fails(configs: List[str] = None) -> Predicate:
-    """The standard predicate: the case still violates its expectation
-    matrix when re-run through the campaign."""
-    def predicate(spec: CaseSpec) -> bool:
-        outcome = run_case(spec, configs=configs or CONFIG_NAMES)
-        return not outcome.ok
-    return predicate

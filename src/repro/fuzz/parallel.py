@@ -25,7 +25,7 @@ from repro.fuzz.campaign import (CONFIG_NAMES, CampaignResult, CaseOutcome,
 from repro.fuzz.spec import CaseSpec
 from repro.gpu.config import nvidia_config
 from repro.runner.job import JobContext, JobResult, JobSpec
-from repro.runner.shard import merge_slice_stats, merge_slices, plan_slice_jobs
+from repro.runner.shard import merge_slices, plan_slice_jobs
 
 SHARD_KIND = "fuzz.shard"
 
@@ -83,7 +83,8 @@ def merge_campaign(results: Sequence[JobResult], *, seed: int,
     """
     outcomes = merge_slices(results, "outcomes", "fuzz")
     stats = StatsRegistry()
-    merge_slice_stats(results, stats)
+    for result in results:
+        stats.merge(result.stats)
     return CampaignResult(
         seed=seed, stats=stats,
         outcomes=[CaseOutcome.from_dict(o) for o in outcomes],

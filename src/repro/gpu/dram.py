@@ -26,12 +26,6 @@ class DramStats:
     row_misses: int = 0
     total_queue_cycles: int = 0
 
-    @property
-    def row_hit_rate(self) -> float:
-        if self.requests == 0:
-            return 1.0
-        return self.row_hits / self.requests
-
     def reset(self) -> None:
         self.requests = 0
         self.row_hits = 0

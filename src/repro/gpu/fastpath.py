@@ -39,9 +39,9 @@ exactly the same arithmetic with flat pre-bound structures:
   ``int`` lanes, so the integer ALU ops and address generation skip
   the reference's ``int()`` on them (a full warp's addresses are one
   ``map(and_, map(add, base, offset), masks)``), and the ``endloop`` of
-  a counted loop whose body is all non-SFU ALU ops replays the loop's
-  remaining iterations inside one ``step`` (through one generated
-  Python function per body when every op is a non-raising integer op).
+  a counted loop whose body is all non-raising integer ops replays the
+  loop's remaining iterations inside one ``step``, through one
+  generated Python function per body.
 
 **Bit-identity contract**: every class here must produce exactly the
 cycle counts, stats-counter values, functional memory contents and
@@ -996,9 +996,9 @@ def _lane_writer(fn, getters):
 #: Compiled programs by kernel identity: ``id(kernel) -> (ref,
 #: {(warp_size, non_int_args): (program, replays)})``, where
 #: ``replays`` maps each replaying ``endloop`` pc to its generated
-#: source (or ``None``) and ``non_int_args`` is the frozenset of
-#: argument registers whose launch value is not an exact ``int`` (the
-#: integer-register proof depends on it).
+#: source and ``non_int_args`` is the frozenset of argument registers
+#: whose launch value is not an exact ``int`` (the integer-register
+#: proof depends on it).
 #: Process-wide, because one kernel object launches on several devices
 #: (a fuzz case runs under six configs), and not stored on the kernel,
 #: which must stay picklable.  Identity, not equality: ``Imm(1) ==
@@ -1049,31 +1049,26 @@ class FastExecutor(Executor):
     every one of those cycles, so the scheduler accounts the burst as
     ``burst`` issue cycles and stays bit-identical.
 
-    Within a burst, the ``endloop`` of a counted loop whose body holds
-    only non-SFU ALU ops *replays* the loop's remaining iterations in
-    the one :meth:`step` that reaches it: the reference's in-place
-    induction write, then the body's closures in order, per iteration.
-    The instructions it retires beyond the ``endloop`` are added to
+    Within a burst, the ``endloop`` of a counted loop whose body ops
+    are all ``add/sub/mul/and/or/xor/min/max/mov/setp/sel`` over
+    proven-``int`` registers, ``int`` immediates and specials, none
+    writing the induction register or a body predicate, *replays* the
+    loop's remaining iterations in the one :meth:`step` that reaches
+    it, through *generated code* (:meth:`_generate_replay`): one Python
+    function, compiled once with the program, that keeps the body's
+    registers in locals, runs each op as one list comprehension (or,
+    when every register the body reads holds one value in all lanes,
+    as one scalar statement) and writes the results back once.  None
+    of those ops can raise on ``int`` lanes.  The instructions it
+    retires beyond the ``endloop`` are added to
     ``instructions_executed`` and :attr:`replayed`, and :meth:`issue`
-    adds them to :attr:`burst`.  A body op that raises leaves the loop
-    entry, the induction register, ``warp.pc`` and both counters where
-    the reference leaves them.  Without ``fuse`` a step is one
-    instruction, as in the reference.
-
-    A body whose ops are all ``add/sub/mul/and/or/xor/min/max/mov/setp/
-    sel`` over proven-``int`` registers, ``int`` immediates and
-    specials, none writing the induction register, also gets *generated
-    code* (:meth:`_generate_replay`): one Python function, compiled once
-    with the program, that keeps the body's registers in locals, runs
-    each op as one list comprehension (or, when every register the body
-    reads holds one value in all lanes, as one scalar statement) and
-    writes the results back once.  None of those ops can raise on
-    ``int`` lanes.  It runs only when two guards, tested once per
-    replay, hold: the warp mask is full, and every body predicate
-    selects every lane (a register the body never writes, all true, or
-    all false when inverted).  Otherwise the closure replay above runs,
-    as it does for every other body.  :meth:`source` returns a
-    replaying ``endloop``'s generated source.
+    adds them to :attr:`burst`.  It runs only when two guards, tested
+    once per ``endloop`` visit, hold: the warp mask is full, and every
+    body predicate selects every lane (all true, or all false when
+    inverted).  Otherwise, and for every other loop, the ``endloop``
+    steps once, as in the reference, and the body's closures step
+    through the burst.  Without ``fuse`` a step is one instruction.
+    :meth:`source` returns a replaying ``endloop``'s generated source.
     """
 
     def __init__(self, *args, fuse: bool, **kwargs):
@@ -1107,8 +1102,8 @@ class FastExecutor(Executor):
                        for pc, instr in enumerate(self.instructions)]
             compiled = entry[1][program_key] = (
                 program, self._compile_replays(program))
-        #: The closure per pc, and ``{endloop pc: generated source or
-        #: None}`` for every replaying ``endloop``.
+        #: The closure per pc, and ``{endloop pc: generated source}``
+        #: for every replaying ``endloop``.
         self._program, self._replays = compiled
 
     def make_warp(self, wg: int, warp_in_wg: int,
@@ -1239,7 +1234,7 @@ class FastExecutor(Executor):
         partial = _lane_writer(fn, getters)
 
         # The pc moves after the op, as in the reference: one that raises
-        # leaves it on the faulting instruction (loop replay reads it).
+        # leaves it on the faulting instruction.
         def run(warp):
             mask = warp.mask
             regs = warp.regs
@@ -1453,23 +1448,22 @@ class FastExecutor(Executor):
                 raise IsaError(f"unhandled opcode {op!r}")
         return run
 
-    def _compile_replays(self, program: List) -> Dict[int, Optional[str]]:
-        """Give every counted loop whose body holds only non-SFU ALU ops
-        an ``endloop`` that replays it (see the class docstring), and
-        return ``{endloop pc: generated source or None}``."""
+    def _compile_replays(self, program: List) -> Dict[int, str]:
+        """Give every counted loop whose body gets generated code an
+        ``endloop`` that replays it (see the class docstring), and
+        return ``{endloop pc: generated source}``."""
         instructions = self.instructions
         replays = {}
         for loop_pc, end_pc in self.flow.items():
             if instructions[loop_pc].op != "loop":
                 continue
-            body = instructions[loop_pc + 1:end_pc]
-            if all(i.op in _ALU_OPS and i.category == "alu" for i in body):
-                fn, source = self._generate_replay(
-                    instructions[end_pc], end_pc, body) or (None, None)
+            generated = self._generate_replay(
+                instructions[end_pc], end_pc,
+                instructions[loop_pc + 1:end_pc])
+            if generated is not None:
+                fn, replays[end_pc] = generated
                 program[end_pc] = self._replay_endloop(
-                    instructions[end_pc], end_pc,
-                    tuple(program[loop_pc + 1:end_pc]), program[end_pc], fn)
-                replays[end_pc] = source
+                    end_pc, end_pc - loop_pc, program[end_pc], fn)
         return replays
 
     def _generate_replay(self, instr: Instr, pc: int, body: List):
@@ -1477,10 +1471,11 @@ class FastExecutor(Executor):
         every remaining iteration of ``body``, or ``None`` when the body
         does not qualify.
 
-        It qualifies when every op is in :data:`_GEN_EXPRS`, every
-        operand is a proven ``int`` register, an ``int`` immediate or a
-        known special, no op writes the induction register, and no
-        predicate reads a register the body or its ``endloop`` writes.
+        It qualifies when the body holds at least one op, every op is
+        in :data:`_GEN_EXPRS`, every operand is a proven ``int``
+        register, an ``int`` immediate or a known special, no op writes
+        the induction register, and no predicate reads a register the
+        body or its ``endloop`` writes.
         No such op can raise on ``int`` lanes, so the generated function
         needs no fault bookkeeping.
 
@@ -1497,6 +1492,8 @@ class FastExecutor(Executor):
         register then gets the reference's in-place ``count - 1``.  The
         caller guarantees ``start < count``.
         """
+        if not body:
+            return None
         ivi = instr.dst.index
         ws = self.warp_size
         ints = self._ints
@@ -1596,45 +1593,23 @@ class FastExecutor(Executor):
                      "exec"), namespace)
         return namespace["replay"], source
 
-    def _replay_endloop(self, instr: Instr, pc: int, body: tuple, plain,
+    def _replay_endloop(self, pc: int, per_iteration: int, plain,
                         generated):
         """An ``endloop`` that, under ``fuse``, runs every remaining
-        iteration of its all-ALU ``body``; ``plain`` is the one-step
-        ``endloop`` it stands in for without ``fuse``, and ``generated``
-        the body's generated function (or ``None``), tried first."""
-        ivi = instr.dst.index
+        iteration of its loop through ``generated``, the body's
+        generated function, when that function's guards hold; otherwise
+        ``plain``, the one-step ``endloop`` it stands in for.
+        ``per_iteration`` counts the body and its ``endloop``."""
         nxt = pc + 1
-        ws = self.warp_size
-        per_iteration = len(body) + 1       # the body and its endloop
 
         def run(warp):
             executor = warp.executor
-            if not executor._fuse:
-                return plain(warp)
             entry = warp.stack[-1]
-            done = start = entry[3]
+            start = entry[3]
             count = entry[2]
-            regs = warp.regs
-            if not (generated is not None and done < count
-                    and generated(warp, regs, done, count)):
-                body_pc = entry[1]
-                try:
-                    while done < count:
-                        entry[3] = done + 1
-                        regs[ivi][:] = [done] * ws
-                        warp.pc = body_pc
-                        for op in body:
-                            op(warp)
-                        done += 1
-                except BaseException:
-                    # The faulting op left warp.pc on itself: count it
-                    # and everything before it, as the reference's
-                    # steps would.
-                    retired = ((done - start) * per_iteration
-                               + warp.pc - body_pc + 1)
-                    executor.instructions_executed += retired
-                    executor.replayed += retired
-                    raise
+            if not (executor._fuse and start < count
+                    and generated(warp, warp.regs, start, count)):
+                return plain(warp)
             warp.stack.pop()
             warp.pc = nxt
             retired = (count - start) * per_iteration
@@ -1645,8 +1620,7 @@ class FastExecutor(Executor):
 
     def source(self, pc: int) -> Optional[str]:
         """The generated source of the replaying ``endloop`` at ``pc``,
-        or ``None`` (not a replaying ``endloop``, or a body that keeps
-        the closure replay only)."""
+        or ``None`` (not a replaying ``endloop``)."""
         return self._replays.get(pc)
 
     # -- dispatch -------------------------------------------------------------

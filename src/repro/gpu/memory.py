@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict
 
 from repro.errors import IllegalAddressError
 from repro.utils.bitops import mask
@@ -162,9 +162,6 @@ class AddressSpace:
     def is_mapped(self, va: int) -> bool:
         return self.page_of(va) in self._pages
 
-    def flags_at(self, va: int) -> Optional[PageFlags]:
-        return self._pages.get(self.page_of(va))
-
     def translate(self, va: int, *, is_store: bool = False,
                   bypass_protection: bool = False) -> int:
         """VA -> PA or raise :class:`IllegalAddressError`.
@@ -199,9 +196,6 @@ class AddressSpace:
     def pages_snapshot(self) -> Dict[int, PageFlags]:
         """Copy of the page table (PageFlags is frozen, keys are ints)."""
         return dict(self._pages)
-
-    def mapped_pages(self) -> Iterator[Tuple[int, PageFlags]]:
-        return iter(sorted(self._pages.items()))
 
     def mapped_bytes(self) -> int:
         return len(self._pages) * self.page_size

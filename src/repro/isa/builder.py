@@ -293,9 +293,6 @@ class KernelBuilder:
     def fmax(self, a, b, out=None, pred=None) -> Reg:
         return self._alu("fmax", a, b, out=out, pred=pred)
 
-    def abs_(self, a, out=None, pred=None) -> Reg:
-        return self._alu("abs", a, out=out, pred=pred)
-
     # Predicates
     def setp(self, cmp: str, a: Operand, b: Operand,
              out: Optional[Reg] = None) -> Reg:

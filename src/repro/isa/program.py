@@ -149,10 +149,6 @@ class Kernel:
     # -- introspection ----------------------------------------------------------
 
     @property
-    def buffer_params(self) -> List[KernelParam]:
-        return [p for p in self.params if p.kind == "buffer"]
-
-    @property
     def scalar_params(self) -> List[KernelParam]:
         return [p for p in self.params if p.kind == "scalar"]
 

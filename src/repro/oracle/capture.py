@@ -69,10 +69,6 @@ def _template_subjects():
     }
 
 
-def template_subject_names() -> List[str]:
-    return sorted(_template_subjects())
-
-
 def config_fingerprint(config, shield) -> str:
     """Engine-independent configuration fingerprint.
 

@@ -45,26 +45,6 @@ def _pool_context():
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-_CACHE_COUNTER_KEYS = ("hits", "misses", "cold_builds", "releases",
-                       "discards", "resets", "evictions")
-
-
-def _merge_device_cache_stats(stats, before: Dict[str, int]) -> None:
-    """Fold this attempt's warm-device-cache activity into the job stats.
-
-    The cache counters are process-cumulative (inline mode runs many
-    jobs in one process; forked workers inherit the parent's totals), so
-    each attempt ships only its *delta* — deltas are what the parent's
-    counter merge can sum meaningfully across jobs.
-    """
-    from repro.device.cache import device_cache_stats
-    after = device_cache_stats()
-    delta = {key: after[key] - before.get(key, 0)
-             for key in _CACHE_COUNTER_KEYS}
-    if any(delta.values()):
-        stats.counters("device.cache").update(delta)
-
-
 def execute_attempt(spec: JobSpec, attempt: int) -> JobResult:
     """Run one attempt in-process (the ``--jobs 0`` / inline path).
 
@@ -73,11 +53,9 @@ def execute_attempt(spec: JobSpec, attempt: int) -> JobResult:
     inline mode is for serial baselines and debugging.
     """
     from repro.analysis.stats import StatsRegistry
-    from repro.device.cache import device_cache_stats
     from repro.runner import kinds
 
     stats = StatsRegistry()
-    cache_before = device_cache_stats()
     started = time.monotonic()
     try:
         fn = kinds.resolve(spec.kind)
@@ -87,7 +65,6 @@ def execute_attempt(spec: JobSpec, attempt: int) -> JobResult:
         payload, status = {}, ERROR
         error = "".join(traceback.format_exception_only(
             type(exc), exc)).strip()
-    _merge_device_cache_stats(stats, cache_before)
     return JobResult(job_id=spec.job_id, status=status, payload=payload,
                      stats=dict(stats.snapshot().as_dict()), error=error,
                      attempts=attempt,
@@ -97,11 +74,9 @@ def execute_attempt(spec: JobSpec, attempt: int) -> JobResult:
 def _child_main(conn, spec_dict: dict, attempt: int) -> None:
     """Child-process entry: run the job, ship one message, exit."""
     from repro.analysis.stats import StatsRegistry
-    from repro.device.cache import device_cache_stats
     from repro.runner import kinds
 
     stats = StatsRegistry()
-    cache_before = device_cache_stats()
     status, payload, error = OK, {}, ""
     try:
         spec = JobSpec.from_dict(spec_dict)
@@ -111,7 +86,6 @@ def _child_main(conn, spec_dict: dict, attempt: int) -> None:
         status = ERROR
         error = "".join(traceback.format_exception_only(
             type(exc), exc)).strip()
-    _merge_device_cache_stats(stats, cache_before)
     try:
         conn.send({"status": status, "payload": payload,
                    "stats": dict(stats.snapshot().as_dict()),

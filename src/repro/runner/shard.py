@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, TypeVar
 
-from repro.analysis.stats import StatsRegistry
 from repro.runner.job import JobResult, JobSpec
 
 T = TypeVar("T")
@@ -122,16 +121,3 @@ def merge_slices(results: Sequence[JobResult], key: str,
         merged.extend(result.payload[key])
     return merged
 
-
-def merge_slice_stats(results: Sequence[JobResult],
-                      stats: StatsRegistry) -> None:
-    """Fold every slice's counters into ``stats``, minus ``device.cache.*``.
-
-    The warm device cache's counters are process-local scheduling
-    telemetry (how many warm hits each worker happened to get), not a
-    workload observable; folding them in would make a sharded run's
-    stats differ from the serial run's by construction.
-    """
-    for result in results:
-        stats.merge({k: v for k, v in result.stats.items()
-                     if not k.startswith("device.cache.")})

@@ -146,12 +146,6 @@ def _compute(base_n, iters=16, nbuffers=2, wg=_WG):
                                      iters=iters, nbuffers=nbuffers)
 
 
-def _launches(base_n, launches, nbuffers=4, wg=_WG):
-    return lambda s: T.many_launches(
-        "", n=_n(base_n, s, wg), wg_size=wg,
-        launches=max(4, int(launches * s)), nbuffers=nbuffers)
-
-
 def _sc_mix(base_n, launches, wg=_WG):
     """streamcluster: memory-bound, ~half indirect, many launches."""
     def make(s):

@@ -574,15 +574,3 @@ def compute_heavy(name: str, *, n: int, wg_size: int, iters: int = 24,
         repeats=repeats,
         runs=[KernelRun(kernel, args, workgroups=-(-n // wg_size),
                         wg_size=wg_size)])
-
-
-def many_launches(name: str, *, n: int, wg_size: int, launches: int,
-                  memory_bound: bool = True, nbuffers: int = 4,
-                  repeats: int = 1) -> Workload:
-    """streamcluster-style: a small memory-bound kernel launched many times
-    (1000 launches in the paper — the per-launch-tool killer)."""
-    base = multi_buffer_stream(name, n=n, wg_size=wg_size,
-                               nbuffers=nbuffers,
-                               rounds=3 if memory_bound else 1)
-    return Workload(name=name, buffers=base.buffers,
-                    runs=base.runs * 1, repeats=launches * repeats)

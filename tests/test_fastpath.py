@@ -463,8 +463,9 @@ def _oob_kernel(b):
 
 
 def _replay_kernel(b):
-    """The MEMCHECK call-out's shape: an all-ALU counted loop between a
-    load and a store, with a loop of each replayable count around."""
+    """The MEMCHECK call-out's shape: a counted loop whose body gets
+    generated code between a load and a store, with a loop of each
+    replayable count around."""
     out = b.arg_ptr("out")
     g = b.gtid()
     acc = b.ld_idx(out, g, dtype="i32")
@@ -478,7 +479,8 @@ def _replay_kernel(b):
 
 
 def _replay_predicated_kernel(b):
-    """A predicated all-ALU loop body under a divergent ``if`` mask."""
+    """A predicated ALU loop body under a divergent ``if`` mask: its
+    ``shl`` keeps it off generated code, so it steps."""
     out = b.arg_ptr("out")
     g = b.gtid()
     acc = b.mov(g)
@@ -493,13 +495,14 @@ def _replay_predicated_kernel(b):
 
 def _replay_nested_kernel(b):
     """An outer loop (its body holds a loop, so it is not replayed)
-    around an inner all-ALU loop (replayed)."""
+    around an inner loop that runs generated code."""
     out = b.arg_ptr("out")
     g = b.gtid()
     acc = b.mov(g)
     with b.loop(3) as j:
         with b.loop(4) as i:
-            b.mad(acc, 3, i, out=acc)
+            b.mul(acc, 3, out=acc)
+            b.add(acc, i, out=acc)
             b.and_(acc, 0xFFF, out=acc)
         b.add(acc, j, out=acc)
     b.st_idx(out, g, acc, dtype="i32")
@@ -606,9 +609,11 @@ class TestWorkloadEquivalence:
             # A step is one instruction plus those its loop replay retired.
             replayed = sum(executor.replayed for executor in executors)
             assert calls["step"] + replayed == result["instructions"]
+            generated = any(executor._replays for executor in executors)
+            assert generated == (kernel in ("replay", "replay_nested"))
             if alu_latency == 1:
                 assert calls["issue"] < result["instructions"] / 4
-                assert (replayed > 0) == kernel.startswith("replay")
+                assert (replayed > 0) == generated
             else:
                 # No fusing, so no replay: one issue, one step, one
                 # instruction.
@@ -880,7 +885,8 @@ class TestIntRegisters:
         """Random kernels run alike on both engines: 150 mixed ones,
         then 60 all-integer ones whose loop bodies get generated code.
         Those run it exactly when every body predicate selects every
-        lane, and at least a third of them must."""
+        lane, replay exactly when they run it, and at least a third of
+        them must."""
         from repro.gpu.fastpath import _int_registers
 
         generated = _generated_runs(monkeypatch)
@@ -893,11 +899,16 @@ class TestIntRegisters:
                 kernel, scalar = _mixed_kernel(spec, fusable)
                 slow = _mixed_launch("slow", kernel, scalar)
                 del generated[:]
-                fast = _mixed_launch("fast", kernel, scalar)
+                executors = set()
+                fast = _mixed_launch("fast", kernel, scalar, executors)
                 assert slow == fast
+                replayed = sum(e.replayed for e in executors)
                 if fusable:
                     took.append(bool(generated) and all(generated))
                     assert took[-1] == _guards_pass(kernel)
+                    assert (replayed > 0) == took[-1]
+                else:
+                    assert (replayed > 0) == any(generated)
                 # The proof is sound on what the run left: proven means
                 # int.
                 proven = _int_registers(kernel, frozenset(
@@ -1030,9 +1041,10 @@ def _guards_pass(kernel):
         for i in body)
 
 
-def _mixed_launch(engine_name, kernel, scalar):
+def _mixed_launch(engine_name, kernel, scalar, executors=None):
     """Launch ``kernel`` (2 warps of 32, shielded): the launch outcome,
-    every warp's final ``(type, value)`` lanes and ``buf``'s bytes."""
+    every warp's final ``(type, value)`` lanes and ``buf``'s bytes.
+    The launch's executors are added to the ``executors`` set."""
     from unittest import mock
 
     from repro import GpuSession, ShieldConfig
@@ -1045,6 +1057,8 @@ def _mixed_launch(engine_name, kernel, scalar):
     def recording(executor, wg, base_warp_id):
         made = make_workgroup(executor, wg, base_warp_id)
         warps.extend(made)
+        if executors is not None:
+            executors.add(executor)
         return made
 
     with engine(engine_name), mock.patch.object(Executor, "make_workgroup",
@@ -1087,7 +1101,8 @@ def _issue_to_end(executor, warp):
 def _generated_runs(monkeypatch):
     """Record every call of a replay's generated code from now on: the
     returned list gets ``True`` when it ran the loop, ``False`` when a
-    guard sent the replay down the closure path."""
+    guard failed and its ``endloop`` stepped once, as the reference's
+    does."""
     calls = []
     generate = FastExecutor._generate_replay
 
@@ -1127,8 +1142,9 @@ def _loop_state(executor_cls, instrs, mask=None, **options):
 
 
 class TestLoopReplay:
-    """An all-ALU counted loop retires in the one step that reaches its
-    ``endloop``, leaving every observable where the reference's
+    """A counted loop whose body gets generated code retires in the one
+    step that reaches its ``endloop``; every other loop steps.  Either
+    way every observable ends where the reference's
     instruction-by-instruction steps leave it."""
 
     def _compare(self, instrs, mask=None):
@@ -1140,15 +1156,16 @@ class TestLoopReplay:
         assert unfused == slow and plain.replayed == 0
         return slow, executor
 
-    def _shift_loop(self, count):
+    def _shift_loop(self, count, op="shl"):
         """``x = gtid; loop i < count { t = 2 - i; x = x << t; x &= m }``
-        — the shift count goes negative at ``i == 3``."""
+        — the shift count goes negative at ``i == 3``.  ``op="add"``
+        adds ``t`` instead, which gets generated code."""
         from repro.isa.instructions import Imm, Instr, Reg, Special
         return [
             Instr("mov", dst=Reg(1), srcs=(Special("gtid"),)),
             Instr("loop", dst=Reg(2), srcs=(Imm(count),)),
             Instr("sub", dst=Reg(3), srcs=(Imm(2), Reg(2))),
-            Instr("shl", dst=Reg(1), srcs=(Reg(1), Reg(3))),
+            Instr(op, dst=Reg(1), srcs=(Reg(1), Reg(3))),
             Instr("and", dst=Reg(1), srcs=(Reg(1), Imm(0xFFFF))),
             Instr("endloop", dst=Reg(2)),
         ]
@@ -1156,22 +1173,29 @@ class TestLoopReplay:
     def test_body_op_raising_mid_replay_leaves_reference_state(self):
         (retired, error, pc, stack, *_rest), executor = self._compare(
             self._shift_loop(4))
-        assert executor.source(5) is None       # shl may raise
+        # shl may raise, so the loop steps and faults as the reference.
+        assert executor.source(5) is None and executor.replayed == 0
         assert error == "negative shift count"
         # Faulted in iteration 3 on the shl, with the loop entry live.
         assert pc == 3 and stack == [["loop", 2, 4, 4]]
-        assert executor.replayed == 2 * 4 + 2   # iterations 1, 2 + sub, shl
         assert retired == 2 + 3 * 4 + 1   # mov, loop, 3 iterations, sub
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3])
     def test_counts_replay_what_remains(self, count):
         state, executor = self._compare(self._shift_loop(count))
         assert state[1] is None
+        assert executor.source(5) is None and executor.replayed == 0
+        state, executor = self._compare(self._shift_loop(count, "add"))
+        assert state[1] is None
+        assert executor.source(5) is not None
         # The first iteration runs before the endloop; replay the rest.
         assert executor.replayed == max(count - 1, 0) * 4
 
-    def test_predicated_body_under_a_divergent_mask(self):
+    def test_predicated_body_under_a_divergent_mask(self, monkeypatch):
+        """The body has generated code, but a partial mask fails its
+        guard at each of the 4 ``endloop`` visits that continue."""
         from repro.isa.instructions import Imm, Instr, Reg, Special
+        calls = _generated_runs(monkeypatch)
         instrs = [
             Instr("setp", dst=Reg(4), srcs=(Special("lane"), Imm(5)),
                   cmp="lt"),
@@ -1184,7 +1208,9 @@ class TestLoopReplay:
         ]
         _state, executor = self._compare(
             instrs, mask=[l % 3 != 0 for l in range(_WS)])
-        assert executor.replayed == 4 * 3
+        assert executor.source(5) is not None
+        assert calls == [False] * 4
+        assert executor.replayed == 0
 
     def test_only_the_inner_of_two_nested_loops_replays(self):
         from repro.isa.instructions import Imm, Instr, Reg
@@ -1243,6 +1269,9 @@ class TestLoopReplay:
     @pytest.mark.parametrize("case", ["one lane false", "all true inverted",
                                       "partial mask"])
     def test_guards_fall_back_to_the_closure_replay(self, monkeypatch, case):
+        """A failed guard leaves the loop to the body's compiled
+        closures, stepped one instruction at a time: one ``False`` per
+        ``endloop`` visit that continues."""
         calls = _generated_runs(monkeypatch)
         instrs = self._memcheck_loop(bound=_WS - 1 if case == "one lane false"
                                      else 100,
@@ -1250,8 +1279,9 @@ class TestLoopReplay:
         mask = ([l != 3 for l in range(_WS)] if case == "partial mask"
                 else None)
         _state, executor = self._compare(instrs, mask=mask)
-        assert calls == [False]
-        assert executor.replayed == 63 * 3
+        assert executor.source(5) is not None
+        assert calls == [False] * 63
+        assert executor.replayed == 0
 
     def test_predicate_written_in_the_body_gets_no_generated_code(self):
         from repro.isa.instructions import Imm, Instr, Reg
@@ -1259,9 +1289,9 @@ class TestLoopReplay:
         instrs.insert(3, Instr("setp", dst=Reg(4), srcs=(Reg(1), Imm(9000)),
                                cmp="lt"))
         _state, executor = self._compare(instrs)
-        assert list(executor._replays) == [6]
+        assert executor._replays == {}
         assert executor.source(6) is None
-        assert executor.replayed == 63 * 4
+        assert executor.replayed == 0
 
     def test_body_writing_the_induction_register_gets_no_generated_code(
             self, monkeypatch):
@@ -1279,10 +1309,10 @@ class TestLoopReplay:
         (_retired, error, _pc, _stack, *_rest), executor = self._compare(
             instrs)
         assert error is None
-        assert list(executor._replays) == [4]
+        assert executor._replays == {}
         assert executor.source(4) is None
         assert calls == []
-        assert executor.replayed == 3 * 3
+        assert executor.replayed == 0
 
     def test_generated_mov_does_not_alias(self, monkeypatch):
         """``r3 = r1`` in the body, then a partial write to r3 after the
@@ -1313,11 +1343,23 @@ class TestLoopReplay:
             Instr("endloop", dst=Reg(2)),
         ]
         _state, executor = self._compare(instrs)
+        assert executor._replays == {}
+        assert executor.replayed == 0
+
+    def test_empty_body_steps_like_the_reference(self):
+        from repro.isa.instructions import Imm, Instr, Reg
+        instrs = [
+            Instr("loop", dst=Reg(2), srcs=(Imm(4),)),
+            Instr("endloop", dst=Reg(2)),
+        ]
+        _state, executor = self._compare(instrs)
+        assert executor._replays == {}
         assert executor.replayed == 0
 
     def test_raising_replay_accounts_like_the_reference(self):
         """The launch-level twin of the first test: a shift count that
-        goes negative in iteration 3 of a replayed loop."""
+        goes negative in iteration 3 of a loop the fast executor steps
+        (its ``shl`` keeps it off generated code)."""
         from repro import GpuSession, KernelBuilder
         from repro.gpu.config import nvidia_config
 

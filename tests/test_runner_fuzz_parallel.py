@@ -13,7 +13,7 @@ from repro.fuzz.generator import CaseGenerator
 from repro.fuzz.parallel import (campaign_digest, merge_campaign,
                                  plan_fuzz_shards)
 from repro.gpu.config import nvidia_config
-from repro.runner import run_jobs
+from repro.runner import JobResult, run_jobs
 
 CASES = 8
 SEED = 5
@@ -86,6 +86,16 @@ class TestResumeBitIdentity:
         assert campaign_digest(resumed) == campaign_digest(serial)
         assert resumed.stats.snapshot().as_dict() \
             == serial.stats.snapshot().as_dict()
+
+
+def test_merge_campaign_sums_slice_stats():
+    results = [JobResult(job_id=f"t-{i}", status="ok",
+                         payload={"index_base": i, "outcomes": [],
+                                  "truncated": 0},
+                         stats={"fuzz.cases": 2, "fuzz.detected": i})
+               for i in range(3)]
+    stats = merge_campaign(results, seed=SEED).stats.snapshot().as_dict()
+    assert stats == {"fuzz.cases": 6, "fuzz.detected": 3}
 
 
 def test_merge_campaign_raises_on_failed_shard():

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.analysis.stats import StatsRegistry
 from repro.runner import (JobResult, Shard, default_shard_count, plan_shards,
                           shard_items)
 from repro.runner.kinds import _LAZY, resolve
-from repro.runner.shard import merge_slice_stats, merge_slices, plan_slice_jobs
+from repro.runner.shard import merge_slices, plan_slice_jobs
 
 
 class TestPlanShards:
@@ -113,15 +112,6 @@ class TestSliceJobs:
                            match=r"2 t shard\(s\) failed terminally: "
                                  r"t-0001: crashed \(boom\); t-0002"):
             merge_slices(results, "letters", "t")
-
-    def test_slice_stats_sum_without_warm_cache_telemetry(self):
-        results = [JobResult(job_id=f"t-{i}", status="ok",
-                             stats={"sweep.race.subjects": 2,
-                                    "device.cache.hits": i})
-                   for i in range(3)]
-        stats = StatsRegistry()
-        merge_slice_stats(results, stats)
-        assert stats.snapshot().as_dict() == {"sweep.race.subjects": 6}
 
 
 def test_builtin_kinds_resolve():

@@ -94,11 +94,6 @@ class TestOtherTemplates:
         rec = run_clean(T.compute_heavy("c", n=128, wg_size=64, iters=8))
         assert rec.mem_instructions * 5 < rec.instructions
 
-    def test_many_launches(self):
-        wl = T.many_launches("ml", n=128, wg_size=64, launches=5)
-        rec = run_clean(wl)
-        assert rec.launches == 5
-
 
 class TestBufferSpecs:
     def test_streaming_declared_footprint(self):
