@@ -311,6 +311,10 @@ def main(argv=None) -> int:
             print(f"unknown artefacts: {bad} (have {list(ARTIFACTS)})",
                   file=sys.stderr)
             return 2
+    if args.resume and not args.manifest_dir:
+        print("--resume needs --manifest-dir DIR (where the journal lives)",
+              file=sys.stderr)
+        return 2
     # Every mode ends by writing records here: refuse an unwritable
     # directory before any job is planned, not after the sweep ran.
     try:
@@ -334,10 +338,14 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    summary = run_bench_suite(
-        artifacts, jobs=args.jobs, subset=args.subset, seed=args.seed,
-        results_dir=args.results_dir, out_dir=args.manifest_dir,
-        resume=args.resume)
+    try:
+        summary = run_bench_suite(
+            artifacts, jobs=args.jobs, subset=args.subset, seed=args.seed,
+            results_dir=args.results_dir, out_dir=args.manifest_dir,
+            resume=args.resume)
+    except ValueError as exc:   # another plan's journal, a newer record
+        print(exc, file=sys.stderr)
+        return 2
     for name, info in summary.items():
         print(f"[bench] {name}: {info['jobs']} job(s), "
               f"{info['wall_seconds']:.1f}s, "

@@ -15,11 +15,11 @@ of the key: the engine-differential drivers flip the process default
 mid-run, and a device built under one engine must never serve the
 other.
 
-The cache is per process.  Runner workers fork per attempt, so each
-child starts cold and warms up across the cases of its own shard; the
-inline (``--jobs 0``) path shares one pool across every job.  The
-counters here are merged into the runner's stats registry by
-``repro.runner.pool``.
+The cache is per process.  Runner workers fork per job, so each child
+starts cold and warms up across the cases of its own shard; the inline
+(``--jobs 0``) path shares one pool across every job.  The counters
+here stay in the process that bumped them: :func:`device_cache_stats`
+reads them (``bench/child.py`` reports its warm-hit ratios from it).
 """
 
 from __future__ import annotations

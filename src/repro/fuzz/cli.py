@@ -84,9 +84,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser.add_argument("--shard-timeout", type=float, default=None,
                         help="per-shard timeout in seconds "
                              "(default 900)")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="retry budget per shard for crashes/"
-                             "timeouts (default 1)")
     return parser.parse_args(argv)
 
 
@@ -107,15 +104,17 @@ def _run_parallel(args, specs, configs):
     plan = plan_fuzz_shards(
         specs, seed=args.seed, jobs=jobs, shards=args.shards,
         configs=configs, determinism_every=args.determinism_every,
-        timeout=args.shard_timeout or DEFAULT_SHARD_TIMEOUT,
-        max_retries=args.retries)
-    reporter = HeartbeatReporter(len(plan), label="fuzz")
-    report = run_jobs(
-        plan, jobs=jobs, run_name=f"fuzz-seed{args.seed}",
-        journal_path=journal, resume=args.resume, out_dir=args.out,
-        reporter=reporter,
-        meta={"cases": len(specs), "seed": args.seed,
-              "configs": list(configs)})
+        timeout=args.shard_timeout or DEFAULT_SHARD_TIMEOUT)
+    try:
+        report = run_jobs(
+            plan, jobs=jobs, run_name=f"fuzz-seed{args.seed}",
+            journal_path=journal, resume=args.resume, out_dir=args.out,
+            reporter=HeartbeatReporter(len(plan), label="fuzz"),
+            meta={"cases": len(specs), "seed": args.seed,
+                  "configs": list(configs)})
+    except ValueError as exc:   # a journal from another plan
+        print(exc, file=sys.stderr)
+        return None
     try:
         result = merge_campaign(
             [report.results[s.job_id] for s in plan], seed=args.seed)

@@ -30,8 +30,8 @@ from repro.runner.shard import merge_slices, plan_slice_jobs
 SHARD_KIND = "fuzz.shard"
 
 #: Generous per-shard wall-clock cap: a shard that wedges (infinite
-#: loop in a generated kernel) is killed and retried rather than
-#: stalling the campaign.
+#: loop in a generated kernel) is killed and reported as ``timeout``
+#: rather than stalling the campaign.
 DEFAULT_SHARD_TIMEOUT = 900.0
 
 
@@ -40,14 +40,14 @@ def plan_fuzz_shards(specs: Sequence[CaseSpec], *, seed: int,
                      configs: Sequence[str] = CONFIG_NAMES,
                      determinism_every: int = 0,
                      timeout: float = DEFAULT_SHARD_TIMEOUT,
-                     max_retries: int = 1) -> List[JobSpec]:
+                     ) -> List[JobSpec]:
     """Cut a campaign into contiguous, self-contained shard jobs."""
     return plan_slice_jobs(
         [s.to_dict() for s in specs], kind=SHARD_KIND, prefix="fuzz",
         seed=seed, jobs=jobs, shards=shards, key="cases",
         payload={"configs": list(configs),
                  "determinism_every": determinism_every},
-        timeout=timeout, max_retries=max_retries)
+        timeout=timeout)
 
 
 def run_shard_job(payload: dict, ctx: JobContext) -> dict:

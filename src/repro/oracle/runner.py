@@ -4,8 +4,8 @@
 and a mode, the worker captures every leg in-process and returns the
 serialized :class:`~repro.oracle.diff.DiffResult` plus each leg's
 invariant report.  Because captures are deterministic, a sharded
-sweep is observably identical to a serial one (the PR 3 runner
-guarantees the rest: crash isolation, retries, checkpoint/resume).
+sweep is observably identical to a serial one (the runner guarantees
+the rest: crash isolation, timeouts, checkpoint/resume).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ def plan_diff_jobs(subjects: Sequence[str], *, mode: str = "engines",
             kind=DIFF_KIND,
             seed=seed,
             timeout=timeout,
-            max_retries=1,
-            retry_backoff=0.5,
             payload={
                 "subject": subject,
                 "mode": mode,

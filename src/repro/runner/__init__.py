@@ -5,8 +5,8 @@ The subsystem every campaign and sweep schedules through:
 * :mod:`repro.runner.job`      — JobSpec/JobResult model, fingerprints;
 * :mod:`repro.runner.kinds`    — job-kind registry (entrypoints);
 * :mod:`repro.runner.shard`    — deterministic sharding planner;
-* :mod:`repro.runner.pool`     — crash-isolated worker pool (timeouts,
-  bounded retry with backoff);
+* :mod:`repro.runner.pool`     — crash-isolated worker pool, one run
+  per job, per-job timeouts;
 * :mod:`repro.runner.journal`  — JSONL checkpoint journal / resume;
 * :mod:`repro.runner.engine`   — orchestration, stats merge, manifest;
 * :mod:`repro.runner.reporter` — heartbeat progress reporting.

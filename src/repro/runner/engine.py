@@ -56,26 +56,11 @@ class RunReport:
 
 def _run_inline(specs: Sequence[JobSpec], on_event: PoolEvent,
                 ) -> Dict[str, JobResult]:
-    """Serial in-process execution with the same retry policy."""
+    """Serial in-process execution, one run per job like the pool."""
     results: Dict[str, JobResult] = {}
     for spec in specs:
-        prior_wall = 0.0
-        for attempt in range(1, spec.max_retries + 2):
-            on_event("start", {"job_id": spec.job_id, "attempt": attempt})
-            result = execute_attempt(spec, attempt)
-            result.wall_seconds += prior_wall
-            prior_wall = result.wall_seconds
-            on_event("attempt", {"job_id": spec.job_id, "attempt": attempt,
-                                 "status": result.status,
-                                 "error": result.error,
-                                 "wall_seconds": result.wall_seconds})
-            if result.ok or attempt == spec.max_retries + 1:
-                break
-            backoff = spec.retry_backoff * (2 ** (attempt - 1))
-            on_event("retry", {"job_id": spec.job_id, "attempt": attempt,
-                               "status": result.status, "backoff": backoff})
-            if backoff:
-                time.sleep(backoff)
+        on_event("start", {"job_id": spec.job_id})
+        result = execute_attempt(spec)
         results[spec.job_id] = result
         on_event("result", {"job_id": spec.job_id, "status": result.status,
                             "result": result})
@@ -89,7 +74,6 @@ def run_jobs(specs: Sequence[JobSpec], *, jobs: int = 1,
              journal_path: Optional[str] = None, resume: bool = False,
              out_dir: Optional[str] = None,
              reporter: Optional[PoolEvent] = None,
-             gauges: Sequence[str] = (),
              meta: Optional[Dict[str, object]] = None) -> RunReport:
     """Execute a job plan; see the module docstring for the lifecycle.
 
@@ -148,18 +132,10 @@ def run_jobs(specs: Sequence[JobSpec], *, jobs: int = 1,
     for result in completed.values():
         on_event("reused", {"job_id": result.job_id})
 
-    def checkpoint(event: str, info: dict) -> None:
-        on_event(event, info)
-        if journal is not None and event == "attempt":
-            journal.write_attempt(info["job_id"], info["attempt"],
-                                  info["status"],
-                                  info.get("wall_seconds", 0.0),
-                                  info.get("error", ""))
-
     # -- execute -----------------------------------------------------------
     try:
         def journalling_event(event: str, info: dict) -> None:
-            checkpoint(event, info)
+            on_event(event, info)
             if journal is not None and event == "result":
                 journal.write_result(info["result"])
 
@@ -189,11 +165,9 @@ def run_jobs(specs: Sequence[JobSpec], *, jobs: int = 1,
         "runner.jobs_ok": statuses.get("ok", 0),
         "runner.jobs_failed": len(merged) - statuses.get("ok", 0),
         "runner.jobs_reused": len(completed),
-        "runner.attempts": sum(r.attempts for r in merged.values()),
     }
     stats = merge_snapshots(
-        [r.stats for r in merged.values()] + [runner_counters],
-        gauges=tuple(gauges) or ("capacity", "peak", "high_water", "limit"))
+        [r.stats for r in merged.values()] + [runner_counters])
 
     digest = results_digest(list(merged.values()))
     failures = [r for r in merged.values() if not r.ok]
@@ -215,7 +189,7 @@ def run_jobs(specs: Sequence[JobSpec], *, jobs: int = 1,
         "meta": meta or {},
         "per_job": [{
             "job_id": r.job_id, "kind": merged_spec.kind,
-            "status": r.status, "attempts": r.attempts,
+            "status": r.status,
             "wall_seconds": round(r.wall_seconds, 6),
             "reused": r.reused,
             **({"error": r.error} if r.error else {}),

@@ -3,14 +3,13 @@
 A :class:`JobSpec` is everything a worker process needs to execute one
 independent unit of a campaign or sweep: a stable id, an entrypoint
 *kind* (resolved through :mod:`repro.runner.kinds`), a JSON-serializable
-payload, a seed, and its failure policy (timeout, retry budget,
-backoff).  Specs are frozen and round-trip through JSON, which is what
-makes the checkpoint journal and ``--resume`` trivial: the plan can be
-fingerprinted, persisted, and re-derived bit-identically.
+payload, a seed, and a timeout.  Specs are frozen pure data, which is
+what makes the checkpoint journal and ``--resume`` trivial: the plan
+can be fingerprinted and re-derived bit-identically.
 
 A :class:`JobResult` separates **canonical** output (job id, status,
 payload, stats — deterministic, what merging consumes) from **runtime**
-telemetry (wall seconds, attempts, worker pid — useful in the manifest,
+telemetry (wall seconds, the reused flag — useful in the manifest,
 excluded from result digests so an interrupted-and-resumed run merges
 bit-identically to an uninterrupted one).
 """
@@ -19,27 +18,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.stats import StatsRegistry
 
-#: Terminal statuses a job attempt can end in.
+#: Terminal statuses a job can end in.
 OK, ERROR, CRASHED, TIMEOUT = "ok", "error", "crashed", "timeout"
 FAILURE_STATUSES = (ERROR, CRASHED, TIMEOUT)
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One schedulable unit of work.  Pure data, JSON round-trippable."""
+    """One schedulable unit of work.  Pure data; ``to_dict`` feeds the
+    plan fingerprint."""
 
     job_id: str
     kind: str                      # registry name or "module:function"
     payload: Dict[str, object] = field(default_factory=dict)
     seed: int = 0
-    timeout: Optional[float] = None   # seconds per attempt; None = unbounded
-    max_retries: int = 0              # extra attempts after the first
-    retry_backoff: float = 0.0        # base delay; doubles per retry
+    timeout: Optional[float] = None   # seconds; None = unbounded
 
     def validate(self) -> None:
         if not self.job_id:
@@ -48,17 +46,9 @@ class JobSpec:
             raise ValueError(f"job {self.job_id}: kind must be non-empty")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"job {self.job_id}: bad timeout {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"job {self.job_id}: negative retry budget")
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
-        spec = cls(**data)   # type: ignore[arg-type]
-        spec.validate()
-        return spec
 
 
 def plan_fingerprint(specs: Sequence[JobSpec]) -> str:
@@ -74,7 +64,7 @@ def plan_fingerprint(specs: Sequence[JobSpec]) -> str:
 
 @dataclass
 class JobResult:
-    """Outcome of one job (after retries, the final attempt wins)."""
+    """Outcome of one job's single run."""
 
     job_id: str
     status: str                       # ok | error | crashed | timeout
@@ -82,7 +72,6 @@ class JobResult:
     stats: Dict[str, float] = field(default_factory=dict)
     error: str = ""
     # -- runtime telemetry (excluded from canonical form) ------------------
-    attempts: int = 1
     wall_seconds: float = 0.0
     reused: bool = False              # replayed from a checkpoint journal
 
@@ -94,8 +83,8 @@ class JobResult:
         """The deterministic slice of this result.
 
         Merging and digests read only this: two runs that executed the
-        same plan — in any order, with any retry/crash history, resumed
-        or not — produce identical canonical forms.
+        same plan — in any order, resumed or not — produce identical
+        canonical forms.
         """
         return {
             "job_id": self.job_id,
@@ -110,7 +99,15 @@ class JobResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "JobResult":
-        return cls(**data)   # type: ignore[arg-type]
+        """Rebuild a result, dropping keys this version does not have.
+
+        A journal written by an older version (its results carried an
+        ``attempts`` count) must still load far enough for ``--resume``
+        to refuse it by plan fingerprint.
+        """
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in data.items()   # type: ignore[arg-type]
+                      if k in names})
 
 
 def results_digest(results: Sequence[JobResult]) -> str:
@@ -130,4 +127,3 @@ class JobContext:
 
     spec: JobSpec
     stats: StatsRegistry          # harvested and shipped back on exit
-    attempt: int = 1              # 1-based; bumps across retries

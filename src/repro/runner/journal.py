@@ -5,9 +5,11 @@ including mid-write — leaves a loadable journal:
 
 * ``plan``    — header: run name, plan fingerprint, job count;
 * ``resume``  — appended each time a run resumes this journal;
-* ``attempt`` — one per finished attempt (including failures that will
-  be retried), for fault-path observability;
-* ``result``  — one per *final* job result; resume replays these.
+* ``result``  — one per finished job; resume replays these.
+
+A fresh run into an existing journal appends a new ``plan`` header;
+everything before the last header belongs to an earlier run and is
+ignored on load.
 
 Loading tolerates a torn final line (the kill-mid-write case) by
 discarding it; everything before a torn line is intact because lines
@@ -20,7 +22,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.runner.job import JobResult
 
@@ -33,7 +35,6 @@ class JournalState:
 
     header: Dict[str, object] = field(default_factory=dict)
     results: Dict[str, JobResult] = field(default_factory=dict)
-    attempts: List[Dict[str, object]] = field(default_factory=list)
     resumes: int = 0
     torn_lines: int = 0
 
@@ -70,12 +71,6 @@ class Journal:
         self._emit({"type": "resume", "reused": reused,
                     "remaining": remaining})
 
-    def write_attempt(self, job_id: str, attempt: int, status: str,
-                      wall_seconds: float, error: str = "") -> None:
-        self._emit({"type": "attempt", "job_id": job_id, "attempt": attempt,
-                    "status": status,
-                    "wall_seconds": round(wall_seconds, 6), "error": error})
-
     def write_result(self, result: JobResult) -> None:
         self._emit({"type": "result", "result": result.to_dict()})
 
@@ -94,9 +89,11 @@ class Journal:
 def load_journal(path: str) -> JournalState:
     """Parse a journal back into resumable state.
 
-    The *last* ``result`` line per job wins (a resumed run may re-run a
-    previously failed job and append a newer result).  A torn trailing
-    line is counted and dropped.
+    Only records after the last ``plan`` header count: results before
+    it come from another run, possibly of another plan.  The *last*
+    ``result`` line per job wins (a resumed run may re-run a previously
+    failed job and append a newer result).  A torn trailing line is
+    counted and dropped.
     """
     state = JournalState()
     if not os.path.exists(path):
@@ -118,11 +115,9 @@ def load_journal(path: str) -> JournalState:
                 "(only the final line may be torn)")
         rtype = record.get("type")
         if rtype == "plan":
-            state.header = record
+            state = JournalState(header=record)
         elif rtype == "resume":
             state.resumes += 1
-        elif rtype == "attempt":
-            state.attempts.append(record)
         elif rtype == "result":
             result = JobResult.from_dict(record["result"])
             state.results[result.job_id] = result

@@ -17,7 +17,7 @@ cross-process merging.  Entrypoints must be module-level functions so a
 
 The ``util.*`` kinds below are tiny, dependency-free entrypoints used by
 the runner's own tests and smoke checks to exercise every failure path
-(clean error, hard crash, hang, flaky-then-success).
+(clean error, hard crash, hang).
 """
 
 from __future__ import annotations
@@ -104,28 +104,7 @@ def _kill_self(payload: dict, ctx: JobContext) -> dict:
     return {}   # unreachable
 
 
-def _flaky(payload: dict, ctx: JobContext) -> dict:
-    """Fail the first ``fail_times`` attempts, then succeed.
-
-    Cross-attempt state lives in a caller-provided sentinel file (each
-    attempt is a fresh process): the file accumulates one byte per
-    failed attempt.
-    """
-    sentinel = payload["sentinel"]
-    fail_times = int(payload.get("fail_times", 1))
-    failures = (os.path.getsize(sentinel)
-                if os.path.exists(sentinel) else 0)
-    if failures < fail_times:
-        with open(sentinel, "ab") as fh:
-            fh.write(b"x")
-        if payload.get("hard"):
-            os.kill(os.getpid(), signal.SIGKILL)
-        raise RuntimeError(f"flaky failure {failures + 1}/{fail_times}")
-    return {"succeeded_on_attempt": ctx.attempt, "failures": failures}
-
-
 register("util.echo", _echo)
 register("util.sleep", _sleep)
 register("util.raise", _raise)
 register("util.kill_self", _kill_self)
-register("util.flaky", _flaky)

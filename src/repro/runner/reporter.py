@@ -2,8 +2,8 @@
 
 The reporter is a pool-event callback (see
 :data:`repro.runner.pool.PoolEvent`): it prints a heartbeat line at a
-bounded rate while jobs run, one line per retry/failure as they happen,
-and a final summary.  Output goes to stderr so it never contaminates
+bounded rate while jobs run, one line per failure as it happens, and a
+final summary.  Output goes to stderr so it never contaminates
 machine-readable stdout (detection matrices, JSON reports).
 """
 
@@ -11,33 +11,29 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Optional, TextIO
+
+#: Minimum seconds between two heartbeat lines.
+_INTERVAL = 2.0
 
 
 class HeartbeatReporter:
     """Rate-limited progress lines: ``[runner] 12/50 done, 2 running``."""
 
-    def __init__(self, total: int, *, label: str = "runner",
-                 interval: float = 2.0, stream: Optional[TextIO] = None,
-                 verbose: bool = False):
+    def __init__(self, total: int, *, label: str = "runner"):
         self.total = total
         self.label = label
-        self.interval = interval
-        self.stream = stream if stream is not None else sys.stderr
-        self.verbose = verbose
         self.done = 0
         self.failed = 0
         self.reused = 0
-        self.retries = 0
         self._started = time.monotonic()
         self._last_beat = 0.0
 
     def _print(self, text: str) -> None:
-        print(f"[{self.label}] {text}", file=self.stream, flush=True)
+        print(f"[{self.label}] {text}", file=sys.stderr, flush=True)
 
     def _beat(self, running: int, force: bool = False) -> None:
         now = time.monotonic()
-        if not force and now - self._last_beat < self.interval:
+        if not force and now - self._last_beat < _INTERVAL:
             return
         self._last_beat = now
         elapsed = now - self._started
@@ -59,14 +55,6 @@ class HeartbeatReporter:
                 self.failed += 1
                 self._print(f"job {info.get('job_id')} failed "
                             f"({info.get('status')})")
-        elif event == "retry":
-            self.retries += 1
-            self._print(f"job {info.get('job_id')} attempt "
-                        f"{info.get('attempt')} {info.get('status')}; "
-                        f"retrying in {info.get('backoff', 0):.2f}s")
-        elif event == "attempt" and self.verbose:
-            self._print(f"job {info.get('job_id')} attempt "
-                        f"{info.get('attempt')}: {info.get('status')}")
         elif event == "tick":
             self._beat(info.get("running", 0))
         elif event == "done":

@@ -84,8 +84,7 @@ def plan_slice_jobs(items: Sequence[object], *, kind: str, prefix: str,
                     key: str, seed: int, jobs: int,
                     shards: Optional[int] = None,
                     payload: Optional[Dict[str, object]] = None,
-                    timeout: Optional[float] = None,
-                    max_retries: int = 1) -> List[JobSpec]:
+                    timeout: Optional[float] = None) -> List[JobSpec]:
     """One ``kind`` job per contiguous slice of ``items``.
 
     Each job's payload holds ``index_base`` (the slice's first index),
@@ -95,8 +94,7 @@ def plan_slice_jobs(items: Sequence[object], *, kind: str, prefix: str,
     """
     shards = shards or default_shard_count(len(items), jobs)
     return [JobSpec(job_id=f"{prefix}-{shard.index:04d}", kind=kind,
-                    seed=seed, timeout=timeout, max_retries=max_retries,
-                    retry_backoff=0.5,
+                    seed=seed, timeout=timeout,
                     payload={"index_base": shard.start,
                              key: list(items[shard.start:shard.stop]),
                              **(payload or {})})

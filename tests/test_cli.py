@@ -84,6 +84,16 @@ class TestFuzzCliErrors:
         assert fuzz_main(["--cases", "1", "--resume"]) == 2
         assert "--journal" in capsys.readouterr().err
 
+    def test_resume_from_another_seeds_journal(self, tmp_path, capsys):
+        from repro.fuzz.cli import main as fuzz_main
+        out = str(tmp_path / "d")
+        assert fuzz_main(["--cases", "1", "--seed", "1", "--jobs", "1",
+                          "--out", out, "--no-minimize"]) == 0
+        capsys.readouterr()
+        assert fuzz_main(["--cases", "2", "--seed", "2", "--jobs", "1",
+                          "--out", out, "--resume"]) == 2
+        assert "belongs to a different plan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("parallel", [["--jobs", "2"], ["--resume"]])
     def test_budget_on_a_parallel_campaign(self, capsys, parallel):
         from repro.fuzz.cli import main as fuzz_main
@@ -114,6 +124,14 @@ class TestBenchCliErrors:
         assert bench_main(["--artifacts", "table3",
                            "--results-dir", results]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_resume_without_manifest_dir(self, tmp_path, capsys):
+        from repro.analysis.bench import main as bench_main
+        results = tmp_path / "results"
+        assert bench_main(["--resume", "--artifacts", "fig1",
+                           "--results-dir", str(results)]) == 2
+        assert "--manifest-dir" in capsys.readouterr().err
+        assert not results.exists()   # refused before anything ran
 
     def test_compare_engines_honours_zero_fuzz_cases(self, tmp_path,
                                                      capsys):

@@ -262,7 +262,7 @@ class TestRunnerIntegration:
         from repro.analysis.stats import StatsRegistry
         from repro.runner.job import JobContext, JobSpec
         spec = JobSpec(job_id="t", kind="oracle.diff", payload={})
-        ctx = JobContext(spec=spec, stats=StatsRegistry(), attempt=1)
+        ctx = JobContext(spec=spec, stats=StatsRegistry())
         out = oracle_diff_job({"subject": "fuzz:101", "mode": "engines",
                                "engines": ["slow", "fast"],
                                "stage_level": True, "invariants": True},
@@ -278,7 +278,7 @@ class TestRunnerIntegration:
         from repro.analysis.stats import StatsRegistry
         from repro.runner.job import JobContext, JobSpec
         spec = JobSpec(job_id="t", kind="oracle.diff", payload={})
-        ctx = JobContext(spec=spec, stats=StatsRegistry(), attempt=1)
+        ctx = JobContext(spec=spec, stats=StatsRegistry())
         out = oracle_diff_job({"subject": "tpl:streaming", "mode": "golden",
                                "engines": list(ENGINES),
                                "invariants": invariants}, ctx)

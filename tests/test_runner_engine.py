@@ -5,6 +5,7 @@ merges **bit-identically** (same results digest, same payloads) to a run
 that never stopped, regardless of worker count or completion order.
 """
 
+import hashlib
 import json
 import os
 
@@ -14,9 +15,18 @@ from repro.runner import (JobResult, JobSpec, load_journal, plan_fingerprint,
                           results_digest, run_jobs)
 
 
-def _echo_plan(n=6, **kw):
+def _echo_plan(n=6, base=0):
     return [JobSpec(job_id=f"job-{i:02d}", kind="util.echo",
-                    payload={"value": i}, seed=i, **kw) for i in range(n)]
+                    payload={"value": base + i}, seed=i) for i in range(n)]
+
+
+def fail_until_sentinel(payload: dict, ctx) -> dict:
+    """Fail while ``payload["sentinel"]`` is absent, creating it."""
+    sentinel = payload["sentinel"]
+    if not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        raise RuntimeError("sentinel was missing")
+    return {"sentinel": sentinel}
 
 
 class TestRunJobs:
@@ -37,7 +47,6 @@ class TestRunJobs:
         report = run_jobs(_echo_plan(4), jobs=2)
         assert report.stats.get("runner.jobs_total") == 4
         assert report.stats.get("runner.jobs_ok") == 4
-        assert report.stats.get("runner.attempts") == 4
         # Per-worker counters sum across processes.
         assert report.stats.get("util.echo.calls") == 4
 
@@ -70,14 +79,16 @@ class TestRunJobs:
 
 
 class TestJournal:
-    def test_journal_records_plan_attempts_results(self, tmp_path):
+    def test_journal_records_plan_and_results(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         run_jobs(_echo_plan(3), jobs=1, journal_path=str(journal))
         state = load_journal(str(journal))
         assert state.header["total_jobs"] == 3
         assert len(state.results) == 3
-        assert len(state.attempts) == 3
         assert state.torn_lines == 0
+        types = [json.loads(line)["type"]
+                 for line in journal.read_text().splitlines()]
+        assert types == ["plan"] + ["result"] * 3
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -134,10 +145,10 @@ class TestResume:
         assert state.resumes == 1
 
     def test_resume_reruns_failed_jobs(self, tmp_path):
-        sentinel = tmp_path / "flaky"
-        plan = [JobSpec(job_id="flaky", kind="util.flaky",
-                        payload={"sentinel": str(sentinel),
-                                 "fail_times": 1})]
+        sentinel = tmp_path / "sentinel"
+        plan = [JobSpec(job_id="once",
+                        kind="tests.test_runner_engine:fail_until_sentinel",
+                        payload={"sentinel": str(sentinel)})]
         journal = tmp_path / "j.jsonl"
         first = run_jobs(plan, jobs=1, journal_path=str(journal))
         assert not first.ok
@@ -146,12 +157,57 @@ class TestResume:
         assert second.ok
         assert second.reused == 0   # failures never replay from journal
 
+    def test_resume_ignores_results_of_an_earlier_plan(self, tmp_path):
+        # A fresh run into a used journal appends its own plan header;
+        # resuming it must not replay the earlier plan's results.
+        journal = tmp_path / "j.jsonl"
+        run_jobs(_echo_plan(4, base=100), jobs=0, journal_path=str(journal))
+        plan = _echo_plan(4, base=200)
+        fresh = run_jobs(plan, jobs=0, journal_path=str(journal))
+        kept, plans = [], 0
+        for line in journal.read_text().splitlines(keepends=True):
+            kept.append(line)
+            record_type = json.loads(line)["type"]
+            plans += record_type == "plan"
+            if plans == 2 and record_type == "result":
+                break   # cut the second run after its first result
+        journal.write_text("".join(kept))
+
+        resumed = run_jobs(plan, jobs=0, journal_path=str(journal),
+                           resume=True)
+        assert resumed.reused == 1
+        assert [r.payload["echo"] for r in resumed.results.values()] \
+            == [200, 201, 202, 203]
+        assert resumed.digest == fresh.digest
+
     def test_resume_refuses_a_foreign_journal(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         run_jobs(_echo_plan(2), jobs=0, journal_path=str(journal))
         other = _echo_plan(3)
         with pytest.raises(ValueError, match="different plan"):
             run_jobs(other, jobs=0, journal_path=str(journal), resume=True)
+
+    def test_resume_refuses_a_journal_with_retry_fields(self, tmp_path):
+        # Specs that carried retry fields fingerprint differently, and
+        # their results carried an attempt count: such a journal is
+        # refused as another plan, not a crash.
+        journal = tmp_path / "j.jsonl"
+        plan = _echo_plan(2)
+        run_jobs(plan, jobs=0, journal_path=str(journal))
+        old_specs = [{**s.to_dict(), "max_retries": 1, "retry_backoff": 0.5}
+                     for s in plan]
+        old_fingerprint = hashlib.sha256(json.dumps(
+            old_specs, sort_keys=True).encode()).hexdigest()
+        records = [json.loads(line)
+                   for line in journal.read_text().splitlines()]
+        for record in records:
+            if record["type"] == "plan":
+                record["fingerprint"] = old_fingerprint
+            else:
+                record["result"]["attempts"] = 1
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match="different plan"):
+            run_jobs(plan, jobs=0, journal_path=str(journal), resume=True)
 
     def test_resume_refuses_same_shape_plan_with_changed_payload(
             self, tmp_path):
@@ -181,9 +237,9 @@ class TestResume:
 class TestDeterminism:
     def test_digest_excludes_runtime_telemetry(self):
         a = JobResult(job_id="x", status="ok", payload={"v": 1}, stats={},
-                      error="", attempts=1, wall_seconds=0.5)
+                      error="", wall_seconds=0.5)
         b = JobResult(job_id="x", status="ok", payload={"v": 1}, stats={},
-                      error="", attempts=3, wall_seconds=9.9, reused=True)
+                      error="", wall_seconds=9.9, reused=True)
         assert results_digest([a]) == results_digest([b])
 
     def test_digest_is_completion_order_independent(self):

@@ -1,8 +1,8 @@
 """Fault paths of the multiprocessing worker pool.
 
 Every failure mode a worker can hit — clean exception, hard SIGKILL,
-hang-past-timeout, flaky-then-success — must come back as a classified
-:class:`JobResult`, never as a wedged or crashed parent.
+hang-past-timeout — must come back as a classified :class:`JobResult`,
+never as a wedged or crashed parent, and after exactly one run.
 """
 
 import os
@@ -10,7 +10,7 @@ import os
 import pytest
 
 from repro.runner import (CRASHED, ERROR, OK, TIMEOUT, JobSpec, WorkerPool,
-                          execute_attempt)
+                          execute_attempt, run_jobs)
 
 
 def _spec(job_id, kind, payload=None, **kw):
@@ -27,7 +27,6 @@ class TestHappyPath:
         result = _run_one(_spec("e1", "util.echo", {"value": 42}, seed=7))
         assert result.status == OK and result.ok
         assert result.payload == {"echo": 42, "seed": 7}
-        assert result.attempts == 1
         assert result.wall_seconds > 0
 
     def test_worker_stats_ship_back(self):
@@ -70,58 +69,33 @@ class TestFaultPaths:
         assert results["b"].status == CRASHED
 
 
-class TestRetries:
-    def test_flaky_error_recovers_within_budget(self, tmp_path):
-        sentinel = str(tmp_path / "flaky1")
-        result = _run_one(_spec(
-            "f1", "util.flaky", {"sentinel": sentinel, "fail_times": 2},
-            max_retries=2))
-        assert result.ok
-        assert result.attempts == 3
-        assert result.payload["succeeded_on_attempt"] == 3
-
-    def test_flaky_crash_recovers_within_budget(self, tmp_path):
-        sentinel = str(tmp_path / "flaky2")
-        result = _run_one(_spec(
-            "f2", "util.flaky",
-            {"sentinel": sentinel, "fail_times": 1, "hard": True},
-            max_retries=1))
-        assert result.ok
-        assert result.attempts == 2
-
-    def test_retry_budget_exhausts_to_last_failure(self):
-        result = _run_one(_spec("f3", "util.raise", {"message": "always"},
-                                max_retries=2))
-        assert result.status == ERROR
-        assert result.attempts == 3
-
-    def test_events_cover_start_attempt_retry_result(self, tmp_path):
+class TestRunsOnce:
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_raising_job_runs_once(self, jobs):
         events = []
-        sentinel = str(tmp_path / "flaky3")
-        _run_one(_spec("f4", "util.flaky",
-                       {"sentinel": sentinel, "fail_times": 1},
-                       max_retries=1),
-                 on_event=lambda ev, info: events.append((ev, dict(info))))
+        report = run_jobs(
+            [_spec("r", "util.raise", {"message": "deterministic"})],
+            jobs=jobs,
+            reporter=lambda ev, info: events.append((ev, dict(info))))
         kinds = [ev for ev, _ in events]
-        assert kinds.count("start") == 2
-        assert kinds.count("attempt") == 2
-        assert kinds.count("retry") == 1
+        assert kinds.count("start") == 1
         assert kinds.count("result") == 1
-        result_info = next(info for ev, info in events if ev == "result")
-        assert result_info["result"].ok
+        result = report.results["r"]
+        assert result.status == ERROR
+        assert "RuntimeError: deterministic" in result.error
 
 
 class TestInlineAttempt:
     """execute_attempt is the jobs=0 serial path — same classification."""
 
     def test_inline_ok_and_error(self):
-        ok = execute_attempt(_spec("i1", "util.echo", {"value": 5}), 1)
+        ok = execute_attempt(_spec("i1", "util.echo", {"value": 5}))
         assert ok.ok and ok.payload["echo"] == 5
-        err = execute_attempt(_spec("i2", "util.raise", {}), 1)
+        err = execute_attempt(_spec("i2", "util.raise", {}))
         assert err.status == ERROR and "injected" in err.error
 
     def test_unknown_kind_is_error_not_raise(self):
-        result = execute_attempt(_spec("i3", "no.such.kind"), 1)
+        result = execute_attempt(_spec("i3", "no.such.kind"))
         assert result.status == ERROR
         assert "unknown job kind" in result.error
 
