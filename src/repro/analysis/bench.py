@@ -12,7 +12,8 @@ Every artefact also lands as a **machine-readable result record** under
 with the generating config, headline metrics like cycles/overhead %,
 and the raw series).  Besides regeneration the driver runs one
 differential, slow vs fast engine (``--compare-engines``).  Host timing
-is not its job: ``bench/`` measures that in fresh processes.
+is not its job: ``bench/`` measures that in fresh processes.  Every run
+does close with its peak RSS, the suite's memory figure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -301,6 +303,17 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _peak_rss_line(jobs: int) -> str:
+    """The closing line: this process's peak RSS and, under ``--jobs
+    N``, the largest worker's (Linux ``ru_maxrss`` is in KiB)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    line = f"[bench] peak RSS: {peak / 1024:.1f} MB"
+    if jobs > 0:
+        worst = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        line += f", largest worker {worst / 1024:.1f} MB"
+    return line
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     artifacts = ([a.strip() for a in args.artifacts.split(",") if a.strip()]
@@ -311,6 +324,13 @@ def main(argv=None) -> int:
             print(f"unknown artefacts: {bad} (have {list(ARTIFACTS)})",
                   file=sys.stderr)
             return 2
+    if args.compare_engines and (args.resume or args.manifest_dir):
+        ignored = [flag for flag, given in (("--resume", args.resume),
+                                            ("--manifest-dir",
+                                             args.manifest_dir)) if given]
+        print(f"--compare-engines keeps no manifest or journal: drop "
+              f"{' and '.join(ignored)}", file=sys.stderr)
+        return 2
     if args.resume and not args.manifest_dir:
         print("--resume needs --manifest-dir DIR (where the journal lives)",
               file=sys.stderr)
@@ -330,6 +350,7 @@ def main(argv=None) -> int:
             seed=args.seed, fuzz_cases=args.fuzz_cases,
             fuzz_seed=args.fuzz_seed, results_dir=args.results_dir)
         print(result["text"])
+        print(_peak_rss_line(args.jobs))
         if not result["identical"]:
             print("[bench] ERROR: fast engine diverged from slow "
                   f"(artifacts: {result['mismatches'] or 'none'}, "
@@ -350,6 +371,7 @@ def main(argv=None) -> int:
         print(f"[bench] {name}: {info['jobs']} job(s), "
               f"{info['wall_seconds']:.1f}s, "
               f"metrics={json.dumps(info['metrics'], sort_keys=True)}")
+    print(_peak_rss_line(args.jobs))
     return 0
 
 

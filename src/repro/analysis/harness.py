@@ -160,8 +160,8 @@ class WorkloadRunner:
         """Return an acquired device to the warm pool (idempotent).
 
         Callers must be done reading device memory (digests, buffer
-        readbacks) first: a released device may be reset and reused by
-        the next runner at any time.
+        readbacks, statistics) first: a released device is reset at
+        once, and the next runner may reuse it.
         """
         if self._owns_device:
             self._owns_device = False

@@ -3,14 +3,18 @@
 Harnesses that used to build a fresh :class:`~repro.device.device.GpuDevice`
 per run instead :func:`acquire_device` / :func:`release_device` around
 it.  Released devices idle in a pool keyed by a **configuration
-fingerprint** — ``(GPUConfig, ShieldConfig, resolved engine)`` — and a
-later acquisition with the same fingerprint pops one and :meth:`resets
-<repro.device.device.GpuDevice.reset>` it under the caller's seed
+fingerprint** — ``(GPUConfig, ShieldConfig, resolved engine)``.  A
+device entering the pool is :meth:`reset
+<repro.device.device.GpuDevice.reset>` there and then, so an idle device
+holds only its construction image: no memory, caches, memos, observers
+or violation records of its last owner.  A later acquisition with the
+same fingerprint pops one and only :meth:`reseeds
+<repro.device.device.GpuDevice.reseed>` it under the caller's seed
 instead of reconstructing the whole stack.  Reset is bit-identical to
 fresh construction, so the warm path changes wall-clock only.
 
 The seed is deliberately *not* part of the key: campaigns vary the seed
-per case, and reset re-seeds for free.  The resolved engine *is* part
+per case, and reseeding is free.  The resolved engine *is* part
 of the key: the engine-differential drivers flip the process default
 mid-run, and a device built under one engine must never serve the
 other.
@@ -33,7 +37,8 @@ from repro.engine import resolve as resolve_engine
 from repro.gpu.config import GPUConfig, nvidia_config
 
 #: Idle devices kept per fingerprint; beyond this, released devices are
-#: evicted (their baseline images would pin memory for nothing).
+#: evicted.  An idle device is reset at release, so each one pins only
+#: its (near-empty) construction image plus the simulator's structures.
 MAX_IDLE_PER_KEY = 4
 
 _idle: Dict[Tuple[str, str, str], List[GpuDevice]] = {}
@@ -90,11 +95,12 @@ def warm_devices(enabled: bool = True):
 def acquire_device(config: Optional[GPUConfig] = None,
                    shield: Optional[ShieldConfig] = None,
                    seed: int = 0xC0FFEE) -> GpuDevice:
-    """A device for ``(config, shield)``, reset to ``seed``.
+    """A device for ``(config, shield)`` in the fresh state for ``seed``.
 
     Pops an idle device with the same fingerprint when warm reuse is
-    on, else constructs one.  Either way the returned device is in the
-    bit-identical fresh state for ``seed``.
+    on and reseeds it (it was reset when released), else constructs
+    one.  Either way the returned device is in the bit-identical fresh
+    state for ``seed``.
     """
     cfg = config or nvidia_config()
     if not _warm:
@@ -104,9 +110,8 @@ def acquire_device(config: Optional[GPUConfig] = None,
     pool = _idle.get(key)
     if pool:
         device = pool.pop()
-        device.reset(seed)
+        device.reseed(seed)
         _stats["hits"] += 1
-        _stats["resets"] += 1
         return device
     _stats["misses"] += 1
     device = GpuDevice(cfg, shield=shield, seed=seed)
@@ -115,23 +120,18 @@ def acquire_device(config: Optional[GPUConfig] = None,
 
 
 def release_device(device: Optional[GpuDevice]) -> None:
-    """Return a device to the idle pool (or drop it).
+    """Reset a device into the idle pool (or drop it).
 
-    Safe to call with ``None`` and idempotent per device object: a
-    device already idling is not enqueued twice.
+    A pooled device is reset at once, so nothing of its last owner —
+    memory, caches, statistics, observers, a swapped-in checker,
+    undrained violation records — idles with it or reaches the next
+    owner.  Cold-built, duplicate and evicted releases are dropped
+    without a reset; the caller must not read the device afterwards
+    either way.  Safe to call with ``None`` and idempotent per device
+    object: a device already idling is not enqueued twice.
     """
     if device is None:
         return
-    # Pool hygiene: no observer (tracer, race detector, profiler) may
-    # ride along into the idle pool, or the next acquirer's accesses
-    # would feed the releaser's still-live trace, shadow or profile.
-    device.gpu.observe()
-    # Same contract for undrained violation records: a releaser that
-    # never ``finish``-ed a faulting launch (crash path, abandoned run)
-    # must not hand its violations to the pool, where an auditor reading
-    # the device — or a reset regression — would attribute them to the
-    # *next* tenant.  Scrubbed at release, not just at acquire-reset.
-    device.shield.log.records.clear()
     key = device._cache_key
     if key is None or not _warm:
         _stats["discards"] += 1
@@ -143,8 +143,10 @@ def release_device(device: Optional[GpuDevice]) -> None:
     if len(pool) >= MAX_IDLE_PER_KEY:
         _stats["evictions"] += 1
         return
+    device.reset()
     pool.append(device)
     _stats["releases"] += 1
+    _stats["resets"] += 1
 
 
 def reset_device_cache() -> None:
@@ -161,8 +163,12 @@ def reset_device_cache() -> None:
 
 
 def device_cache_stats() -> Dict[str, int]:
-    """A copy of the counters plus the current idle population."""
+    """A copy of the counters plus the current idle population and the
+    simulated-memory bytes it holds (``idle_bytes``)."""
     out = dict(_stats)
-    out["idle"] = sum(len(pool) for pool in _idle.values())
+    idle = [device for pool in _idle.values() for device in pool]
+    out["idle"] = len(idle)
+    out["idle_bytes"] = sum(device.driver.memory.resident_bytes()
+                            for device in idle)
     out["keys"] = len(_idle)
     return out

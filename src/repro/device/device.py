@@ -11,7 +11,9 @@ The device's operations:
   (optionally under a new seed).  This is the warm path: a reset device
   is observably indistinguishable — cycles, stats, memory contents,
   violation records — from a freshly constructed one with the same
-  seed, under both the slow and fast engines.
+  seed, under both the slow and fast engines.  The warm pool resets a
+  device when it is released, and on the next acquisition only
+  reseeds it (:meth:`reseed`).
 * :meth:`snapshot` / :meth:`restore` — capture and re-install the
   *architectural* state (memory, page table, allocations, heap, RNG
   stream, kernel counter, undrained violations).  Scratch state —
@@ -114,11 +116,18 @@ class GpuDevice:
 
         With ``seed`` the device behaves exactly like a fresh
         ``GpuDevice(config, shield, seed=seed)``; without it, like a
-        fresh device under the construction seed.
+        fresh device under its current seed.
         """
         self.restore(self._baseline)
-        if seed is None:
-            seed = self.driver.seed
+        self.reseed(self.driver.seed if seed is None else seed)
+
+    def reseed(self, seed: int) -> None:
+        """Restart the driver's key/ID RNG from ``seed``.
+
+        On a device in its construction state (just built, or just
+        :meth:`reset`) this gives exactly a fresh device under ``seed``:
+        the RNG stream is the only architectural state the seed shapes.
+        """
         self.driver.reseed(seed)
         self.seed = seed
 

@@ -231,8 +231,8 @@ def run_case(spec: CaseSpec,
         outcome.cycles[name] = record.cycles
         if spec.safe:
             outcome.digests[name] = _digest(runner, spec)
-        # Digests are read; the device can go back to the warm pool for
-        # the next config/case to reset-and-reuse.
+        # Digests are read; the device can go back to the warm pool,
+        # which resets it there for the next config/case.
         runner.close()
 
     _score(spec, outcome, configs)

@@ -101,6 +101,10 @@ class PhysicalMemory:
         self.bytes_read = 0
         self.bytes_written = 0
 
+    def resident_bytes(self) -> int:
+        """Bytes of backing store held: the sum of the chunk sizes."""
+        return sum(len(chunk) for chunk in self._chunks.values())
+
     def snapshot_chunks(self) -> Dict[int, bytes]:
         """Immutable copy of the sparse store for snapshot/restore."""
         return {index: bytes(chunk)

@@ -162,7 +162,7 @@ def profile_workload(workload: Workload, *,
         gpu.observe(profiler)
         record = runner.run()
         # Read both sides *before* close(): releasing the device
-        # detaches the profiler (pool hygiene) and may reset stats.
+        # resets it, which detaches the profiler and zeroes the stats.
         snapshot = profiler.snapshot()
         mismatches = reconcile(snapshot, runner.session.stats.snapshot())
     finally:

@@ -133,6 +133,34 @@ class TestBenchCliErrors:
         assert "--manifest-dir" in capsys.readouterr().err
         assert not results.exists()   # refused before anything ran
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--resume", "--manifest-dir", "cm"], "--resume and --manifest-dir"),
+        (["--resume"], "--resume"),
+        (["--manifest-dir", "cm"], "--manifest-dir"),
+    ])
+    def test_compare_engines_refuses_manifest_flags(self, tmp_path, capsys,
+                                                    monkeypatch, flags,
+                                                    named):
+        from repro.analysis.bench import main as bench_main
+        monkeypatch.chdir(tmp_path)
+        results = tmp_path / "results"
+        assert bench_main(["--compare-engines", "--artifacts", "table3",
+                           "--fuzz-cases", "0", *flags,
+                           "--results-dir", str(results)]) == 2
+        captured = capsys.readouterr()
+        assert f"drop {named}" in captured.err
+        assert "BENCH_hotpath" not in captured.out   # refused before any job
+        assert not results.exists() and not (tmp_path / "cm").exists()
+
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_closing_line_reports_peak_rss(self, tmp_path, capsys, jobs):
+        from repro.analysis.bench import main as bench_main
+        assert bench_main(["--artifacts", "table3", "--jobs", str(jobs),
+                           "--results-dir", str(tmp_path)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("[bench] peak RSS: ")
+        assert ("largest worker" in last) == (jobs > 0)
+
     def test_compare_engines_honours_zero_fuzz_cases(self, tmp_path,
                                                      capsys):
         from repro.analysis.bench import _parse_args
@@ -141,7 +169,9 @@ class TestBenchCliErrors:
         assert bench_main(["--compare-engines", "--artifacts", "table3",
                            "--fuzz-cases", "0",
                            "--results-dir", str(tmp_path)]) == 0
-        assert "+ 0 fuzz case(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "+ 0 fuzz case(s)" in out
+        assert out.splitlines()[-1].startswith("[bench] peak RSS: ")
 
     def test_compare_engines_writes_only_its_digest_table(self, tmp_path):
         from repro.analysis.bench import main as bench_main

@@ -13,6 +13,8 @@ import struct
 import pytest
 
 from repro.analysis.stats import StatsRegistry
+from repro.core.bcu import BCUConfig
+from repro.core.checker import ALLOW
 from repro.core.shield import ShieldConfig
 from repro.device import (GpuDevice, acquire_device, device_cache_stats,
                           device_fingerprint, release_device,
@@ -32,8 +34,8 @@ def _device(seed=11, shielded=True, cores=2):
                      seed=seed)
 
 
-def _run_vecadd(device):
-    """One vecadd through ``device.run``; returns an observables tuple."""
+def _vecadd(device):
+    """One vecadd through ``device.run``: (result, violations, output)."""
     drv = device.driver
     a = drv.malloc(4 * N, name="a", read_only=True)
     b = drv.malloc(4 * N, name="b", read_only=True)
@@ -42,7 +44,13 @@ def _run_vecadd(device):
     drv.write(b, struct.pack(f"<{N}i", *range(0, 2 * N, 2)))
     result, violations = device.run(build_vecadd(),
                                     {"a": a, "b": b, "c": c, "n": N}, 2, 64)
-    return (result.cycles, drv.read(c), len(violations),
+    return result, violations, c
+
+
+def _run_vecadd(device):
+    """One vecadd through ``device.run``; returns an observables tuple."""
+    result, violations, c = _vecadd(device)
+    return (result.cycles, device.driver.read(c), len(violations),
             tuple(sorted(device.stats.snapshot().as_dict().items())))
 
 
@@ -501,3 +509,94 @@ class TestWarmPoolViolationHygiene:
             build_vecadd(), {"a": a, "b": b, "c": c, "n": N}, 2, 64)
         assert violations == []
         release_device(second)
+
+
+class _ToolChecker:
+    """A harness tool's checker swapped in for the BCU: allows all."""
+
+    def check(self, ctx):
+        return ALLOW
+
+
+@pytest.mark.parametrize("eng", ENGINES)
+@pytest.mark.parametrize("shielded", [False, True], ids=["plain", "shield"])
+class TestIdleDeviceIsFresh:
+    """An idle pooled device holds only its construction image.
+
+    One device goes through every source of state a tenant can leave
+    behind — megabytes of buffer writes, a heap ``malloc``, a
+    partitioned-RCache §6.2 pair, an undrained violating launch, an
+    attached observer and a swapped-in tool checker — and is released.
+    In the pool it must equal its baseline, and once acquired under a
+    new seed it must run exactly like a cold device built with it.
+    """
+
+    BIG = 4 << 20
+
+    def _config(self, shielded):
+        shield = (ShieldConfig(enabled=True,
+                               bcu=BCUConfig(partition_rcache=True))
+                  if shielded else None)
+        return nvidia_config(num_cores=2), shield
+
+    def _dirty(self, device):
+        tracer = _tracer()
+        device.gpu.observe(tracer)
+        drv = device.driver
+        big = drv.malloc(self.BIG, name="big")
+        drv.write(big, bytes(range(256)) * (self.BIG // 256))
+        drv.heap.device_malloc(256)
+        _run_pair(device, "intra_core")
+        TestWarmPoolViolationHygiene()._violating_launch(device)
+        for core in device.gpu.cores:
+            core.pipeline.checker = _ToolChecker()
+        # Every source really left something behind.
+        assert tracer.stream
+        assert drv.memory.resident_bytes() > self.BIG
+        assert drv.heap.used > 0
+        assert any(device.stats.snapshot().as_dict().values())
+        assert bool(device.shield.log.records) == device.shield.enabled
+
+    @staticmethod
+    def _observed(device):
+        result, violations, _c = _vecadd(device)
+        return (result, violations, device.driver.memory.snapshot_chunks(),
+                device.stats.snapshot().as_dict())
+
+    def test_released_device_holds_only_its_baseline(self, eng, shielded):
+        config, shield = self._config(shielded)
+        with engine(eng), warm_devices(True):
+            device = acquire_device(config, shield, seed=5)
+            self._dirty(device)
+            release_device(device)
+            assert device_cache_stats()["idle"] == 1
+
+            state = device.snapshot()._driver_state
+            baseline = device._baseline._driver_state
+            assert state.keys() == baseline.keys()
+            for part in baseline:   # chunks, pages, cursors, heap, rng, ...
+                assert state[part] == baseline[part], part
+            assert not any(device.stats.snapshot().as_dict().values())
+            assert _unobserved(device.gpu)
+            for core in device.gpu.cores:
+                checker = core.pipeline.checker
+                if core.bcu is None:
+                    assert checker is None
+                else:
+                    assert type(checker) is type(core.bcu.as_checker())
+                    assert checker.bcu is core.bcu
+            assert device_cache_stats()["idle_bytes"] == sum(
+                len(blob) for blob in baseline["chunks"].values())
+
+    def test_reacquired_device_runs_like_a_cold_one(self, eng, shielded):
+        config, shield = self._config(shielded)
+        with engine(eng), warm_devices(True):
+            cold = self._observed(GpuDevice(config, shield=shield, seed=29))
+            device = acquire_device(config, shield, seed=5)
+            self._dirty(device)
+            release_device(device)
+            again = acquire_device(config, shield, seed=29)
+            assert again is device
+            assert again.seed == 29
+            assert self._observed(again) == cold
+            release_device(again)
