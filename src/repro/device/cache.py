@@ -48,7 +48,7 @@ _warm = True
 
 def _zeroed_stats() -> Dict[str, int]:
     return {"hits": 0, "misses": 0, "cold_builds": 0,
-            "releases": 0, "discards": 0, "resets": 0, "evictions": 0}
+            "releases": 0, "discards": 0, "evictions": 0}
 
 
 _stats.update(_zeroed_stats())
@@ -146,7 +146,6 @@ def release_device(device: Optional[GpuDevice]) -> None:
     device.reset()
     pool.append(device)
     _stats["releases"] += 1
-    _stats["resets"] += 1
 
 
 def reset_device_cache() -> None:
