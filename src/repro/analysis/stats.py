@@ -31,8 +31,8 @@ is identical regardless of worker completion order.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, List, Mapping, Sequence,
-                    Tuple, Union)
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 Number = Union[int, float]
 StatsSource = Union[Mapping[str, Number], Callable[[], Mapping[str, Number]],

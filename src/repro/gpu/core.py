@@ -174,14 +174,23 @@ class ShaderCore:
                         break
                     if ready < soonest:
                         soonest = ready
+                        first_soonest = i
                 if chosen < 0:
                     if soonest >= _FAR_FUTURE:
                         stats.cycles = max(stats.cycles, cycle)
                         raise KernelAborted(RuntimeError(
                             "barrier deadlock: all warps waiting"))
+                    # Jump to the soonest ready cycle and issue the warp
+                    # a fresh pass would pick there: the last issued one
+                    # if it is ready, else the first ready one, which is
+                    # the first whose ready cycle is the soonest.
                     stats.idle_cycles += soonest - cycle
                     cycle = soonest
-                    continue
+                    chosen = first_soonest
+                    if 0 <= last_issued < len(resident):
+                        warp, _job = resident[last_issued]
+                        if not warp.at_barrier and warp.ready_at <= cycle:
+                            chosen = last_issued
 
             warp, job = resident[chosen]
             last_issued = chosen

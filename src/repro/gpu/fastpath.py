@@ -16,19 +16,28 @@ exactly the same arithmetic with flat pre-bound structures:
   :class:`~repro.core.checker.CheckOutcome` singletons for the hot
   allow paths; its RCaches are the reference ones;
 * :class:`FastMemoryPipeline` — builds every cache and TLB as a
-  ``FastCache``/``FastTlb`` (its ``cache_cls``/``tlb_cls``), keeps one
+  ``FastCache``/``FastTlb`` (its ``cache_cls``/``tlb_cls``), binds
+  their sets, stats and the page table once at construction, keeps one
   reusable scratch ``AccessResult``, inlines the coalescer and every
   TLB and cache probe into a single loop, and runs batched lane
   load/store loops that index the sparse physical-memory
-  chunks directly.  A full-warp affine request (every lane active and
-  ``addrs == list(range(a0, a0 + n*s, s))`` for ``0 < s <= line``, or
-  ``s == 0``) skips the lane loops: its transactions are every line of
-  ``[a0, a0 + (n-1)*s + size - 1]``, and when ``s == size`` inside one
-  64 KiB chunk its data moves with one ``Struct('<{n}{code}')``
-  ``unpack_from`` or ``pack``; a ``s == 0`` load inside one chunk reads
-  its value once for every lane.  Integer stores pack the reference's
-  ``(int(v) + lim) % lim`` residue with the unsigned code, ``i32`` and
-  ``i64`` included; a pack that raises falls back to the per-lane loop;
+  chunks directly.  The loop probes the L1 TLB once per run of
+  same-page transactions (the rest are MRU re-hits), adds the hit and
+  miss counters once per request, and the commit checks page
+  protection once per page.  A full-warp affine request (every lane
+  active and ``addrs == list(range(a0, a0 + n*s, s))`` for
+  ``0 < s <= line``, or ``s == 0``) skips the lane loops: its
+  transactions are every line of ``[a0, a0 + (n-1)*s + size - 1]``,
+  and when ``s == size`` inside one 64 KiB chunk its data moves with
+  one ``Struct('<{n}{code}')`` ``unpack_from`` or ``pack``; a ``s == 0``
+  load inside one chunk reads its value once for every lane.  A
+  full-warp *gather* of at least 16 size-aligned lanes coalesces with
+  C-level ``min``/``max``/``sorted(set(...))``, and a gather load inside
+  one chunk reads through one native ``memoryview.cast`` and one
+  ``itemgetter`` (little-endian hosts only).  Integer stores pack the
+  reference's ``(int(v) + lim) % lim`` residue with the unsigned code,
+  ``i32`` and ``i64`` included; a pack that raises falls back to the
+  per-lane loop;
 * :class:`FastExecutor` — every opcode compiled to one closure, once
   per kernel object, warp width and set of non-``int`` launch
   arguments, and shared by its launches; inline effective-address
@@ -57,7 +66,10 @@ from __future__ import annotations
 
 import operator
 import struct
+import sys
 import weakref
+from functools import reduce
+from itertools import repeat
 from typing import Dict, List, Optional
 
 from repro.core.bcu import (BCUAccessChecker, BoundsCheckingUnit,
@@ -72,7 +84,8 @@ from repro.gpu.executor import (_ALU_FUNCS, _CMP_FUNCS, _UNARY_FUNCS,
                                 Executor, Instr, MemRequest, WarpState)
 from repro.gpu.memory import _CHUNK_BITS, _CHUNK_MASK, _CHUNK_SIZE
 from repro.gpu.pipeline import AccessResult, MemoryPipeline
-from repro.isa.instructions import DTYPE_SIZE, SPECIAL_NAMES, Imm, Reg, Special
+from repro.isa.instructions import (DTYPE_SIZE, MEMORY_SPACES, SPECIAL_NAMES,
+                                    Imm, Reg, Special)
 
 _F32 = struct.Struct("<f")
 
@@ -326,6 +339,15 @@ _LOAD_CODES = {"f32": "f", "i32": "i", "u32": "I", "i64": "q", "u64": "Q"}
 _STORE_CODES = {4: "I", 8: "Q"}
 #: ``(code, n) -> Struct('<{n}{code}')``, built on first use.
 _RUN_STRUCTS: Dict[tuple, struct.Struct] = {}
+#: log2 of each access size: a size-aligned address's item index.
+_SIZE_SHIFTS = {4: 2, 8: 3}
+#: The fewest lanes a gather needs for the warp-level coalesce and load.
+#: Below it the batched path's fixed cost per call outweighs the lane
+#: loops it saves (8-lane Intel warps measured slower with it).
+_GATHER_LANES = 16
+#: ``memoryview.cast`` reads native-endian items, which are the
+#: little-endian memory image only on a little-endian host.
+_CAST_LOADS = sys.byteorder == "little"
 
 
 def _run_struct(code: str, n: int) -> struct.Struct:
@@ -378,20 +400,32 @@ class FastMemoryPipeline(MemoryPipeline):
         self._result.per_transaction = []   # never filled on the fast lane
         self._line_size = config.line_size
         self._line_shift = config.line_size.bit_length() - 1
-        self._page_shift = config.page_size.bit_length() - 1
         self._depth = config.lsu_pipeline_depth
-        self._l2_latency = config.l2_latency
-        self._tlb_l2_latency = config.tlb_l2_latency
-        self._walk_latency = config.page_walk_latency
+        # An aligned lane of at most 8 bytes lies inside one line only
+        # when the line holds 8 bytes; a narrower line never gathers.
+        self._gather_lanes = (_GATHER_LANES if config.line_size >= 8
+                              else sys.maxsize)
         self._dram_access = dram.access
-        # The GPU-shared L2 structures are probed inline too (flush and
-        # map mutate in place, so the bound dicts stay live).
-        self._l2_bundle = (l2cache._lines, l2cache.num_sets,
-                           l2cache._shift, l2cache.assoc, l2cache.stats)
-        self._l2tlb_bundle = (l2tlb._lines, l2tlb.num_sets, l2tlb.assoc,
-                              l2tlb.stats)
-        # The driver builds the address space at ``config.page_size``.
-        self._space_pages = space._pages
+        # Everything the probe loop reads, bound once.  Flush, stats
+        # reset and page (un)mapping all mutate in place, so the bound
+        # dicts, set lists and stats objects stay live; the GPU-shared
+        # L2 structures are probed inline too.  The driver builds the
+        # address space at ``config.page_size``.
+        tlb = self.l1tlb
+        self._probe = (
+            config.page_size.bit_length() - 1, config.l2_latency,
+            config.tlb_l2_latency, config.page_walk_latency,
+            tlb._lines, tlb.num_sets, tlb.assoc, tlb.stats,
+            l2tlb._lines, l2tlb.num_sets, l2tlb.assoc, l2tlb.stats,
+            l2cache._lines, l2cache.num_sets, l2cache._shift,
+            l2cache.assoc, l2cache.stats, space._pages)
+        # The level-1 cache per space: const and texture loads ride
+        # their read-only caches, every other space the L1 Dcache.
+        self._level1 = {}
+        for name in MEMORY_SPACES:
+            cache = self._level1_for(name)
+            self._level1[name] = (cache._lines, cache.num_sets, cache._shift,
+                                  cache.assoc, cache.stats)
 
     # -- the assembled pipeline (fast) ---------------------------------------
 
@@ -403,11 +437,11 @@ class FastMemoryPipeline(MemoryPipeline):
             # which runs against this object's fast structures
             # (bit-identical by the engine contract).
             return MemoryPipeline.access(self, warp, job, request, cycle)
-        if request.space == "shared":
+        space = request.space
+        if space == "shared":
             return self._access_shared_fast(warp, job, request, cycle)
 
         result = self._result
-        space = request.space
         is_store = request.is_store
         result.space = space
         result.is_store = is_store
@@ -420,7 +454,11 @@ class FastMemoryPipeline(MemoryPipeline):
         # Stage 1: coalesce.  A full-warp affine request (every lane
         # active, lane i at a0 + i*s with 0 <= s <= line size) is
         # answered in closed form: a stride of at most one line cannot
-        # skip a line, so its segments are every line of [lo, hi].
+        # skip a line, so its segments are every line of [lo, hi].  A
+        # full-warp gather of size-aligned lanes is answered by C-level
+        # min, max and set: an aligned lane lies inside one line (the
+        # access size divides the line size), so its segment is its
+        # address's line.
         addrs = request.lane_addrs
         active = request.active_lanes
         size = DTYPE_SIZE[request.dtype]
@@ -428,6 +466,7 @@ class FastMemoryPipeline(MemoryPipeline):
         n = len(addrs)
         a0 = addrs[active[0]]
         stride = -1
+        gather = False
         if len(active) == n > 1:
             s = addrs[1] - a0
             if s == 0:
@@ -436,10 +475,16 @@ class FastMemoryPipeline(MemoryPipeline):
             elif (0 < s <= self._line_size
                   and addrs == list(range(a0, a0 + n * s, s))):
                 stride = s
+            if stride < 0 and n >= self._gather_lanes:
+                gather = not reduce(operator.or_, addrs) & (size - 1)
         if stride >= 0:
             lo = a0
             hi = a0 + (n - 1) * stride + size - 1
-            txs = list(range(lo >> shift, (hi >> shift) + 1))
+            txs = range(lo >> shift, (hi >> shift) + 1)
+        elif gather:
+            lo = min(addrs)
+            hi = max(addrs) + size - 1
+            txs = sorted(set(map(operator.rshift, addrs, repeat(shift))))
         else:
             txs, lo, hi = _coalesce_lanes(addrs, active, size - 1, shift)
         ntx = len(txs)
@@ -447,74 +492,62 @@ class FastMemoryPipeline(MemoryPipeline):
         result.min_addr = lo
         result.max_addr = hi
 
-        # Stages 2+3: translate + cache per transaction, one loop.
-        if space == "const":
-            l1 = self.const_cache
-        elif space == "texture":
-            l1 = self.tex_cache
-        else:
-            l1 = self.l1d
+        # Stages 2+3: translate + cache per transaction, one loop.  Every
+        # set-associative probe is inlined (the same hits and victims as
+        # FastCache.access, minus one call per probe), and the hit and
+        # miss counters are added once, after the loop.
+        (page_shift, l2_latency, tlb_l2_lat, walk_lat,
+         tlb_lines, tlb_sets, tlb_assoc, tlb_stats,
+         t_lines, t_sets, t_assoc, t_stats,
+         c_lines, c_sets, c_shift, c_assoc, c_stats, pages) = self._probe
+        l1_lines, l1_sets, l1_shift, l1_assoc, l1_stats = self._level1[space]
         dram_access = self._dram_access
-        page_shift = self._page_shift
-        l2_latency = self._l2_latency
-        tlb_l2_lat = self._tlb_l2_latency
-        walk_lat = self._walk_latency
         tlb_l1_hits = tlb_l2_hits = page_walks = 0
         l1_hits = l2_hits = dram_accesses = 0
         worst = 0
-        # Every set-associative probe is inlined: the same hits, victims
-        # and stats as FastCache.access, minus one call per probe.
-        l1_lines = l1._lines
-        l1_sets = l1.num_sets
-        l1_shift = l1._shift
-        l1_assoc = l1.assoc
-        l1_stats = l1.stats
-        tlb = self.l1tlb
-        tlb_lines = tlb._lines
-        tlb_sets = tlb.num_sets
-        tlb_assoc = tlb.assoc
-        tlb_stats = tlb.stats
-        t_lines, t_sets, t_assoc, t_stats = self._l2tlb_bundle
-        c_lines, c_sets, c_shift, c_assoc, c_stats = self._l2_bundle
-        for i in range(ntx):
-            tx = txs[i] << shift
-            txs[i] = tx
+        last_page = -1
+        firsts = []     # the first transaction on each page, in order
+        for tx in txs:
+            tx <<= shift
             vpage = tx >> page_shift
-            s = tlb_lines[vpage % tlb_sets]
-            if vpage in s:
-                del s[vpage]
-                s[vpage] = True
-                tlb_stats.hits += 1
+            if vpage == last_page:
+                # The transactions are sorted, so a page repeats only
+                # right after its own probe, which left it at the tail
+                # of its L1 TLB set: a hit that moves nothing.
                 tlb_l1_hits += 1
                 latency = 0
             else:
-                tlb_stats.misses += 1
-                if len(s) >= tlb_assoc:
-                    del s[next(iter(s))]
-                s[vpage] = True
-                s = t_lines[vpage % t_sets]
+                last_page = vpage
+                firsts.append(tx)
+                s = tlb_lines[vpage % tlb_sets]
                 if vpage in s:
                     del s[vpage]
                     s[vpage] = True
-                    t_stats.hits += 1
-                    tlb_l2_hits += 1
-                    latency = tlb_l2_lat
+                    tlb_l1_hits += 1
+                    latency = 0
                 else:
-                    t_stats.misses += 1
-                    if len(s) >= t_assoc:
+                    if len(s) >= tlb_assoc:
                         del s[next(iter(s))]
                     s[vpage] = True
-                    page_walks += 1
-                    latency = walk_lat
+                    s = t_lines[vpage % t_sets]
+                    if vpage in s:
+                        del s[vpage]
+                        s[vpage] = True
+                        tlb_l2_hits += 1
+                        latency = tlb_l2_lat
+                    else:
+                        if len(s) >= t_assoc:
+                            del s[next(iter(s))]
+                        s[vpage] = True
+                        page_walks += 1
+                        latency = walk_lat
             line = tx >> l1_shift
             s = l1_lines[line % l1_sets]
             if line in s:
                 del s[line]
                 s[line] = True
-                l1_stats.hits += 1
                 l1_hits += 1
             else:
-                l1_stats.misses += 1
                 if len(s) >= l1_assoc:
                     del s[next(iter(s))]
                 s[line] = True
@@ -523,11 +556,9 @@ class FastMemoryPipeline(MemoryPipeline):
                 if line in s:
                     del s[line]
                     s[line] = True
-                    c_stats.hits += 1
                     l2_hits += 1
                     latency += l2_latency
                 else:
-                    c_stats.misses += 1
                     if len(s) >= c_assoc:
                         del s[next(iter(s))]
                     s[line] = True
@@ -535,6 +566,16 @@ class FastMemoryPipeline(MemoryPipeline):
                     latency += dram_access(tx, cycle + l2_latency) - cycle
             if latency > worst:
                 worst = latency
+        tlb_stats.hits += tlb_l1_hits
+        if tlb_l1_hits != ntx:
+            tlb_stats.misses += ntx - tlb_l1_hits
+            t_stats.hits += tlb_l2_hits
+            t_stats.misses += page_walks
+        l1_stats.hits += l1_hits
+        if l1_hits != ntx:
+            l1_stats.misses += ntx - l1_hits
+            c_stats.hits += l2_hits
+            c_stats.misses += dram_accesses
         result.tlb_l1_hits = tlb_l1_hits
         result.tlb_l2_hits = tlb_l2_hits
         result.page_walks = page_walks
@@ -579,19 +620,20 @@ class FastMemoryPipeline(MemoryPipeline):
                     dst[lane] = 0
             return result
 
-        # Stage 5: commit (page protection + real data movement).
-        translate = self.space.translate
-        pages = self._space_pages
-        try:
-            # Inline the happy path of AddressSpace.translate; any
-            # denial re-runs the method for the precise error.
-            for tx in txs:
-                flags = pages.get(tx >> page_shift)
-                if (flags is None or not flags.accessible
-                        or (is_store and not flags.writable)):
-                    translate(tx, is_store=is_store)
-        except IllegalAddressError as err:
-            raise KernelAborted(err) from err
+        # Stage 5: commit (page protection + real data movement).  Every
+        # transaction on one page has the page's flags, so the first one
+        # on each page stands for the rest: the reference's first
+        # failing transaction is the first on the first failing page,
+        # and a denial re-runs AddressSpace.translate on it for the
+        # precise error.
+        for tx in firsts:
+            flags = pages.get(tx >> page_shift)
+            if (flags is None or not flags.accessible
+                    or (is_store and not flags.writable)):
+                try:
+                    self.space.translate(tx, is_store=is_store)
+                except IllegalAddressError as err:
+                    raise KernelAborted(err) from err
         if ((stride == size or stride == 0 and not is_store)
                 and (a0 & _CHUNK_MASK) + (n if stride else 1) * size
                 <= _CHUNK_SIZE):
@@ -601,6 +643,8 @@ class FastMemoryPipeline(MemoryPipeline):
                 self._bulk_loads(warp, request, a0, n, size, stride)
         elif is_store:
             self._fast_stores(request)
+        elif gather and lo >> _CHUNK_BITS == hi >> _CHUNK_BITS and _CAST_LOADS:
+            self._gather_loads(warp, request, lo, n, size)
         else:
             self._fast_loads(warp, request)
         return result
@@ -650,6 +694,27 @@ class FastMemoryPipeline(MemoryPipeline):
             k = n if stride else 1
             dst[:n] = _run_struct(_LOAD_CODES[dtype], k).unpack_from(
                 chunk, a0 & _CHUNK_MASK) * (n // k)
+        memory.bytes_read += n * size
+
+    def _gather_loads(self, warp: WarpState, request: MemRequest, lo: int,
+                      n: int, size: int) -> None:
+        """An aligned full-warp gather inside one chunk: one native cast
+        of the chunk and one ``itemgetter`` over the lanes' item indices
+        (``n`` zeros when the chunk was never written)."""
+        memory = self.memory
+        index = lo >> _CHUNK_BITS
+        chunk = memory._chunks.get(index)
+        dtype = request.dtype
+        dst = warp.regs[request.dst]
+        if chunk is None:
+            dst[:n] = [0.0 if dtype == "f32" else 0] * n
+        else:
+            items = map(operator.rshift,
+                        map(operator.sub, request.lane_addrs,
+                            repeat(index << _CHUNK_BITS)),
+                        repeat(_SIZE_SHIFTS[size]))
+            dst[:n] = operator.itemgetter(*items)(
+                memoryview(chunk).cast(_LOAD_CODES[dtype]))
         memory.bytes_read += n * size
 
     def _bulk_stores(self, request: MemRequest, a0: int, n: int,

@@ -542,7 +542,7 @@ def _burst_launch(engine_name, kernel, alu_latency):
 
 
 class TestWorkloadEquivalence:
-    def _record(self, engine_name, tool):
+    def _record(self, engine_name, tool, benchmark="mm"):
         from repro.analysis.harness import default_shield, run_workload
         from repro.baselines.memcheck import MemcheckRunner
         from repro.gpu.config import nvidia_config
@@ -561,7 +561,7 @@ class TestWorkloadEquivalence:
                 finally:
                     runner.runner.close()
             return run_workload(
-                get_benchmark("mm").build(), config=config,
+                get_benchmark(benchmark).build(), config=config,
                 shield=default_shield() if tool == "shield" else None,
                 config_name="eq", seed=11)
 
@@ -571,6 +571,25 @@ class TestWorkloadEquivalence:
         fast = self._record("fast", tool)
         assert asdict(slow) == asdict(fast)
         assert fast.cycles > 0
+
+    def test_gather_heavy_record_identical(self, monkeypatch):
+        """bfs under GPUShield: its neighbour-list gathers take the
+        warp-level gather coalesce and the cast load on the fast lane."""
+        from repro.gpu import fastpath
+        calls = []
+        gather_loads = fastpath.FastMemoryPipeline._gather_loads
+
+        def counting(pipe, *args):
+            calls.append(1)
+            return gather_loads(pipe, *args)
+
+        monkeypatch.setattr(fastpath.FastMemoryPipeline, "_gather_loads",
+                            counting)
+        slow = self._record("slow", "shield", "bfs")
+        assert not calls
+        fast = self._record("fast", "shield", "bfs")
+        assert asdict(slow) == asdict(fast)
+        assert len(calls) > 100 and fast.cycles > 0
 
     @pytest.mark.parametrize("alu_latency", [0, 1, 2, 5])
     @pytest.mark.parametrize("kernel", sorted(_BURST_KERNELS))
@@ -1508,9 +1527,10 @@ _RESULT_FIELDS = ("space", "is_store", "cycle", "latency", "stall",
                   "l2_hits", "dram_accesses")
 
 
-def _lane_pipelines(lanes, prefill_seed):
+def _lane_pipelines(lanes, prefill_seed, **overrides):
     """A reference and a fast pipeline on fresh, identical state: 32
-    lanes run the Nvidia config, 8 lanes the Intel one (64 KiB pages)."""
+    lanes run the Nvidia config, 8 lanes the Intel one (64 KiB pages),
+    each with ``overrides`` applied."""
     import random
     from repro.core.checker import RecordingChecker
     from repro.gpu.config import intel_config, nvidia_config
@@ -1518,7 +1538,8 @@ def _lane_pipelines(lanes, prefill_seed):
     from repro.gpu.fastpath import FastMemoryPipeline
     from repro.gpu.memory import AddressSpace, PhysicalMemory
     from repro.gpu.pipeline import MemoryPipeline
-    cfg = (nvidia_config if lanes == 32 else intel_config)(num_cores=1)
+    cfg = (nvidia_config if lanes == 32 else intel_config)(num_cores=1,
+                                                           **overrides)
     assert cfg.warp_size == lanes and cfg.line_size == _LINE
     pipes = []
     for pipe_cls in (MemoryPipeline, FastMemoryPipeline):
@@ -1568,21 +1589,43 @@ def _lane_request(addrs, dtype, is_store, space, values):
                                     if a is not None])
 
 
-def _observe(pipe, addrs, dtype, is_store, space, values):
+def _lru_orders(pipe):
+    """Every cache and TLB set's resident lines, least recent first, by
+    set index: ``FastCache`` keeps them in a list of dicts, the
+    reference ``Cache`` in a dict of OrderedDicts."""
+    orders = []
+    for cache in (pipe.l1d, pipe.const_cache, pipe.tex_cache, pipe.l1tlb,
+                  pipe.l2cache, pipe.l2tlb):
+        sets = (enumerate(cache._lines) if isinstance(cache, FastCache)
+                else cache._sets.items())
+        orders.append({index: list(s) for index, s in sets if s})
+    return orders
+
+
+def _reg_bits(value):
+    """A register lane by type and exact bits (every NaN has repr 'nan')."""
+    import struct
+    if type(value) is float:
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+def _observe(pipe, addrs, dtype, is_store, space, values, cycle=5):
     """Everything one request leaves behind on ``pipe``."""
     from repro.gpu.executor import WarpState
     warp = WarpState(warp_id=0, wg=0, warp_in_wg=0, num_regs=1,
                      warp_size=len(addrs))
     request = _lane_request(addrs, dtype, is_store, space, values)
     try:
-        result = pipe.access(warp, _lane_job(), request, cycle=5)
+        result = pipe.access(warp, _lane_job(), request, cycle=cycle)
         outcome = tuple(getattr(result, f) for f in _RESULT_FIELDS)
     except Exception as err:    # the reference's own error, compared below
         outcome = (type(err), str(err))
     memory = pipe.memory
     return {
         "outcome": outcome,
-        "regs": [(type(v), repr(v)) for v in warp.regs[0]],
+        "regs": [_reg_bits(v) for v in warp.regs[0]],
+        "lru": _lru_orders(pipe),
         "memory": memory.snapshot_chunks(),
         "bytes": (memory.bytes_read, memory.bytes_written),
         "checked": pipe.checker.contexts,
@@ -1739,8 +1782,8 @@ class TestAffineBranch:
             return wrapper
 
         monkeypatch.setattr(fastpath, "_coalesce_lanes", coalesce_spy)
-        for name in ("_bulk_loads", "_fast_loads", "_bulk_stores",
-                     "_fast_stores"):
+        for name in ("_bulk_loads", "_gather_loads", "_fast_loads",
+                     "_bulk_stores", "_fast_stores"):
             monkeypatch.setattr(fastpath.FastMemoryPipeline, name, spy(name))
         ref, fast = _lane_pipelines(len(addrs), 3)
         if poke is not None:
@@ -1800,12 +1843,177 @@ class TestAffineBranch:
         assert self._branches(monkeypatch, addrs) == [
             "per-lane coalesce", "_fast_loads"]
 
-    def test_stride_above_a_line_takes_the_per_lane_path(self, monkeypatch):
+    def test_stride_above_a_line_takes_the_gather_path(self, monkeypatch):
         addrs = [_BASE + 256 * i for i in range(32)]
+        assert self._branches(monkeypatch, addrs) == ["_gather_loads"]
+
+    def test_irregular_gather_takes_the_gather_path(self, monkeypatch):
+        addrs = [_BASE + (i * 37 % 32) * 4 for i in range(32)]
+        assert self._branches(monkeypatch, addrs) == ["_gather_loads"]
+
+    @pytest.mark.parametrize("dtype", ["i64", "u64"])
+    def test_eight_byte_gather_takes_the_gather_path(self, monkeypatch,
+                                                    dtype):
+        addrs = [_BASE + (i * 37 % 32) * 40 for i in range(32)]
+        assert self._branches(monkeypatch, addrs, dtype) == ["_gather_loads"]
+
+    def test_eight_lane_gather_takes_the_per_lane_path(self, monkeypatch):
+        """Below 16 lanes a gather keeps the lane loops: the batched
+        path's fixed cost per call is not repaid on 8-lane warps."""
+        addrs = [_BASE + (i * 5 % 8) * 36 for i in range(8)]
         assert self._branches(monkeypatch, addrs) == [
             "per-lane coalesce", "_fast_loads"]
 
-    def test_irregular_gather_takes_the_per_lane_path(self, monkeypatch):
+    def test_gather_with_a_misaligned_lane_takes_the_per_lane_path(
+            self, monkeypatch):
         addrs = [_BASE + (i * 37 % 32) * 4 for i in range(32)]
-        assert self._branches(monkeypatch, addrs) == [
+        addrs[7] += 2
+        assert self._branches(monkeypatch, addrs, "i32") == [
             "per-lane coalesce", "_fast_loads"]
+
+    def test_gather_straddling_a_chunk_loads_per_lane(self, monkeypatch):
+        """The coalesce stays warp-level; the data spans two chunks, so
+        no single cast reaches it."""
+        addrs = [_BASE + _CHUNK + (i * 37 % 32 - 16) * 4 for i in range(32)]
+        assert self._branches(monkeypatch, addrs) == ["_fast_loads"]
+
+    @pytest.mark.parametrize("dtype", ["f32", "i32"])
+    def test_gather_of_an_unwritten_chunk_reads_zero(self, monkeypatch,
+                                                     dtype):
+        addrs = [_BASE + 4 * _CHUNK + (i * 37 % 32) * 8 for i in range(32)]
+        assert self._branches(monkeypatch, addrs, dtype) == ["_gather_loads"]
+
+    def test_f32_nan_bit_patterns_load_through_the_cast(self, monkeypatch):
+        """Quiet, signalling and negative NaNs, infinities and a
+        denormal read through the native cast to the same double bits
+        as the reference's ``struct.unpack('<f')``."""
+        patterns = [0x7FC00000, 0x7FC00001, 0x7F800001, 0x7FBFFFFF,
+                    0xFFC00000, 0xFF800123, 0x7F800000, 0xFF800000,
+                    0x00000001, 0x80000000]
+        blob = b"".join(p.to_bytes(4, "little") for p in patterns)
+        addrs = [_BASE + 64 + (i * 7 % len(patterns)) * 4 for i in range(32)]
+        assert self._branches(monkeypatch, addrs, "f32",
+                              poke=(_BASE + 64, blob)) == ["_gather_loads"]
+
+    def test_gather_store_coalesces_warp_level_and_stores_per_lane(
+            self, monkeypatch):
+        addrs = [_BASE + (i * 37 % 32) * 8 for i in range(32)]
+        values = [i - 16 for i in range(32)]
+        assert self._branches(monkeypatch, addrs, "i32", values) == [
+            "_fast_stores"]
+
+
+#: Gather sequences run at 4 KiB pages through structures small enough
+#: to evict within a few requests: a 4-entry L1 TLB, a 4-set 2-way L1
+#: Dcache, 4-set constant and 3-set texture caches, a 4-set L2 TLB and
+#: a 16-set L2.
+_SMALL = dict(page_size=4096, l1tlb_entries=4, l1d_bytes=1024, l1d_assoc=2,
+              const_cache_bytes=1024, tex_cache_bytes=1536,
+              l2tlb_entries=8, l2tlb_assoc=2, l2_bytes=8192, l2_assoc=4)
+_PAGE = 4096
+#: The chunk boundary the gathers straddle.
+_EDGE = _BASE + _CHUNK
+#: Mapped pages around the edge, as page offsets from it.
+_GOOD_PAGES = (-4, -3, -2, -1, 0, 1, 2)
+#: Pages above every good one, so a gather reaches them only after its
+#: first page: read-only, unmapped and inaccessible.
+_BAD_PAGES = (3, 4, 5)
+
+
+def _gather_pipelines(lanes, prefill_seed):
+    from repro.gpu.memory import PageFlags
+    pipes = _lane_pipelines(lanes, prefill_seed, **_SMALL)
+    for pipe in pipes:
+        space = pipe.space
+        space.map_range(_EDGE + 3 * _PAGE, _PAGE, PageFlags(writable=False))
+        space.unmap_range(_EDGE + 4 * _PAGE, _PAGE)
+        space.map_range(_EDGE + 5 * _PAGE, _PAGE, PageFlags(accessible=False))
+    return pipes
+
+
+@st.composite
+def _gather_requests(draw, lanes):
+    """One request of a gather sequence: full-warp lanes on a few pages
+    and lines (so pages and lines repeat within the request), one chunk
+    or two, sometimes a misaligned lane, a bad page or a masked lane."""
+    from repro.isa.instructions import DTYPE_SIZE
+    dtype = draw(st.sampled_from(sorted(DTYPE_SIZE)))
+    size = DTYPE_SIZE[dtype]
+    side = draw(st.sampled_from(["below", "above", "straddle"]))
+    pool = {"below": _GOOD_PAGES[:4], "above": _GOOD_PAGES[4:],
+            "straddle": (-1, 0)}[side]
+    pages = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    if draw(st.integers(0, 4)) == 0:
+        pages.append(draw(st.sampled_from(_BAD_PAGES)))
+    addrs = []
+    for _lane in range(lanes):
+        page = draw(st.sampled_from(pages))
+        line = draw(st.integers(0, 15))   # 16 per page, 8 fit in L1
+        item = draw(st.integers(0, _LINE // size - 1))
+        addrs.append(_EDGE + page * _PAGE + line * _LINE + item * size)
+    if draw(st.integers(0, 3)) == 0:
+        lane = draw(st.integers(0, lanes - 1))
+        addrs[lane] += draw(st.integers(1, size - 1))
+    if draw(st.integers(0, 7)) == 0:
+        addrs[draw(st.integers(0, lanes - 1))] = None
+    is_store = draw(st.booleans())
+    space = "global" if is_store else draw(
+        st.sampled_from(["global", "global", "const", "texture"]))
+    values = draw(st.lists(_STORE_VALUES, min_size=lanes, max_size=lanes))
+    reset = draw(st.integers(0, 7)) == 0
+    return addrs, dtype, is_store, space, values, reset
+
+
+@st.composite
+def _gather_sequences(draw):
+    lanes = draw(st.sampled_from([8, 32]))
+    requests = draw(st.lists(_gather_requests(lanes), min_size=2,
+                             max_size=6))
+    return lanes, draw(st.integers(0, 2 ** 16)), requests
+
+
+class TestGatherSequences:
+    """Gathers in a row through one fast and one reference pipeline
+    whose L1 TLB and caches evict: the MRU shortcut, the once-per-request
+    counters and the once-per-page commit hold across requests."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_gather_sequences())
+    def test_matches_reference(self, case):
+        from repro.errors import KernelAborted
+        lanes, prefill, requests = case
+        ref, fast = _gather_pipelines(lanes, prefill)
+        for i, (addrs, dtype, is_store, space, values, reset) in \
+                enumerate(requests):
+            if reset:
+                # A device reset between requests flushes the per-core
+                # TLB and caches, so no page is recent any more.
+                ref.reset()
+                fast.reset()
+            before = ref.memory.snapshot_chunks()
+            want = _observe(ref, addrs, dtype, is_store, space, values,
+                            cycle=5 + 400 * i)
+            got = _observe(fast, addrs, dtype, is_store, space, values,
+                           cycle=5 + 400 * i)
+            assert got == want
+            if want["outcome"][0] is KernelAborted:
+                assert want["memory"] == before
+
+    @pytest.mark.parametrize("page, error", [
+        (3, "write to read-only page"), (4, "unmapped page"),
+        (5, "inaccessible page")])
+    def test_a_later_bad_page_aborts_like_the_reference(self, page, error):
+        """The commit checks every page a gather reaches, not only the
+        first, and names the bad page's first transaction."""
+        from repro.errors import KernelAborted
+        addrs = [_EDGE + (i * 37 % 32) * 8 for i in range(31)]
+        addrs.append(_EDGE + page * _PAGE + 2 * _LINE + 4)
+        ref, fast = _gather_pipelines(32, 9)
+        before = ref.memory.snapshot_chunks()
+        want = _observe(ref, addrs, "i32", page == 3, "global", [7] * 32)
+        assert want["outcome"][0] is KernelAborted
+        assert error in want["outcome"][1]
+        assert f"{_EDGE + page * _PAGE + 2 * _LINE:#x}" in want["outcome"][1]
+        assert _observe(fast, addrs, "i32", page == 3, "global",
+                        [7] * 32) == want
+        assert want["memory"] == before
