@@ -27,24 +27,43 @@ from repro.isa.program import Kernel
 
 
 class MemRequest:
-    """One warp-level memory instruction, post address generation."""
+    """One warp-level memory instruction, post address generation.
+
+    An *affine* request (``stride >= 0``) has every lane active and lane
+    ``i`` at ``a0 + i*stride``; it may leave ``lane_addrs`` unset, and
+    the list is built on its first read and kept, so every reader sees
+    the same one.  Any other request has ``stride == -1``.
+    """
 
     __slots__ = ("instr", "space", "dtype", "is_store", "lane_addrs",
-                 "base_pointer", "store_values", "dst", "active_lanes")
+                 "base_pointer", "store_values", "dst", "active_lanes",
+                 "a0", "stride")
 
     def __init__(self, instr: Instr, space: str, dtype: str, is_store: bool,
-                 lane_addrs: List[Optional[int]], base_pointer: int,
+                 lane_addrs: Optional[List[Optional[int]]], base_pointer: int,
                  store_values: Optional[List], dst: Optional[int],
-                 active_lanes: List[int]):
+                 active_lanes: List[int], a0: int = 0, stride: int = -1):
         self.instr = instr
         self.space = space
         self.dtype = dtype
         self.is_store = is_store
-        self.lane_addrs = lane_addrs       # VA per lane, None if masked
+        if lane_addrs is not None:
+            self.lane_addrs = lane_addrs   # VA per lane, None if masked
         self.base_pointer = base_pointer   # tagged pointer (for the BCU)
         self.store_values = store_values
         self.dst = dst
         self.active_lanes = active_lanes
+        self.a0 = a0
+        self.stride = stride
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: an affine request's lanes.
+        if name != "lane_addrs" or self.stride < 0:
+            raise AttributeError(name)
+        a0, s, n = self.a0, self.stride, len(self.active_lanes)
+        addrs = self.lane_addrs = (list(range(a0, a0 + n * s, s)) if s
+                                   else [a0] * n)
+        return addrs
 
 
 class WarpState:

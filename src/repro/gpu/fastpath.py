@@ -24,13 +24,14 @@ exactly the same arithmetic with flat pre-bound structures:
   chunks directly.  The loop probes the L1 TLB once per run of
   same-page transactions (the rest are MRU re-hits), adds the hit and
   miss counters once per request, and the commit checks page
-  protection once per page.  A full-warp affine request (every lane
-  active and ``addrs == list(range(a0, a0 + n*s, s))`` for
-  ``0 < s <= line``, or ``s == 0``) skips the lane loops: its
-  transactions are every line of ``[a0, a0 + (n-1)*s + size - 1]``,
-  and when ``s == size`` inside one 64 KiB chunk its data moves with
-  one ``Struct('<{n}{code}')`` ``unpack_from`` or ``pack``; a ``s == 0``
-  load inside one chunk reads its value once for every lane.  A
+  protection once per page.  An affine request (classified by the
+  executor, it carries ``(a0, stride)``) with ``0 <= s <= line`` skips
+  the lane loops: its transactions are every line of
+  ``[a0, a0 + (n-1)*s + size - 1]``, and inside one 64 KiB chunk its
+  data moves with one ``Struct('<{n}{code}')`` ``unpack_from`` or
+  ``pack`` when ``s == size``, a ``s == 0`` load reads its value once
+  for every lane, and a load whose ``a0`` and ``s`` are multiples of
+  the size reads one strided slice of a native ``memoryview.cast``.  A
   full-warp *gather* of at least 16 size-aligned lanes coalesces with
   C-level ``min``/``max``/``sorted(set(...))``, and a gather load inside
   one chunk reads through one native ``memoryview.cast`` and one
@@ -46,8 +47,12 @@ exactly the same arithmetic with flat pre-bound structures:
   bursts that retire a warp's run of latency-1 instructions in one
   ``issue``.  Compiling proves which registers only ever hold exact
   ``int`` lanes, so the integer ALU ops and address generation skip
-  the reference's ``int()`` on them (a full warp's addresses are one
-  ``map(and_, map(add, base, offset), masks)``), and the ``endloop`` of
+  the reference's ``int()`` on them.  A full warp of a uniform base and
+  a non-negative offset run that does not wrap past 2**48 is
+  classified affine there, once (:func:`_affine_run`): its request
+  carries ``(a0, stride)`` and builds its lane list only when a
+  per-lane reader asks; any other full warp's addresses are one
+  ``map(and_, map(add, base, offset), masks)``.  The ``endloop`` of
   a counted loop whose body is all non-raising integer ops replays the
   loop's remaining iterations inside one ``step``, through one
   generated Python function per body.
@@ -451,42 +456,38 @@ class FastMemoryPipeline(MemoryPipeline):
         result.coalesced = None
         result.check = None
 
-        # Stage 1: coalesce.  A full-warp affine request (every lane
-        # active, lane i at a0 + i*s with 0 <= s <= line size) is
-        # answered in closed form: a stride of at most one line cannot
-        # skip a line, so its segments are every line of [lo, hi].  A
-        # full-warp gather of size-aligned lanes is answered by C-level
-        # min, max and set: an aligned lane lies inside one line (the
-        # access size divides the line size), so its segment is its
-        # address's line.
-        addrs = request.lane_addrs
+        # Stage 1: coalesce.  An affine request (classified at address
+        # generation, see _affine_run) with a stride of at most one line
+        # is answered in closed form from (a0, stride): such a stride
+        # cannot skip a line, so its segments are every line of
+        # [lo, hi].  A full-warp gather of size-aligned lanes is
+        # answered by C-level min, max and set: an aligned lane lies
+        # inside one line (the access size divides the line size), so
+        # its segment is its address's line.  Only the gather and the
+        # per-lane coalesce read (or build) the lane list here.
         active = request.active_lanes
         size = DTYPE_SIZE[request.dtype]
         shift = self._line_shift
-        n = len(addrs)
-        a0 = addrs[active[0]]
-        stride = -1
+        stride = request.stride
         gather = False
-        if len(active) == n > 1:
-            s = addrs[1] - a0
-            if s == 0:
-                if addrs.count(a0) == n:
-                    stride = 0
-            elif (0 < s <= self._line_size
-                  and addrs == list(range(a0, a0 + n * s, s))):
-                stride = s
-            if stride < 0 and n >= self._gather_lanes:
-                gather = not reduce(operator.or_, addrs) & (size - 1)
-        if stride >= 0:
-            lo = a0
-            hi = a0 + (n - 1) * stride + size - 1
+        if 0 <= stride <= self._line_size:
+            n = len(active)
+            lo = request.a0
+            hi = lo + (n - 1) * stride + size - 1
             txs = range(lo >> shift, (hi >> shift) + 1)
-        elif gather:
-            lo = min(addrs)
-            hi = max(addrs) + size - 1
-            txs = sorted(set(map(operator.rshift, addrs, repeat(shift))))
         else:
-            txs, lo, hi = _coalesce_lanes(addrs, active, size - 1, shift)
+            stride = -1
+            addrs = request.lane_addrs
+            n = len(addrs)
+            if len(active) == n >= self._gather_lanes:
+                gather = not reduce(operator.or_, addrs) & (size - 1)
+            if gather:
+                lo = min(addrs)
+                hi = max(addrs) + size - 1
+                txs = sorted(set(map(operator.rshift, addrs,
+                                     repeat(shift))))
+            else:
+                txs, lo, hi = _coalesce_lanes(addrs, active, size - 1, shift)
         ntx = len(txs)
         result.transactions = ntx
         result.min_addr = lo
@@ -634,16 +635,20 @@ class FastMemoryPipeline(MemoryPipeline):
                     self.space.translate(tx, is_store=is_store)
                 except IllegalAddressError as err:
                     raise KernelAborted(err) from err
-        if ((stride == size or stride == 0 and not is_store)
-                and (a0 & _CHUNK_MASK) + (n if stride else 1) * size
-                <= _CHUNK_SIZE):
-            if is_store:
-                self._bulk_stores(request, a0, n, size)
+        one_chunk = lo >> _CHUNK_BITS == hi >> _CHUNK_BITS
+        if is_store:
+            if stride == size and one_chunk:
+                self._bulk_stores(request, lo, n, size)
             else:
-                self._bulk_loads(warp, request, a0, n, size, stride)
-        elif is_store:
-            self._fast_stores(request)
-        elif gather and lo >> _CHUNK_BITS == hi >> _CHUNK_BITS and _CAST_LOADS:
+                self._fast_stores(request)
+        elif stride >= 0 and one_chunk:
+            if stride == size or stride == 0:
+                self._bulk_loads(warp, request, lo, n, size, stride)
+            elif not (stride | lo) & (size - 1) and _CAST_LOADS:
+                self._strided_loads(warp, request, lo, n, size, stride)
+            else:
+                self._fast_loads(warp, request)
+        elif gather and one_chunk and _CAST_LOADS:
             self._gather_loads(warp, request, lo, n, size)
         else:
             self._fast_loads(warp, request)
@@ -694,6 +699,26 @@ class FastMemoryPipeline(MemoryPipeline):
             k = n if stride else 1
             dst[:n] = _run_struct(_LOAD_CODES[dtype], k).unpack_from(
                 chunk, a0 & _CHUNK_MASK) * (n // k)
+        memory.bytes_read += n * size
+
+    def _strided_loads(self, warp: WarpState, request: MemRequest, a0: int,
+                       n: int, size: int, stride: int) -> None:
+        """An affine load inside one chunk whose ``a0`` and stride are
+        multiples of the element size: one strided slice of a native
+        cast of the chunk (``n`` zeros when the chunk was never
+        written)."""
+        memory = self.memory
+        chunk = memory._chunks.get(a0 >> _CHUNK_BITS)
+        dtype = request.dtype
+        dst = warp.regs[request.dst]
+        if chunk is None:
+            dst[:n] = [0.0 if dtype == "f32" else 0] * n
+        else:
+            size_shift = _SIZE_SHIFTS[size]
+            i = (a0 & _CHUNK_MASK) >> size_shift
+            k = stride >> size_shift
+            dst[:n] = memoryview(chunk).cast(
+                _LOAD_CODES[dtype])[i:i + n * k:k].tolist()
         memory.bytes_read += n * size
 
     def _gather_loads(self, warp: WarpState, request: MemRequest, lo: int,
@@ -1073,6 +1098,35 @@ def _lane_writer(fn, getters):
 _PROGRAMS: Dict[int, tuple] = {}
 
 
+def _affine_run(base, offset, ws: int):
+    """``(a0, stride)`` when lane ``i`` of a full warp of ``ws > 1``
+    lanes addresses ``a0 + i*stride``, else ``None``.
+
+    ``base`` and ``offset`` are exact-``int`` lane vectors.  The base
+    must hold one value ``b0`` and the offset one run ``o0 + i*s`` with
+    ``s >= 0``.  Lane ``i`` then addresses ``(b0 + o0 + i*s) & VA_MASK``,
+    and ``b0 + o0`` is ``a0 = (b0 + o0) & VA_MASK`` plus a multiple of
+    2**48, so the lane is ``a0 + i*s`` exactly when the run does not
+    wrap: ``a0 + (ws - 1)*s <= VA_MASK``.  The last lanes are tested
+    before any whole-vector test.
+    """
+    b0 = base[0]
+    o0 = offset[0]
+    s = offset[1] - o0
+    last = ws - 1
+    if s < 0 or base[last] != b0 or offset[last] != o0 + last * s:
+        return None
+    a0 = (b0 + o0) & VA_MASK
+    if a0 + last * s > VA_MASK or base.count(b0) != ws:
+        return None
+    if s:
+        if offset != list(range(o0, o0 + ws * s, s)):
+            return None
+    elif offset.count(o0) != ws:
+        return None
+    return a0, s
+
+
 class _FastWarp(WarpState):
     """A warp that carries its launch's executor, through which the
     shared compiled closures reach per-launch state."""
@@ -1343,6 +1397,8 @@ class FastExecutor(Executor):
         exact = exact_off and _exact_int(instr.srcs[0], self._ints)
         masks = (VA_MASK,) * ws
         add, and_ = operator.add, operator.and_
+        # _affine_run reads a second lane: a one-lane warp keeps its list.
+        classify = ws > 1
 
         def run(warp):
             warp.pc = nxt
@@ -1360,6 +1416,8 @@ class FastExecutor(Executor):
                 return _MEM_NOP
             base = gbase(warp)
             offset = goff(warp)
+            a0 = 0
+            stride = -1
             if shared:
                 if exact_off and len(active) == ws:
                     lane_addrs = list(offset)
@@ -1372,10 +1430,16 @@ class FastExecutor(Executor):
                 # tagged_add(base, off) & VA_MASK == (base + off) &
                 # VA_MASK: the metadata bits are stripped by the mask
                 # and 2**48 divides 2**64, so 64-bit wrapping cannot
-                # change the low 48 bits of the sum.
+                # change the low 48 bits of the sum.  An affine full
+                # warp carries (a0, stride) and no lane list.
                 if len(active) == ws:
-                    lane_addrs = list(map(and_, map(add, base, offset),
-                                          masks))
+                    affine = classify and _affine_run(base, offset, ws)
+                    if affine:
+                        a0, stride = affine
+                        lane_addrs = None
+                    else:
+                        lane_addrs = list(map(and_, map(add, base, offset),
+                                              masks))
                 else:
                     lane_addrs = [None] * ws
                     for l in active:
@@ -1388,11 +1452,10 @@ class FastExecutor(Executor):
                         & VA_MASK
                 base_pointer = int(base[active[0]])
             store_values = list(gstore(warp)) if is_store else None
+            # Positional: a third of the keyword call's cost.
             return ("mem", MemRequest(
-                instr=instr, space=space, dtype=dtype,
-                is_store=is_store, lane_addrs=lane_addrs,
-                base_pointer=base_pointer, store_values=store_values,
-                dst=dsti, active_lanes=active))
+                instr, space, dtype, is_store, lane_addrs, base_pointer,
+                store_values, dsti, active, a0, stride))
         return run
 
     def _compile_ctrl(self, instr: Instr, pc: int):

@@ -1580,13 +1580,23 @@ def _lane_job():
 
 
 def _lane_request(addrs, dtype, is_store, space, values):
+    """A request for the lane addresses ``addrs`` (``None`` = masked).
+
+    A full warp goes through the fast executor's affine classifier, as
+    at address generation (base 0, the addresses as the offsets): an
+    affine one carries ``(a0, stride)`` and no lane list."""
     from repro.gpu.executor import MemRequest
+    from repro.gpu.fastpath import _affine_run
+    active = [i for i, a in enumerate(addrs) if a is not None]
+    n = len(addrs)
+    affine = _affine_run([0] * n, addrs, n) if len(active) == n > 1 else None
+    a0, stride = affine or (0, -1)
     return MemRequest(instr=None, space=space, dtype=dtype, is_store=is_store,
-                      lane_addrs=list(addrs), base_pointer=0,
+                      lane_addrs=None if affine else list(addrs),
+                      base_pointer=0,
                       store_values=list(values) if is_store else None,
-                      dst=None if is_store else 0,
-                      active_lanes=[i for i, a in enumerate(addrs)
-                                    if a is not None])
+                      dst=None if is_store else 0, active_lanes=active,
+                      a0=a0, stride=stride)
 
 
 def _lru_orders(pipe):
@@ -1763,9 +1773,11 @@ class TestAffineBranch:
 
     def _branches(self, monkeypatch, addrs, dtype="f32", values=None,
                   poke=None):
-        """The lane paths taken; ``poke`` is ``(addr, bytes)`` written
-        to both memories first."""
+        """The lane paths the fast side takes, with ``"lane list"`` where
+        it builds an affine request's lane list; ``poke`` is ``(addr,
+        bytes)`` written to both memories first."""
         from repro.gpu import fastpath
+        from repro.gpu.executor import MemRequest
         taken = []
         per_lane = fastpath._coalesce_lanes
 
@@ -1781,9 +1793,14 @@ class TestAffineBranch:
                 return method(self, *args)
             return wrapper
 
+        def build_spy(request, name):
+            if name == "lane_addrs":
+                taken.append("lane list")
+            return build(request, name)
+
         monkeypatch.setattr(fastpath, "_coalesce_lanes", coalesce_spy)
-        for name in ("_bulk_loads", "_gather_loads", "_fast_loads",
-                     "_bulk_stores", "_fast_stores"):
+        for name in ("_bulk_loads", "_strided_loads", "_gather_loads",
+                     "_fast_loads", "_bulk_stores", "_fast_stores"):
             monkeypatch.setattr(fastpath.FastMemoryPipeline, name, spy(name))
         ref, fast = _lane_pipelines(len(addrs), 3)
         if poke is not None:
@@ -1792,6 +1809,9 @@ class TestAffineBranch:
         is_store = values is not None
         values = values or [0] * len(addrs)
         want = _observe(ref, addrs, dtype, is_store, "global", values)
+        # Only the fast side's lane-list builds are recorded.
+        build = MemRequest.__getattr__
+        monkeypatch.setattr(MemRequest, "__getattr__", build_spy)
         assert _observe(fast, addrs, dtype, is_store, "global",
                         values) == want
         return taken
@@ -1799,6 +1819,17 @@ class TestAffineBranch:
     def test_contiguous_f32_load_takes_the_closed_form(self, monkeypatch):
         addrs = [_BASE + 4 * i for i in range(32)]
         assert self._branches(monkeypatch, addrs) == ["_bulk_loads"]
+
+    @pytest.mark.parametrize("stride, is_store", [
+        (4, False), (4, True), (0, False), (8, False), (64, False)])
+    def test_closed_form_builds_no_lane_list(self, monkeypatch, stride,
+                                             is_store):
+        """The closed-form coalesce, the check and the bulk, broadcast
+        and strided data paths read only ``(a0, stride)``."""
+        addrs = [_BASE + 64 + stride * i for i in range(32)]
+        values = list(range(32)) if is_store else None
+        assert "lane list" not in self._branches(monkeypatch, addrs, "i32",
+                                                 values)
 
     def test_broadcast_f32_load_reads_once(self, monkeypatch):
         import struct
@@ -1821,7 +1852,8 @@ class TestAffineBranch:
     def test_broadcast_load_straddling_a_chunk_goes_per_lane(
             self, monkeypatch):
         addrs = [_BASE + _CHUNK - 2] * 32
-        assert self._branches(monkeypatch, addrs, "i32") == ["_fast_loads"]
+        assert self._branches(monkeypatch, addrs, "i32") == [
+            "_fast_loads", "lane list"]
 
     def test_i32_residues_above_int_max_store_in_bulk(self, monkeypatch):
         """i32 values in [2**31, 2**32) are legal residues: one unsigned
@@ -1836,7 +1868,7 @@ class TestAffineBranch:
         values = [float(i) for i in range(32)]
         values[5] = 1e39
         assert self._branches(monkeypatch, addrs, "f32", values) == [
-            "_bulk_stores", "_fast_stores"]
+            "_bulk_stores", "_fast_stores", "lane list"]
 
     def test_partial_mask_takes_the_per_lane_path(self, monkeypatch):
         addrs = [_BASE + 4 * i for i in range(31)] + [None]
@@ -1845,7 +1877,56 @@ class TestAffineBranch:
 
     def test_stride_above_a_line_takes_the_gather_path(self, monkeypatch):
         addrs = [_BASE + 256 * i for i in range(32)]
-        assert self._branches(monkeypatch, addrs) == ["_gather_loads"]
+        assert self._branches(monkeypatch, addrs) == [
+            "lane list", "_gather_loads"]
+
+    @pytest.mark.parametrize("lanes, dtype, stride", [
+        (32, "f32", 32), (32, "i32", 8), (32, "u32", 128), (32, "i64", 16),
+        (32, "u64", 64), (8, "i64", 16)])
+    def test_aligned_strided_load_takes_the_cast_slice(self, monkeypatch,
+                                                       lanes, dtype, stride):
+        """``0 < s <= line``, ``s`` and ``a0`` multiples of the element
+        size, one chunk: one strided slice, and no lane list."""
+        addrs = [_BASE + 64 + stride * i for i in range(lanes)]
+        assert self._branches(monkeypatch, addrs, dtype) == [
+            "_strided_loads"]
+
+    @pytest.mark.parametrize("dtype", ["f32", "i32"])
+    def test_strided_load_of_an_unwritten_chunk_reads_zero(
+            self, monkeypatch, dtype):
+        addrs = [_BASE + 4 * _CHUNK + 8 * i for i in range(32)]
+        assert self._branches(monkeypatch, addrs, dtype) == [
+            "_strided_loads"]
+
+    def test_f32_nan_bit_patterns_load_through_the_strided_slice(
+            self, monkeypatch):
+        patterns = [0x7FC00000, 0x7FC00001, 0x7F800001, 0x7FBFFFFF,
+                    0xFFC00000, 0xFF800123, 0x00000001, 0x80000000]
+        blob = b"".join(p.to_bytes(4, "little") for p in patterns * 8)
+        addrs = [_BASE + 64 + 8 * i for i in range(32)]
+        assert self._branches(monkeypatch, addrs, "f32",
+                              poke=(_BASE + 64, blob)) == ["_strided_loads"]
+
+    @pytest.mark.parametrize("dtype, a0, stride", [
+        ("i32", _BASE + 2, 8),              # a0 not a multiple of 4
+        ("i64", _BASE + 4, 16),             # a0 not a multiple of 8
+        ("i64", _BASE, 12),                 # stride not a multiple of 8
+        ("f32", _BASE + 1, 6),              # neither
+        ("f32", _BASE + _CHUNK - 64, 8),    # straddles a chunk
+    ])
+    def test_other_strided_loads_keep_the_lane_loop(self, monkeypatch,
+                                                    dtype, a0, stride):
+        addrs = [a0 + stride * i for i in range(32)]
+        assert self._branches(monkeypatch, addrs, dtype) == [
+            "_fast_loads", "lane list"]
+
+    @pytest.mark.parametrize("stride", [0, 8, 32])
+    def test_strided_and_broadcast_stores_keep_the_lane_loop(
+            self, monkeypatch, stride):
+        addrs = [_BASE + 64 + stride * i for i in range(32)]
+        values = [i - 16 for i in range(32)]
+        assert self._branches(monkeypatch, addrs, "i32", values) == [
+            "_fast_stores", "lane list"]
 
     def test_irregular_gather_takes_the_gather_path(self, monkeypatch):
         addrs = [_BASE + (i * 37 % 32) * 4 for i in range(32)]
@@ -1901,6 +1982,205 @@ class TestAffineBranch:
         values = [i - 16 for i in range(32)]
         assert self._branches(monkeypatch, addrs, "i32", values) == [
             "_fast_stores"]
+
+
+#: The top of the 48-bit VA space, mapped for the AGU tests.
+_TOP = 1 << 48
+#: NaN, infinity and denormal f32 bit patterns the AGU tests tile over
+#: memory.
+_F32_PATTERNS = (0x7FC00000, 0x7FC00001, 0x7F800001, 0x7FBFFFFF,
+                 0xFFC00000, 0xFF800123, 0x7F800000, 0x00000001)
+
+
+@st.composite
+def _agu_cases(draw):
+    """One ``ld``/``st`` of a hand-seeded warp: the base and offset
+    register lanes, the mask, the store values and the prefill."""
+    from repro.isa.instructions import DTYPE_SIZE
+    lanes = draw(st.sampled_from([8, 32]))
+    dtype = draw(st.sampled_from(["f32", "i32", "i64", "u64"]))
+    size = DTYPE_SIZE[dtype]
+    stride = draw(st.sampled_from([
+        0, size, size, 2 * size, 4 * size, 12, size + 2, _LINE + 4 * size,
+        -size, draw(st.integers(-2 * _LINE, 4 * _LINE))]))
+    span = (lanes - 1) * abs(stride) + size
+    items = span // size + 16
+    anchor = draw(st.sampled_from(["chunk", "free", "unwritten", "top"]))
+    if anchor == "chunk":       # straddles the chunk boundary, or ends at it
+        a0 = _BASE + _CHUNK - size * draw(st.integers(0, items))
+    elif anchor == "free":
+        a0 = _BASE + size * draw(st.integers(0, 1024))
+    elif anchor == "unwritten":
+        a0 = _BASE + 4 * _CHUNK + size * draw(st.integers(0, 1024))
+    else:                       # within ws*s of 2**48, or wrapping past it
+        a0 = _TOP - size * draw(st.integers(1, items))
+    if stride < 0:
+        a0 += span
+    a0 += draw(st.sampled_from([0, 0, 0, 1, size // 2]))   # misaligned
+    # A tagged base: metadata bits above bit 47, and a base/offset split
+    # whose sum may carry into or borrow from them.
+    tag = draw(st.sampled_from([0, 0x8001, draw(st.integers(0, 0xFFFF))]))
+    b_va = draw(st.integers(0, 1 << 20))
+    wrap = draw(st.sampled_from([0, 0, 1, -1]))
+    b0 = (tag << 48) | b_va
+    o0 = a0 - b_va + wrap * _TOP
+    base = [b0] * lanes
+    offset = [o0 + i * stride for i in range(lanes)]
+    if draw(st.integers(0, 3)) == 0:    # a non-uniform base
+        lane = draw(st.integers(1, lanes - 2))
+        base[lane] += draw(st.sampled_from([size, _LINE, 3 * _LINE]))
+    mask = [True] * lanes
+    if draw(st.integers(0, 3)) == 0:    # partial mask, one lane or more
+        mask = draw(st.lists(st.booleans(), min_size=lanes,
+                             max_size=lanes).filter(any))
+    is_store = draw(st.booleans())
+    if dtype == "f32":
+        values = draw(st.lists(st.floats(-1e30, 1e30, allow_nan=False)
+                               | st.just(float("nan")),
+                               min_size=lanes, max_size=lanes))
+    else:
+        values = draw(st.lists(st.integers(-2 ** 63, 2 ** 64 - 1),
+                               min_size=lanes, max_size=lanes))
+    prefill = draw(st.sampled_from([None, "random", "nan"]))
+    return lanes, dtype, base, offset, mask, is_store, values, prefill
+
+
+def _agu_state(fast, case):
+    """Issue one ``ld``/``st`` through an executor and its pipeline
+    (reference or fast pair) and return everything it leaves behind."""
+    import random
+    from repro.gpu.executor import Executor
+    from repro.isa.instructions import Instr, Reg
+    from repro.isa.program import Kernel
+    lanes, dtype, base, offset, mask, is_store, values, prefill = case
+    pipe = _lane_pipelines(lanes, None)[fast]
+    memory = pipe.memory
+    pipe.space.map_range(_TOP - _CHUNK, _CHUNK)
+    for start in (_BASE - _CHUNK, _TOP - 2 * _CHUNK):
+        if prefill == "random":
+            memory.write(start, random.Random(start).randbytes(3 * _CHUNK))
+        elif prefill == "nan":
+            memory.write(start, b"".join(
+                p.to_bytes(4, "little") for p in _F32_PATTERNS)
+                * (3 * _CHUNK // 32))
+    srcs = (Reg(0), Reg(1), Reg(2)) if is_store else (Reg(0), Reg(1))
+    kernel = Kernel("agu", [
+        Instr("st" if is_store else "ld", dst=None if is_store else Reg(3),
+              srcs=srcs, space="global", dtype=dtype),
+        Instr("exit")], num_regs=4)
+    options = {"fuse": True} if fast else {}
+    executor = (FastExecutor if fast else Executor)(
+        kernel, workgroups=1, wg_size=lanes, warp_size=lanes,
+        initial_regs={}, **options)
+    warp = executor.make_warp(0, 0, 0)
+    warp.regs[:3] = [list(base), list(offset), list(values)]
+    warp.mask = list(mask)
+    kind, request = executor.step(warp)
+    assert kind == "mem"
+    try:
+        result = pipe.access(warp, _lane_job(), request, cycle=5)
+        outcome = tuple(getattr(result, f) for f in _RESULT_FIELDS)
+    except Exception as err:    # the reference's own error, compared below
+        outcome = (type(err), str(err))
+    return {
+        "outcome": outcome,
+        "regs": [[_reg_bits(v) for v in reg] for reg in warp.regs],
+        "lru": _lru_orders(pipe),
+        "memory": memory.snapshot_chunks(),
+        "bytes": (memory.bytes_read, memory.bytes_written),
+        "checked": pipe.checker.contexts,
+        "stats": [vars(c.stats) for c in (
+            pipe.l1d, pipe.const_cache, pipe.tex_cache, pipe.l1tlb,
+            pipe.l2cache, pipe.l2tlb, pipe.dram)],
+        "request": (request.base_pointer, request.active_lanes,
+                    request.lane_addrs),
+    }
+
+
+class TestAffineAgu:
+    """The affine classification at address generation: an ``ld`` or
+    ``st`` through the fast executor and pipeline leaves what the
+    reference pair leaves, and only full warps of a uniform base, a
+    non-negative offset run and no wrap past 2**48 carry a stride."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_agu_cases())
+    def test_matches_reference(self, case):
+        assert _agu_state(True, case) == _agu_state(False, case)
+
+    @staticmethod
+    def _request(base, offset, mask=None):
+        from repro.isa.instructions import Instr, Reg
+        from repro.isa.program import Kernel
+        lanes = len(base)
+        kernel = Kernel("agu", [
+            Instr("ld", dst=Reg(2), srcs=(Reg(0), Reg(1)), space="global",
+                  dtype="i32"), Instr("exit")], num_regs=3)
+        executor = FastExecutor(kernel, workgroups=1, wg_size=lanes,
+                                warp_size=lanes, initial_regs={}, fuse=True)
+        warp = executor.make_warp(0, 0, 0)
+        warp.regs[:2] = [list(base), list(offset)]
+        if mask is not None:
+            warp.mask = list(mask)
+        return executor.step(warp)[1]
+
+    def test_tagged_uniform_base_and_affine_offset_carry_a_stride(self):
+        base = [(0xBEEF << 48) | 0x1000] * 32
+        request = self._request(base, [8 * i - 16 for i in range(32)])
+        assert (request.a0, request.stride) == (0x1000 - 16, 8)
+        assert request.base_pointer == base[0]
+        assert request.lane_addrs == [0x1000 - 16 + 8 * i
+                                      for i in range(32)]
+        assert request.lane_addrs is request.lane_addrs   # built once
+
+    def test_broadcast_carries_stride_zero(self):
+        request = self._request([0x2000] * 8, [12] * 8)
+        assert (request.a0, request.stride) == (0x200C, 0)
+        assert request.lane_addrs == [0x200C] * 8
+
+    def test_a_run_that_wraps_past_the_top_is_not_affine(self):
+        offset = [_TOP - 64 + 16 * i for i in range(8)]
+        request = self._request([0] * 8, offset)
+        assert request.stride == -1
+        assert request.lane_addrs == [a % _TOP for a in offset]
+
+    def test_a_run_that_ends_at_the_top_is_affine(self):
+        request = self._request([0] * 8, [_TOP - 128 + 16 * i
+                                          for i in range(8)])
+        assert (request.a0, request.stride) == (_TOP - 128, 16)
+
+    def test_a_sum_below_zero_masks_to_the_top(self):
+        request = self._request([0x100] * 8, [-0x200 + 4 * i
+                                              for i in range(8)])
+        assert (request.a0, request.stride) == (_TOP - 0x100, 4)
+
+    def test_a_non_uniform_base_is_not_affine(self):
+        base = [0x4000] * 8
+        base[3] += 128
+        request = self._request(base, [4 * i for i in range(8)])
+        assert request.stride == -1
+        assert request.lane_addrs[3] == 0x4000 + 128 + 12
+
+    def test_a_negative_stride_is_not_affine(self):
+        request = self._request([0x4000] * 8, [-4 * i for i in range(8)])
+        assert request.stride == -1
+        assert request.lane_addrs == [0x4000 - 4 * i for i in range(8)]
+
+    def test_an_offset_off_the_run_is_not_affine(self):
+        offset = [4 * i for i in range(8)]
+        offset[4] += 1
+        assert self._request([0x4000] * 8, offset).stride == -1
+
+    def test_a_partial_mask_is_not_affine(self):
+        mask = [True] * 7 + [False]
+        request = self._request([0x4000] * 8, [4 * i for i in range(8)],
+                                mask)
+        assert request.stride == -1
+        assert request.lane_addrs == [0x4000 + 4 * i
+                                      for i in range(7)] + [None]
+
+    def test_one_lane_is_not_affine(self):
+        assert self._request([0x4000], [4]).stride == -1
 
 
 #: Gather sequences run at 4 KiB pages through structures small enough
