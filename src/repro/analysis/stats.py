@@ -44,7 +44,7 @@ StatsSource = Union[Mapping[str, Number], Callable[[], Mapping[str, Number]],
 DEFAULT_GAUGES = ("capacity", "peak", "high_water", "limit")
 
 
-def _counters_of(source: StatsSource) -> Dict[str, Number]:
+def counters_of(source: StatsSource) -> Dict[str, Number]:
     """Extract the numeric counters a source currently holds."""
     if callable(source):
         source = source()
@@ -273,6 +273,13 @@ class StatsRegistry:
                 f"non-dict source")
         return source
 
+    def live(self) -> Dict[str, object]:
+        """Each path's source as it reads now: what a callable source
+        returns, any other source itself (whose counters
+        :func:`counters_of` harvests and a caller may bump in place)."""
+        return {path: source() if callable(source) else source
+                for path, source in self._sources.items()}
+
     def paths(self) -> List[str]:
         return sorted(self._sources)
 
@@ -330,7 +337,7 @@ class StatsRegistry:
         """Flatten every registered source's counters, read live."""
         values: Dict[str, Number] = {}
         for path, source in self._sources.items():
-            for name, value in _counters_of(source).items():
+            for name, value in counters_of(source).items():
                 values[f"{path}.{name}"] = value
         if not self._absorbed:
             return StatsSnapshot(values)

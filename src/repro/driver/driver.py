@@ -464,7 +464,11 @@ class GpuDriver:
         for buf in ctx.local_buffers.values():
             self.allocator.free(buf)
         if ctx.rbt_buffer is not None:
-            self.allocator.free(ctx.rbt_buffer)
+            rbt = ctx.rbt_buffer
+            self.allocator.free(rbt)
+            # The internal cursor never returns to a freed RBT, and no
+            # kernel or later launch reads it: its chunks go too.
+            self.memory.discard(rbt.va, rbt.padded_size)
         return records
 
     def _check_canary(self, ctx: LaunchContext,

@@ -126,6 +126,12 @@ class GPU:
         ]
         self.observers: Tuple[Observer, ...] = ()
         self.stats = self._build_stats_registry()
+        # Steady-state relaunches fast-forward on the fast engine only;
+        # the reference engine always simulates (it is the oracle).
+        self.relaunch = None
+        if self.engine == "fast":
+            from repro.gpu.relaunch import Relaunch
+            self.relaunch = Relaunch(self)
 
     def _build_stats_registry(self):
         """Register every component's counters under one hierarchy."""
@@ -177,9 +183,10 @@ class GPU:
         Flushes the shared L2/L2TLB, resets DRAM channel timing, resets
         each core's private pipeline state and BCU (RCache banks, memo
         tables), re-attaches the default checker (harness tools may have
-        swapped it), detaches every observer, and zeroes every registered
+        swapped it), detaches every observer, zeroes every registered
         statistic in place — the registry keeps its registrations so
-        references bound at construction (fast engine) stay live.
+        references bound at construction (fast engine) stay live — and
+        drops the relaunch record, so the next launches simulate.
         """
         self.l2cache.flush()
         self.l2tlb.flush()
@@ -193,12 +200,19 @@ class GPU:
                 core.pipeline.checker = None
         self.observe()
         self.stats.reset()
+        if self.relaunch is not None:
+            self.relaunch.drop()
 
     # -- dispatch ------------------------------------------------------------------
 
     def run(self, launches: Union[LaunchContext, Sequence[LaunchContext]],
             mode: str = "single") -> LaunchResult:
-        """Execute prepared launches to completion."""
+        """Execute prepared launches to completion.
+
+        On the fast engine a relaunch from a verified fixed point
+        returns the recorded outcome without simulating
+        (:mod:`repro.gpu.relaunch`).
+        """
         if not isinstance(launches, (list, tuple)):
             launches = [launches]
         launches = list(launches)
@@ -208,6 +222,11 @@ class GPU:
             raise LaunchError("mode 'single' takes exactly one launch")
         if mode in ("inter_core", "intra_core") and len(launches) < 2:
             raise LaunchError(f"mode {mode!r} needs at least two launches")
+
+        if self.relaunch is not None:
+            replayed = self.relaunch.replay(launches, mode)
+            if replayed is not None:
+                return replayed
 
         jobs = [self._make_job(launch) for launch in launches]
         assignments = self._assign(jobs, mode)
@@ -254,6 +273,8 @@ class GPU:
                         core.bcu.flush(launch.kernel_id)
                 else:
                     core.bcu.flush()
+        if self.relaunch is not None:
+            self.relaunch.settle(result)
         return result
 
     def _make_job(self, launch: LaunchContext) -> CoreJob:

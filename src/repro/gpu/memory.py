@@ -8,7 +8,10 @@
   immutable ``bytes`` payload, which any number of memories may hold).
   A whole-chunk write of ``bytes`` shares the payload without copying
   it; the first store to a shared chunk copies it into a private one,
-  so a store never shows anywhere else.
+  so a store never shows anywhere else.  :meth:`PhysicalMemory.capture`
+  uses the same rule to image the store by reference: it freezes each
+  private chunk into a read-only view of itself, so the image costs no
+  copy and the next store copies only the chunk it hits.
 * :class:`AddressSpace` — the driver-managed page table.  Pages carry
   ``writable`` and ``accessible`` flags; translation faults raise
   :class:`~repro.errors.IllegalAddressError`, modelling the CUDA "illegal
@@ -63,6 +66,11 @@ class PhysicalMemory:
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes starting at physical ``addr``."""
         self.bytes_read += size
+        return self.peek(addr, size)
+
+    def peek(self, addr: int, size: int) -> bytes:
+        """:meth:`read` without counting the bytes (host-side inspection
+        that no modelled access makes)."""
         out = bytearray()
         while size > 0:
             index, offset = addr >> _CHUNK_BITS, addr & _CHUNK_MASK
@@ -137,14 +145,71 @@ class PhysicalMemory:
         """
         return sum(len(chunk) for chunk in self._chunks.values())
 
+    def discard(self, addr: int, size: int) -> None:
+        """Forget every chunk lying wholly inside ``[addr, addr+size)``;
+        its bytes read as zero again.  Chunks the range covers only in
+        part are kept."""
+        chunks = self._chunks
+        first = (addr + _CHUNK_MASK) >> _CHUNK_BITS
+        for index in range(first, (addr + size) >> _CHUNK_BITS):
+            chunks.pop(index, None)
+
     def snapshot_chunks(self) -> Dict[int, bytes]:
         """Immutable copy of the sparse store for snapshot/restore.
 
-        Every chunk is copied, shared ones too: the only image a device
-        takes is its construction baseline, which holds no chunks.
+        Every chunk is copied, shared ones too.  A device takes this
+        image of its construction baseline, which holds no chunks, and
+        on every explicit :meth:`GpuDevice.snapshot`; the by-reference
+        image a relaunch probe needs is :meth:`capture`.
         """
         return {index: bytes(chunk)
                 for index, chunk in self._chunks.items()}
+
+    def capture(self, skip: range) -> Dict[int, Chunk]:
+        """The chunks outside ``skip`` (a range of chunk indices), by
+        reference.
+
+        Each private chunk is frozen first: memory holds a read-only
+        view of it instead, so the next store copies it as it copies
+        any shared chunk, and the returned image never changes.  No
+        byte is copied here.
+        """
+        chunks = self._chunks
+        image: Dict[int, Chunk] = {}
+        for index, chunk in chunks.items():
+            if index in skip:
+                continue
+            if type(chunk) is bytearray:
+                chunk = chunks[index] = memoryview(chunk).toreadonly()
+            image[index] = chunk
+        return image
+
+    def matches(self, image: Dict[int, Chunk], skip: range) -> bool:
+        """Whether the chunks outside ``skip`` hold a :meth:`capture`
+        image's bytes, chunk for chunk.
+
+        A chunk still identical to its image chunk compares by identity,
+        any other by content; an equal one is swapped for its image
+        chunk, so the bytes are held once and the next compare goes by
+        identity.  The swap changes no byte.
+        """
+        chunks = self._chunks
+        seen = 0
+        for index, chunk in chunks.items():
+            if index in skip:
+                continue
+            ref = image.get(index)
+            if ref is None:
+                return False
+            if chunk is not ref:
+                # bytearray's compare is one memcmp; a memoryview's
+                # goes item by item.
+                if (chunk if type(chunk) is bytearray
+                        else bytearray(chunk)) != ref:
+                    return False
+                chunks[index] = ref
+            seen += 1
+        return seen == len(image)
 
     def restore_chunks(self, chunks: Dict[int, bytes]) -> None:
         """Re-install a :meth:`snapshot_chunks` image as private chunks
@@ -233,9 +298,13 @@ class AddressSpace:
         self._pages.clear()
         self._pages.update(pages)
 
-    def pages_snapshot(self) -> Dict[int, PageFlags]:
-        """Copy of the page table (PageFlags is frozen, keys are ints)."""
-        return dict(self._pages)
+    def pages_snapshot(self, skip: range = range(0)) -> Dict[int, PageFlags]:
+        """Copy of the page table (PageFlags is frozen, keys are ints),
+        without the page numbers in ``skip``."""
+        if not skip:
+            return dict(self._pages)
+        return {page: flags for page, flags in self._pages.items()
+                if page not in skip}
 
     def mapped_bytes(self) -> int:
         return len(self._pages) * self.page_size

@@ -8,6 +8,7 @@ for §6.2 co-resident pairs.  The cache tests pin the reuse key
 (configuration fingerprint, never the seed) and the idle-pool bounds.
 """
 
+import contextlib
 import struct
 
 import pytest
@@ -23,6 +24,7 @@ from repro.device import (GpuDevice, acquire_device, device_cache_stats,
 from repro.device.cache import MAX_IDLE_PER_KEY
 from repro.engine import ENGINES, engine
 from repro.gpu.config import intel_config, nvidia_config
+from repro.gpu.core import ShaderCore
 from tests.conftest import build_vecadd
 
 N = 64
@@ -511,6 +513,27 @@ class TestWarmPoolViolationHygiene:
         release_device(second)
 
 
+class _CoreRuns:
+    """Counts ``ShaderCore.run`` calls while :meth:`spy` is active."""
+
+    count = 0
+
+    @classmethod
+    @contextlib.contextmanager
+    def spy(cls):
+        run = ShaderCore.run
+
+        def counted(core, work):
+            cls.count += 1
+            return run(core, work)
+
+        ShaderCore.run = counted
+        try:
+            yield
+        finally:
+            ShaderCore.run = run
+
+
 class _ToolChecker:
     """A harness tool's checker swapped in for the BCU: allows all."""
 
@@ -539,6 +562,26 @@ class TestIdleDeviceIsFresh:
                   if shielded else None)
         return nvidia_config(num_cores=2), shield
 
+    @staticmethod
+    def _relaunches(device, launches=5, finish=True):
+        """One vecadd relaunched on the same buffers: per launch, its
+        result, its violations (when ``finish``) and the core runs it
+        simulated."""
+        drv = device.driver
+        a, b, c = (drv.malloc(4 * N) for _ in range(3))
+        drv.write(a, struct.pack(f"<{N}i", *range(N)))
+        drv.write(b, struct.pack(f"<{N}i", *range(N)))
+        kernel = build_vecadd()
+        out = []
+        for _ in range(launches):
+            runs = _CoreRuns.count
+            launch = drv.launch(kernel, {"a": a, "b": b, "c": c, "n": N},
+                                2, 64)
+            result = device.gpu.run(launch)
+            violations = drv.finish(launch) if finish else None
+            out.append((result, violations, _CoreRuns.count - runs))
+        return out
+
     def _dirty(self, device):
         tracer = _tracer()
         device.gpu.observe(tracer)
@@ -548,6 +591,13 @@ class TestIdleDeviceIsFresh:
         drv.heap.device_malloc(256)
         _run_pair(device, "intra_core")
         TestWarmPoolViolationHygiene()._violating_launch(device)
+        # A relaunch record (fast engine): unobserved, and unfinished so
+        # the violation log stays undrained.
+        device.gpu.observe()
+        self._relaunches(device, finish=False)
+        relaunch = device.gpu.relaunch
+        assert relaunch is None or relaunch.record is not None
+        device.gpu.observe(tracer)
         for core in device.gpu.cores:
             core.pipeline.checker = _ToolChecker()
         # Every source really left something behind.
@@ -578,6 +628,8 @@ class TestIdleDeviceIsFresh:
                 assert state[part] == baseline[part], part
             assert not any(device.stats.snapshot().as_dict().values())
             assert _unobserved(device.gpu)
+            relaunch = device.gpu.relaunch
+            assert relaunch is None or relaunch.record is None
             for core in device.gpu.cores:
                 checker = core.pipeline.checker
                 if core.bcu is None:
@@ -600,6 +652,22 @@ class TestIdleDeviceIsFresh:
             assert again.seed == 29
             assert self._observed(again) == cold
             release_device(again)
+
+    def test_reacquired_device_simulates_its_first_relaunches(self, eng,
+                                                              shielded):
+        config, shield = self._config(shielded)
+        with engine(eng), warm_devices(True), _CoreRuns.spy():
+            cold = self._relaunches(GpuDevice(config, shield=shield,
+                                              seed=29))
+            device = acquire_device(config, shield, seed=5)
+            self._dirty(device)
+            release_device(device)
+            again = acquire_device(config, shield, seed=29)
+            assert again is device
+            assert self._relaunches(again) == cold
+            release_device(again)
+        # Signature, key and probe launches simulate on both engines.
+        assert all(runs for _r, _v, runs in cold[:3])
 
 
 @pytest.mark.parametrize("eng", ENGINES)
