@@ -81,7 +81,6 @@ def default_record_config(**settings) -> dict:
         "scale": float(os.environ.get("REPRO_SCALE", 1.0)),
         "subset": (int(os.environ["REPRO_SUBSET"])
                    if os.environ.get("REPRO_SUBSET") else None),
-        "cpu_count": os.cpu_count(),
         **settings,
     }
 

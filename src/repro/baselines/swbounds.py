@@ -47,6 +47,9 @@ class SoftwareGuardChecker:
         self.guard_cost = guard_cost
         self.checks = 0
         self.failures: List[Tuple[int, int]] = []
+        # Every check returns one of two verdicts; build them once.
+        self._pass = CheckOutcome(allowed=True, stall_cycles=guard_cost)
+        self._fail = CheckOutcome(allowed=False, stall_cycles=guard_cost)
 
     def check(self, ctx: AccessContext) -> CheckOutcome:
         if ctx.space != "global":
@@ -54,12 +57,11 @@ class SoftwareGuardChecker:
         self.checks += 1
         for va, size in self.regions.values():
             if ctx.lo >= va and ctx.hi < va + size:
-                return CheckOutcome(allowed=True,
-                                    stall_cycles=self.guard_cost)
+                return self._pass
         # The guard clause fails: the lanes skip the access (predicated
         # off), modelled as a zero-load/drop-store like the BCU's policy.
         self.failures.append((ctx.lo, ctx.hi))
-        return CheckOutcome(allowed=False, stall_cycles=self.guard_cost)
+        return self._fail
 
 
 def _kmeans_kernel(name: str, *, guard_per_access: bool,

@@ -19,15 +19,14 @@ they interpose around kernel launches instead — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import (TYPE_CHECKING, NamedTuple, Optional, Protocol,
+                    runtime_checkable)
 
 if TYPE_CHECKING:
     from repro.core.violations import ViolationRecord
 
 
-@dataclass(frozen=True)
-class AccessContext:
+class AccessContext(NamedTuple):
     """One warp-level memory access as the check hardware sees it.
 
     ``security`` is the launch's
@@ -35,6 +34,10 @@ class AccessContext:
     kernel runs without GPUShield metadata).  ``num_transactions``,
     ``dcache_hit`` and ``tlb_miss`` describe the concurrent LSU activity
     — checkers may use them to compute how much latency they can hide.
+
+    Immutable, and a named tuple rather than a frozen dataclass because
+    the pipeline builds one per checked warp access: a tuple is several
+    times cheaper to construct.
     """
 
     security: Optional[object]
@@ -50,9 +53,9 @@ class AccessContext:
     cycle: int = 0
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Result of one warp-level bounds check.
+class CheckOutcome(NamedTuple):
+    """Result of one warp-level bounds check (immutable, like
+    :class:`AccessContext`, and as cheap to build).
 
     ``stall_cycles`` is an *issue bubble*: the pipeline cannot issue for
     that many cycles (Figure 12's 1-cycle penalty case).  ``check_latency``

@@ -16,7 +16,13 @@ is enabled (a cold run, ``warm_devices(False)``, sees none of this):
 * the **init-bytes cache** — the NumPy-generated initial contents of a
   workload buffer, keyed by ``(init kind, word count, seed)``.  The
   bytes still get written into device memory every run (memory state is
-  an observable); only the generation is reused.
+  an observable); only the generation is reused.  It is bounded by the
+  bytes it holds as well as by its entry count, least recently used
+  first out, so a pass keeps the payloads it is using rather than every
+  payload it has ever generated.  Eviction is invisible: the key fully
+  determines the generator's output, so a regenerated payload is
+  byte-identical, and a device that shares an evicted payload through
+  its copy-on-write chunk views keeps its own reference alive.
 
 Everything here is telemetry or replay of already-verified-identical
 results: none of it feeds the stats registries that run digests are
@@ -31,19 +37,30 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.device.cache import device_fingerprint, warm_devices_enabled
 
-#: Bounds on retained entries; both caches evict oldest-first (plain
-#: dict insertion order) — the suite's working set is far smaller.
+#: Bounds on retained entries.  The cell memo evicts oldest-first
+#: (plain dict insertion order) — the suite's working set is far
+#: smaller; the init-bytes cache evicts least recently used first.
 _CELL_LIMIT = 4096
 _INIT_LIMIT = 1024
+#: Bound on the payload bytes the init-bytes cache holds: 8 buffers at
+#: the harness's 2 MiB per-buffer init cap.  That holds all seven of
+#: Figure 18's OpenCL inputs (13 MiB, so that sweep regenerates nothing)
+#: and one benchmark's full input set (CUDA bfs is exactly 8 payloads at
+#: the cap), while a figure sweep drops each benchmark's inputs once it
+#: has moved on.  A larger bound keeps payloads of benchmarks long done.
+#: The entry bound still caps the many small payloads of a fuzz pass.
+_INIT_BYTES_LIMIT = 16 << 20
 
 _cells: Dict[Tuple, object] = {}
+#: Insertion order is recency order: a hit moves its key to the end.
 _init_bytes: Dict[Tuple, bytes] = {}
 _stats: Dict[str, int] = {}
 
 
 def _zeroed() -> Dict[str, int]:
     return {"cell_hits": 0, "cell_misses": 0,
-            "init_hits": 0, "init_misses": 0}
+            "init_hits": 0, "init_misses": 0,
+            "init_evictions": 0, "init_bytes": 0}
 
 
 _stats.update(_zeroed())
@@ -88,23 +105,31 @@ def cell_put(key: Tuple, record) -> None:
 
 def init_payload(kind: str, n_words: int, seed: int,
                  build: Callable[[], bytes]) -> bytes:
-    """The initial bytes for a buffer spec, generated once per content."""
+    """The initial bytes for a buffer spec, generated on a cache miss."""
     if not warm_devices_enabled():
         return build()
     key = (kind, n_words, seed)
-    data = _init_bytes.get(key)
+    data = _init_bytes.pop(key, None)
     if data is None:
         _stats["init_misses"] += 1
         data = build()
-        if len(_init_bytes) >= _INIT_LIMIT:
-            _init_bytes.pop(next(iter(_init_bytes)))
-        _init_bytes[key] = data
+        if len(data) > _INIT_BYTES_LIMIT:
+            return data
+        held = _stats["init_bytes"] + len(data)
+        while len(_init_bytes) >= _INIT_LIMIT or held > _INIT_BYTES_LIMIT:
+            held -= len(_init_bytes.pop(next(iter(_init_bytes))))
+            _stats["init_evictions"] += 1
+        _stats["init_bytes"] = held
     else:
         _stats["init_hits"] += 1
+    _init_bytes[key] = data
     return data
 
 
 def warm_memo_stats() -> Dict[str, int]:
+    """Hit/miss counters, ``init_evictions``, ``init_bytes`` (payload
+    bytes the init-bytes cache holds now) and ``cells`` (memoized
+    records)."""
     out = dict(_stats)
     out["cells"] = len(_cells)
     return out

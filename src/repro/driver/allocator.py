@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AllocationError
 from repro.gpu.memory import AddressSpace, PageFlags, PhysicalMemory
@@ -93,7 +93,27 @@ class DeviceAllocator:
             "local": self.regions.local,
             "internal": self.regions.internal,
         }
+        #: Every buffer ever allocated, freed ones included (append-only
+        #: until :meth:`reset`; snapshots capture it by prefix).
         self.allocations: List[Buffer] = []
+        #: page number -> handles of the live buffers overlapping it, so
+        #: ``free`` looks only at the neighbours that can share its pages.
+        self._page_users: Dict[int, Set[int]] = {}
+
+    def _pages(self, buffer: Buffer) -> range:
+        page = self.space.page_size
+        return range(buffer.va // page,
+                     (buffer.va + buffer.padded_size - 1) // page + 1)
+
+    def _occupy(self, buffer: Buffer) -> None:
+        users = self._page_users
+        for pg in self._pages(buffer):
+            users.setdefault(pg, set()).add(buffer.handle)
+
+    def _record(self, buffer: Buffer) -> Buffer:
+        self._occupy(buffer)
+        self.allocations.append(buffer)
+        return buffer
 
     def malloc(self, size: int, *, name: str = "", read_only: bool = False,
                svm: bool = False, region: str = "global") -> Buffer:
@@ -114,10 +134,9 @@ class DeviceAllocator:
         self._cursors[region] = va + padded
         flags = PageFlags(writable=not read_only, accessible=True, svm=svm)
         self.space.map_range(va, padded, flags)
-        buffer = Buffer(va=va, size=size, padded_size=padded, region=region,
-                        name=name, read_only=read_only, svm=svm)
-        self.allocations.append(buffer)
-        return buffer
+        return self._record(Buffer(va=va, size=size, padded_size=padded,
+                                   region=region, name=name,
+                                   read_only=read_only, svm=svm))
 
     def malloc_internal(self, size: int, name: str = "") -> Buffer:
         """Driver-internal allocation on pages normal accesses cannot touch
@@ -128,10 +147,8 @@ class DeviceAllocator:
         self._cursors["internal"] = va + padded
         self.space.map_range(va, padded,
                              PageFlags(writable=False, accessible=False))
-        buffer = Buffer(va=va, size=size, padded_size=padded,
-                        region="internal", name=name)
-        self.allocations.append(buffer)
-        return buffer
+        return self._record(Buffer(va=va, size=size, padded_size=padded,
+                                   region="internal", name=name))
 
     def free(self, buffer: Buffer) -> None:
         """Release an allocation.
@@ -143,15 +160,17 @@ class DeviceAllocator:
             raise AllocationError(f"double free of {buffer.name or buffer.va:#x}")
         buffer.freed = True
         page = self.space.page_size
-        first = buffer.va // page
-        last = (buffer.va + buffer.padded_size - 1) // page
-        for pg in range(first, last + 1):
-            lo, hi = pg * page, (pg + 1) * page
-            shared = any(
-                not b.freed and b.va < hi and lo < b.va + b.padded_size
-                for b in self.allocations if b is not buffer)
-            if not shared and hi <= self._cursors.get(buffer.region, 0):
-                self.space.unmap_range(lo, page - 1)
+        top = self._cursors.get(buffer.region, 0)
+        users = self._page_users
+        for pg in self._pages(buffer):
+            live = users.get(pg)
+            if live:
+                live.discard(buffer.handle)
+                if live:
+                    continue
+                del users[pg]
+            if (pg + 1) * page <= top:
+                self.space.unmap_range(pg * page, page - 1)
 
     def live_buffers(self) -> List[Buffer]:
         return [b for b in self.allocations if not b.freed]
@@ -174,6 +193,17 @@ class DeviceAllocator:
             "internal": self.regions.internal,
         })
         self.allocations.clear()
+        self._page_users.clear()
+
+    def restore_allocations(self, saved: List[Tuple[Buffer, bool]]) -> None:
+        """Re-install an ``allocations`` image of ``(buffer, freed)`` pairs
+        taken from this allocator: a prefix of the current list."""
+        del self.allocations[len(saved):]
+        self._page_users.clear()
+        for buffer, freed in saved:
+            buffer.freed = freed
+            if not freed:
+                self._occupy(buffer)
 
     def cursors_snapshot(self) -> Dict[str, int]:
         return dict(self._cursors)

@@ -166,10 +166,7 @@ class GpuDriver:
             state["mem_counters"]
         self.space.restore_pages(state["pages"])
         self.allocator.restore_cursors(state["cursors"])
-        saved = state["allocations"]
-        del self.allocator.allocations[len(saved):]
-        for buf, freed in saved:
-            buf.freed = freed
+        self.allocator.restore_allocations(state["allocations"])
         self.heap.restore_state(state["heap"])
         self._rng.setstate(state["rng"])
         self._kernel_counter = state["kernel_counter"]

@@ -148,6 +148,10 @@ class ShaderCore:
                                    launch_wgs, cycle, refill)
         finally:
             self.stats.cycles = max(self.stats.cycles, cycle)
+            # An aborted launch leaves workgroups live: their pads go
+            # too, since launch keys are never reused.
+            for key in wg_live:
+                self.pipeline.drop_shared(key)
         return cycle
 
     def _run_loop(self, resident, barrier_count, wg_live, launch_wgs, cycle,
@@ -244,6 +248,7 @@ class ShaderCore:
                 wg_live[key] -= 1
                 if wg_live[key] == 0:
                     del wg_live[key]
+                    self.pipeline.drop_shared(key)
                     launch_wgs[key[0]] -= 1
                     if (launch_wgs[key[0]] == 0 and self.bcu is not None
                             and self.bcu.config.partition_rcache):

@@ -398,6 +398,11 @@ class MemoryPipeline:
             self._shared[key] = pad
         return pad
 
+    def drop_shared(self, key: Tuple[int, int]) -> None:
+        """Forget the ``(launch_key, wg)`` scratchpad once that workgroup's
+        warps have all exited; no later access can reach it."""
+        self._shared.pop(key, None)
+
     def do_shared(self, warp: WarpState, job, request: MemRequest) -> None:
         """Shared memory is on-chip and unprotected (Table 1): offsets wrap
         inside the scratchpad, so intra-workgroup corruption is possible."""

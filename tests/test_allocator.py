@@ -1,6 +1,7 @@
 """Tests for the device allocator (paper §3.1 allocation behaviour)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.driver.allocator import DeviceAllocator, MemoryRegions
 from repro.errors import AllocationError
@@ -99,6 +100,92 @@ class TestFree:
         b = alloc.malloc(64)
         alloc.free(a)
         assert alloc.live_buffers() == [b]
+
+
+def _reference_free(alloc, buffer):
+    """``free`` as a scan of every buffer ever allocated: the reference
+    for the per-page index."""
+    buffer.freed = True
+    page = alloc.space.page_size
+    first = buffer.va // page
+    last = (buffer.va + buffer.padded_size - 1) // page
+    for pg in range(first, last + 1):
+        lo, hi = pg * page, (pg + 1) * page
+        shared = any(
+            not b.freed and b.va < hi and lo < b.va + b.padded_size
+            for b in alloc.allocations if b is not buffer)
+        if not shared and hi <= alloc.cursors_snapshot()[buffer.region]:
+            alloc.space.unmap_range(lo, page - 1)
+
+
+class _CountingList(list):
+    """An ``allocations`` list that counts the buffers iterated over."""
+
+    examined = 0
+
+    def __iter__(self):
+        for buffer in super().__iter__():
+            self.examined += 1
+            yield buffer
+
+
+class TestFreeCost:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(1, 9000),
+                              st.sampled_from(["global", "internal"]),
+                              st.integers(0, 1 << 16)),
+                    max_size=40))
+    def test_unmaps_exactly_like_a_full_scan(self, ops):
+        """Random malloc/free sequences on 4 KiB pages: the mapped pages
+        match an allocator whose ``free`` scans the whole history."""
+        fast, fast_space = make(page_size=4096)
+        ref, ref_space = make(page_size=4096)
+        live = []
+        for is_free, size, region, pick in ops:
+            if is_free and live:
+                index = pick % len(live)
+                fast.free(live[index][0])
+                _reference_free(ref, live.pop(index)[1])
+            elif region == "internal":
+                live.append((fast.malloc_internal(size),
+                             ref.malloc_internal(size)))
+            else:
+                live.append((fast.malloc(size), ref.malloc(size)))
+            assert fast_space.pages_snapshot().keys() \
+                == ref_space.pages_snapshot().keys()
+
+    @pytest.mark.parametrize("history", [100, 2000])
+    def test_free_examines_no_history(self, history):
+        """``free`` never walks the allocation history: after any number
+        of earlier malloc/free pairs it examines no buffer in it."""
+        alloc, space = make()
+        for _ in range(history):
+            alloc.free(alloc.malloc(4096))
+        alloc.allocations = _CountingList(alloc.allocations)
+        a = alloc.malloc(4096)
+        b = alloc.malloc(4096)
+        alloc.free(a)
+        assert alloc.allocations.examined == 0
+        assert space.is_mapped(b.va)
+        assert len(alloc.allocations) == history + 2
+
+    def test_restore_reindexes_live_buffers(self):
+        alloc, space = make(page_size=4096)
+        a = alloc.malloc(4096)
+        saved = [(buf, buf.freed) for buf in alloc.allocations]
+        cursors = alloc.cursors_snapshot()
+        alloc.free(a)
+        b = alloc.malloc(4096)
+        alloc.restore_allocations(saved)
+        alloc.restore_cursors(cursors)
+        assert alloc.live_buffers() == [a]
+        # ``a`` is live again: freeing it unmaps its page; ``b`` is gone
+        # from the image, so freeing it leaves ``a``'s page alone.
+        space.map_range(a.va, 4096)
+        alloc.free(b)
+        assert space.is_mapped(a.va)
+        alloc.free(a)
+        assert not space.is_mapped(a.va)
 
 
 class TestHostCopies:

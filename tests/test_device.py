@@ -12,6 +12,7 @@ import contextlib
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import StatsRegistry
 from repro.core.bcu import BCUConfig
@@ -20,7 +21,8 @@ from repro.core.shield import ShieldConfig
 from repro.device import (GpuDevice, acquire_device, device_cache_stats,
                           device_fingerprint, release_device,
                           reset_device_cache, set_warm_devices,
-                          warm_devices, warm_devices_enabled)
+                          warm_devices, warm_devices_enabled,
+                          warm_memo_stats)
 from repro.device.cache import MAX_IDLE_PER_KEY
 from repro.engine import ENGINES, engine
 from repro.gpu.config import intel_config, nvidia_config
@@ -305,9 +307,7 @@ class TestColdWarmDifferential:
     #: key drops the seed (two cases share a buffer shape).
     CASES = 2
 
-    @pytest.mark.parametrize("eng", ENGINES)
-    def test_campaign_digest_cold_equals_warm(self, eng):
-        from repro.device import warm_memo_stats
+    def _campaign_digests(self, eng):
         from repro.fuzz.campaign import run_campaign
         from repro.fuzz.generator import CaseGenerator
         from repro.fuzz.parallel import campaign_digest
@@ -321,6 +321,23 @@ class TestColdWarmDifferential:
         # The warm leg really reused devices and init bytes.
         assert device_cache_stats()["hits"] > 0
         assert warm_memo_stats()["init_hits"] > 0
+        return digests
+
+    @pytest.mark.parametrize("eng", ENGINES)
+    def test_campaign_digest_cold_equals_warm(self, eng):
+        digests = self._campaign_digests(eng)
+        assert digests[True] == digests[False]
+
+    @pytest.mark.parametrize("eng", ENGINES)
+    def test_campaign_digest_cold_equals_warm_under_eviction(
+            self, eng, monkeypatch):
+        """Under a 1.5 KiB init-bytes bound the campaign's 2.8 KiB of
+        payloads cannot all stay, so the warm leg evicts and regenerates
+        payloads as well as hitting them."""
+        from repro.device import memo
+        monkeypatch.setattr(memo, "_INIT_BYTES_LIMIT", 1536)
+        digests = self._campaign_digests(eng)
+        assert warm_memo_stats()["init_evictions"] > 0
         assert digests[True] == digests[False]
 
     @pytest.mark.parametrize("eng", ENGINES)
@@ -356,6 +373,130 @@ class TestColdWarmDifferential:
         assert warm_memo_stats()["cell_hits"] > 0
         assert device_cache_stats()["hits"] > 0
         assert observed[True] == observed[False]
+
+
+def _payload(size, fill=0):
+    return lambda: bytes([fill]) * size
+
+
+class TestBoundedInitCache:
+    """The init-bytes cache holds at most ``_INIT_BYTES_LIMIT`` payload
+    bytes and ``_INIT_LIMIT`` entries, least recently used out first."""
+
+    @pytest.fixture
+    def small(self, monkeypatch):
+        from repro.device import memo
+        monkeypatch.setattr(memo, "_INIT_BYTES_LIMIT", 100)
+        monkeypatch.setattr(memo, "_INIT_LIMIT", 3)
+        return memo
+
+    def test_hit_refreshes_recency(self, small):
+        small.init_payload("a", 10, 0, _payload(40))
+        small.init_payload("b", 10, 0, _payload(40))
+        small.init_payload("a", 10, 0, lambda: pytest.fail("a was evicted"))
+        # 120 bytes > 100: the least recently used payload, b, goes.
+        small.init_payload("c", 10, 0, _payload(40))
+        assert list(small._init_bytes) == [("a", 10, 0), ("c", 10, 0)]
+        stats = small.warm_memo_stats()
+        assert (stats["init_bytes"], stats["init_evictions"]) == (80, 1)
+
+    def test_entry_bound_still_holds(self, small):
+        for key in "abcd":
+            small.init_payload(key, 1, 0, _payload(4))
+        assert list(small._init_bytes) == [(k, 1, 0) for k in "bcd"]
+        assert small.warm_memo_stats()["init_bytes"] == 12
+
+    def test_oversized_payload_is_not_held(self, small):
+        small.init_payload("a", 1, 0, _payload(40))
+        assert len(small.init_payload("big", 1, 0, _payload(101))) == 101
+        assert list(small._init_bytes) == [("a", 1, 0)]
+        assert small.warm_memo_stats()["init_bytes"] == 40
+
+    def test_clear_zeroes_the_held_count(self, small):
+        small.init_payload("a", 1, 0, _payload(40))
+        small.clear_warm_memo()
+        stats = small.warm_memo_stats()
+        assert stats["init_bytes"] == stats["init_evictions"] == 0
+        assert not small._init_bytes
+
+    #: Payload size per key: the key determines the content, as for the
+    #: harness.  ``f`` alone exceeds the bound below.
+    SIZES = {"a": 10, "b": 30, "c": 45, "d": 60, "e": 5, "f": 101}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(SIZES)), max_size=60))
+    def test_matches_an_lru_model(self, kinds):
+        """Any lookup sequence: the cache keeps exactly what an
+        ``OrderedDict`` LRU under both bounds keeps, in recency order,
+        and the running byte count equals the held payloads' sum."""
+        from collections import OrderedDict
+        from repro.device import memo
+        bytes_bound, entry_bound = 100, 4
+        memo.clear_warm_memo()
+        model: OrderedDict = OrderedDict()
+        hits = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(memo, "_INIT_BYTES_LIMIT", bytes_bound)
+            mp.setattr(memo, "_INIT_LIMIT", entry_bound)
+            for kind in kinds:
+                key = (kind, self.SIZES[kind], 0)
+                want = kind.encode() * self.SIZES[kind]
+                assert memo.init_payload(*key, lambda: want) == want
+                if key in model:
+                    hits += 1
+                    model.move_to_end(key)
+                elif len(want) <= bytes_bound:
+                    model[key] = want
+                    while (len(model) > entry_bound
+                           or sum(map(len, model.values())) > bytes_bound):
+                        model.popitem(last=False)
+                stats = memo.warm_memo_stats()
+                assert list(memo._init_bytes) == list(model)
+                assert stats["init_bytes"] == sum(map(len, model.values()))
+                assert stats["init_bytes"] <= bytes_bound
+                assert len(memo._init_bytes) <= entry_bound
+                assert stats["init_hits"] == hits
+        memo.clear_warm_memo()
+
+    def test_eviction_leaves_sharing_device_intact(self, monkeypatch):
+        """A device whose chunks view a cached payload keeps those bytes
+        after the cache drops the payload, and the regenerated payload
+        is equal (but a new object)."""
+        from repro.analysis.harness import WorkloadRunner
+        from repro.device import memo
+        isolation = TestCopyOnWriteIsolation()
+        words, seed = isolation.WORDS, isolation.SEED
+        original = struct.pack(f"<{words}i", *range(words))
+        with warm_devices(True):
+            runner = WorkloadRunner(isolation._workload(),
+                                    config=nvidia_config(num_cores=1),
+                                    seed=seed)
+            try:
+                payload = memo.init_payload(
+                    "iota", words, seed * 1009,
+                    lambda: pytest.fail("payload was not cached"))
+                shared = isolation._shared(runner, payload)
+                assert shared
+                monkeypatch.setattr(memo, "_INIT_BYTES_LIMIT", 1 << 10)
+                memo.init_payload("other", 1, 0, _payload(1 << 10))
+                assert ("iota", words, seed * 1009) not in memo._init_bytes
+                assert memo.warm_memo_stats()["init_evictions"] == 1
+                assert isolation._shared(runner, payload) == shared
+                buf = runner.buffers["data"]
+                assert runner.session.driver.read(buf) == original
+                monkeypatch.undo()
+                again = memo.init_payload(
+                    "iota", words, seed * 1009,
+                    lambda: _generate(words, seed * 1009))
+                assert again == payload == original
+                assert again is not payload
+            finally:
+                runner.close()
+
+
+def _generate(words, seed):
+    from repro.analysis.harness import _generate_init
+    return _generate_init("iota", words, seed)
 
 
 class TestHarnessSeedPlumbing:
@@ -668,6 +809,69 @@ class TestIdleDeviceIsFresh:
             release_device(again)
         # Signature, key and probe launches simulate on both engines.
         assert all(runs for _r, _v, runs in cold[:3])
+
+
+@pytest.mark.parametrize("eng", ENGINES)
+class TestLaunchCountInvariance:
+    """What a finished launch leaves on a pooled device does not grow
+    with the launch count: N launches and 4N more of a shielded
+    shared-memory kernel leave the same scratchpads, resident memory
+    and per-page allocation index."""
+
+    N = 3
+    WG = 64
+
+    def _kernel(self):
+        from repro.isa.builder import KernelBuilder
+        b = KernelBuilder("shared_bump")
+        src = b.arg_ptr("src", read_only=True)
+        dst = b.arg_ptr("dst")
+        k = b.arg_scalar("k")
+        tid = b.tid()
+        gtid = b.gtid()
+        b.shared_mem(self.WG * 4)
+        b.st_shared(b.mul(tid, 4), b.add(b.ld_idx(src, gtid, dtype="i32"), k),
+                    dtype="i32")
+        b.bar()
+        b.st_idx(dst, gtid, b.ld_shared(b.mul(tid, 4), dtype="i32"),
+                 dtype="i32")
+        return b.build()
+
+    @staticmethod
+    def _footprint(device):
+        return (sum(len(core.pipeline._shared) for core in device.gpu.cores),
+                device.driver.memory.resident_bytes(),
+                len(device.driver.allocator._page_users))
+
+    def test_leftovers_do_not_grow_with_launches(self, eng):
+        n = 4 * self.WG
+        with engine(eng), warm_devices(True), _CoreRuns.spy():
+            device = acquire_device(nvidia_config(num_cores=2),
+                                    ShieldConfig(enabled=True), seed=7)
+            drv = device.driver
+            src, dst = drv.malloc(4 * n), drv.malloc(4 * n)
+            drv.write(src, struct.pack(f"<{n}i", *range(n)))
+            kernel = self._kernel()
+            done = 0
+
+            def launches(count):
+                nonlocal done
+                for _ in range(count):
+                    runs = _CoreRuns.count
+                    # A new ``k`` each launch: every launch simulates.
+                    launch = drv.launch(kernel, {"src": src, "dst": dst,
+                                                 "k": done}, 4, self.WG)
+                    device.gpu.run(launch)
+                    assert drv.finish(launch) == []
+                    assert _CoreRuns.count > runs
+                    assert drv.read(dst) == struct.pack(
+                        f"<{n}i", *(i + done for i in range(n)))
+                    done += 1
+                return self._footprint(device)
+
+            after_n = launches(self.N)
+            assert after_n == launches(4 * self.N)
+            release_device(device)
 
 
 @pytest.mark.parametrize("eng", ENGINES)

@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro import GpuSession, ShieldConfig, nvidia_config
 from repro.core.bcu import BoundsCheckingUnit
 from repro.core.checker import AccessContext, CheckOutcome, RecordingChecker
@@ -247,6 +249,35 @@ class TestCheckerSeam:
         assert ctx.dcache_hit is False
         assert ctx.cycle == 7
         assert ctx.num_lanes == 2
+
+    def test_context_and_outcome_are_immutable(self):
+        ctx = AccessContext(security=None, base_pointer=0, lo=0, hi=3,
+                            is_store=False, space="global")
+        outcome = CheckOutcome(allowed=True, stall_cycles=0)
+        assert (ctx.num_transactions, ctx.dcache_hit, ctx.tlb_miss,
+                ctx.num_lanes, ctx.cycle) == (1, True, False, 1, 0)
+        assert (outcome.check_latency, outcome.violation,
+                outcome.rbt_fill) == (0, None, False)
+        for record, name in ((ctx, "lo"), (outcome, "allowed")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+    def test_software_guard_returns_its_two_verdicts(self):
+        from repro.baselines.swbounds import SoftwareGuardChecker
+        guard = SoftwareGuardChecker({"a": (0x1000, 64)}, guard_cost=3)
+
+        def check(lo, hi):
+            return guard.check(AccessContext(
+                security=None, base_pointer=0x1000, lo=lo, hi=hi,
+                is_store=False, space="global"))
+
+        inside, outside = check(0x1000, 0x103F), check(0x1000, 0x1040)
+        assert inside == CheckOutcome(allowed=True, stall_cycles=3)
+        assert outside == CheckOutcome(allowed=False, stall_cycles=3)
+        assert check(0x1010, 0x1013) is inside
+        assert check(0x0FFF, 0x1000) is outside
+        assert guard.checks == 4
+        assert guard.failures == [(0x1000, 0x1040), (0x0FFF, 0x1000)]
 
 
 class TestCoreDelegation:
