@@ -283,43 +283,6 @@ class StatsRegistry:
     def paths(self) -> List[str]:
         return sorted(self._sources)
 
-    def reset(self) -> None:
-        """Zero every registered counter **without dropping registrations**.
-
-        Components such as :class:`~repro.gpu.fastpath.FastMemoryPipeline`
-        bind stats objects once at construction, so rebuilding the
-        registry (or swapping sources) would silently disconnect them.
-        Reset therefore mutates in place:
-
-        * dict sources keep their identity — existing keys are zeroed;
-        * objects exposing ``reset()`` delegate to it;
-        * other objects have their public numeric attributes zeroed;
-        * callable sources are *views* over live components (the BCU's
-          swap-on-reset stats, the shield log length) and are skipped —
-          resetting the underlying component resets the view.
-
-        Absorbed external snapshots are dropped and the gauge patterns
-        return to the defaults.
-        """
-        for source in self._sources.values():
-            if isinstance(source, Mapping):
-                for key in source:
-                    source[key] = 0   # type: ignore[index]
-            elif callable(source):
-                continue
-            elif callable(getattr(source, "reset", None)):
-                source.reset()   # type: ignore[union-attr]
-            else:
-                for name, value in vars(source).items():
-                    if name.startswith("_") or isinstance(value, bool):
-                        continue
-                    if isinstance(value, int):
-                        setattr(source, name, 0)
-                    elif isinstance(value, float):
-                        setattr(source, name, 0.0)
-        self._absorbed.clear()
-        self._gauges = tuple(DEFAULT_GAUGES)
-
     def merge(self, snapshot: SnapshotLike,
               gauges: Sequence[str] = ()) -> None:
         """Absorb an external snapshot (e.g. shipped from a worker

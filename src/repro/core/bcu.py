@@ -30,6 +30,7 @@ from repro.core.crypto import IdCipher
 from repro.core.pointer import PointerType, decode
 from repro.core.rcache import L1RCache, L2RCache, RCacheEntry
 from repro.core.violations import ReportPolicy, ViolationLog, ViolationRecord
+from repro.utils.stats import Counters
 
 __all__ = ["BCUConfig", "KernelSecurityContext", "BCUStats", "CheckOutcome",
            "BoundsCheckingUnit", "BCUAccessChecker"]
@@ -63,7 +64,7 @@ class KernelSecurityContext:
 
 
 @dataclass
-class BCUStats:
+class BCUStats(Counters):
     """Per-core BCU activity counters."""
 
     mem_instructions: int = 0
@@ -113,14 +114,18 @@ class BoundsCheckingUnit:
         self.l2.flush(kernel_id)
 
     def reset_stats(self) -> None:
-        self.stats = BCUStats()
+        self.stats.reset()
         self.l1.stats.reset()
         self.l2.stats.reset()
 
     def reset(self) -> None:
-        """Full device reset: drop every RCache bank and zero stats."""
-        self.flush()
-        self.reset_stats()
+        """Device reset of the unit itself: its RCaches are parts of
+        their own (``GPU.parts``)."""
+        self.stats.reset()
+
+    def state(self) -> tuple:
+        """Nothing but its RCaches (parts of their own) shapes timing."""
+        return ()
 
     # -- checking ------------------------------------------------------------
 

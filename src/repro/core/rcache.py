@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.bounds import Bounds
 from repro.utils.stats import CacheStats
@@ -105,6 +105,16 @@ class _BaseRCache:
             self._banks.clear()
         else:
             self._banks.pop(kernel_id, None)
+
+    def reset(self) -> None:
+        self._banks.clear()
+        self.stats.reset()
+
+    def state(self) -> List[Tuple[int, list]]:
+        """Each bank's entries in replacement order, banks in creation
+        order."""
+        return [(kernel_id, list(bank.items()))
+                for kernel_id, bank in self._banks.items()]
 
     def __len__(self) -> int:
         return sum(len(bank) for bank in self._banks.values())

@@ -15,25 +15,32 @@ The device's operations:
   device when it is released, and on the next acquisition only
   reseeds it (:meth:`reseed`).
 * :meth:`snapshot` / :meth:`restore` — capture and re-install the
-  *architectural* state (memory, page table, allocations, heap, RNG
-  stream, kernel counter, undrained violations).  Scratch state —
-  caches, TLBs, RCaches, statistics, memo tables — is scrubbed on
-  restore, exactly like the §5.5 context-switch RCache flush: timing
-  structures never survive a context transition.
+  *architectural* state (memory, page table, live buffers, heap, RNG
+  stream, kernel counter, undrained violations).  Timing state — every
+  part in ``GPU.parts`` — is reset on restore, exactly like the §5.5
+  context-switch RCache flush: timing structures never survive a
+  context transition.
 * :meth:`run` / :meth:`run_pair` — execute one launch, or prepared
   §6.2 co-resident launches, and ``finish`` each; per-kernel teardown
   runs through the existing scoped RCache flush (partitioned flush per
   terminating ``kernel_id`` when §6.2 banking is on).
 
-The distinction that makes reset correct is *architectural vs scratch*
-state.  Architectural state defines what software can observe across
-launches (memory bytes, mappings, allocator cursors, the RNG stream
-feeding §5.4's key/ID draws, the kernel counter); scratch state only
-shapes timing (cache/TLB/RCache contents, statistics) or memoizes pure
-recomputation (pointer-decode and BAT caches).  Reset restores the
-former to the construction image and flushes the latter in place — in
-place because the fast engine binds line arrays, the page dict and
-stats objects once at construction and must never see them replaced.
+Device state has three homes, and each kind lives in exactly one:
+
+* **architectural** — what software can observe across launches
+  (memory bytes, mappings, allocator cursors and live buffers, the
+  heap, the RNG stream feeding §5.4's key/ID draws, the kernel
+  counter, undrained violations): the driver snapshot, which
+  :meth:`reset` and :meth:`restore` re-install;
+* **timing** — each part of ``GPU.parts`` (caches, TLBs, RCaches, the
+  DRAM, the BCUs): ``part.state()`` is what shapes later timing and
+  what a relaunch's fixed-point check compares, and ``part.reset()``
+  puts it back to its construction state in place (the fast engine
+  binds line arrays and stats objects once and must never see them
+  replaced), counters included;
+* **per-launch** — shared-memory pads, a launch's freed buffers and
+  its RBT's chunks: dropped when the launch ends, so none of it
+  outlives the launch or grows with the launch count.
 """
 
 from __future__ import annotations
@@ -49,12 +56,7 @@ from repro.isa.program import Kernel
 
 
 class DeviceSnapshot:
-    """Opaque capture of one device's architectural state.
-
-    Snapshots capture :class:`~repro.driver.allocator.Buffer` objects by
-    identity (the allocation list is append-only), so restoring an
-    earlier snapshot invalidates any snapshot taken after it.
-    """
+    """Opaque capture of one device's architectural state."""
 
     __slots__ = ("_driver_state", "_device_id")
 
@@ -101,10 +103,10 @@ class GpuDevice:
     def restore(self, snap: DeviceSnapshot) -> None:
         """Re-install a snapshot's architectural state.
 
-        Scratch state (caches, TLBs, RCaches, stats, memo tables, any
-        checker/tracer the harness attached) is scrubbed rather than
-        restored — the §5.5 context-switch contract — so the device
-        resumes with cold timing structures and exact architecture.
+        Timing state (every part, the stats, any checker/tracer the
+        harness attached) is reset rather than restored — the §5.5
+        context-switch contract — so the device resumes with cold
+        timing structures and exact architecture.
         """
         if snap._device_id != id(self):
             raise ValueError("snapshot belongs to a different device")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.errors import AllocationError
 from repro.gpu.memory import AddressSpace, PageFlags, PhysicalMemory
@@ -93,8 +93,7 @@ class DeviceAllocator:
             "local": self.regions.local,
             "internal": self.regions.internal,
         }
-        #: Every buffer ever allocated, freed ones included (append-only
-        #: until :meth:`reset`; snapshots capture it by prefix).
+        #: The live buffers, in allocation order.
         self.allocations: List[Buffer] = []
         #: page number -> handles of the live buffers overlapping it, so
         #: ``free`` looks only at the neighbours that can share its pages.
@@ -159,6 +158,13 @@ class DeviceAllocator:
         if buffer.freed:
             raise AllocationError(f"double free of {buffer.name or buffer.va:#x}")
         buffer.freed = True
+        # Newest first: launches free their own RBT and locals.  A buffer
+        # allocated after a restored snapshot is in no list.
+        allocations = self.allocations
+        for index in range(len(allocations) - 1, -1, -1):
+            if allocations[index] is buffer:
+                del allocations[index]
+                break
         page = self.space.page_size
         top = self._cursors.get(buffer.region, 0)
         users = self._page_users
@@ -173,7 +179,7 @@ class DeviceAllocator:
                 self.space.unmap_range(pg * page, page - 1)
 
     def live_buffers(self) -> List[Buffer]:
-        return [b for b in self.allocations if not b.freed]
+        return list(self.allocations)
 
     # -- device lifecycle -------------------------------------------------------
 
@@ -195,15 +201,13 @@ class DeviceAllocator:
         self.allocations.clear()
         self._page_users.clear()
 
-    def restore_allocations(self, saved: List[Tuple[Buffer, bool]]) -> None:
-        """Re-install an ``allocations`` image of ``(buffer, freed)`` pairs
-        taken from this allocator: a prefix of the current list."""
-        del self.allocations[len(saved):]
+    def restore_allocations(self, live: List[Buffer]) -> None:
+        """Re-install a snapshot's live buffers whole and re-index them."""
+        self.allocations[:] = live
         self._page_users.clear()
-        for buffer, freed in saved:
-            buffer.freed = freed
-            if not freed:
-                self._occupy(buffer)
+        for buffer in live:
+            buffer.freed = False
+            self._occupy(buffer)
 
     def cursors_snapshot(self) -> Dict[str, int]:
         return dict(self._cursors)

@@ -133,20 +133,18 @@ class GpuDriver:
     def state_snapshot(self) -> dict:
         """Capture the driver-visible architectural state.
 
-        Covers device memory contents, the page table, allocator
-        cursors/allocations, the heap, the RNG stream, the kernel
-        counter and any undrained violation records.  Buffer objects
-        are captured by identity (the allocation list is append-only),
-        so a restore invalidates snapshots taken after it.
+        Covers device memory contents (by reference, see
+        :meth:`~repro.gpu.memory.PhysicalMemory.capture`), the page
+        table, allocator cursors and live buffers, the heap, the RNG
+        stream, the kernel counter and any undrained violation records.
         """
         return {
-            "chunks": self.memory.snapshot_chunks(),
+            "chunks": self.memory.capture(range(0)),
             "mem_counters": (self.memory.bytes_read,
                              self.memory.bytes_written),
             "pages": self.space.pages_snapshot(),
             "cursors": self.allocator.cursors_snapshot(),
-            "allocations": [(buf, buf.freed)
-                            for buf in self.allocator.allocations],
+            "allocations": list(self.allocator.allocations),
             "heap": self.heap.state_snapshot(),
             "rng": self._rng.getstate(),
             "kernel_counter": self._kernel_counter,
@@ -161,7 +159,7 @@ class GpuDriver:
         dropped: it keys on ``id(kernel)``, and a restored driver may
         see recycled ids for different kernel objects.
         """
-        self.memory.restore_chunks(state["chunks"])
+        self.memory.restore(state["chunks"])
         self.memory.bytes_read, self.memory.bytes_written = \
             state["mem_counters"]
         self.space.restore_pages(state["pages"])

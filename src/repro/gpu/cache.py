@@ -3,13 +3,15 @@
 Data itself lives in :class:`~repro.gpu.memory.PhysicalMemory`; caches only
 track which line addresses are resident, which is all the evaluation needs
 (hit/miss latency, bandwidth pressure).  LRU replacement, allocate on both
-reads and writes (write-back write-allocate approximation).
+reads and writes (write-back write-allocate approximation).  A cache is
+a part of ``GPU.parts``: its ``state()`` is each set's lines in LRU
+order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.utils.bitops import is_power_of_two
 from repro.utils.stats import CacheStats
@@ -64,5 +66,11 @@ class Cache:
     def flush(self) -> None:
         self._sets.clear()
 
-    def reset_stats(self) -> None:
+    def reset(self) -> None:
+        self.flush()
         self.stats.reset()
+
+    def state(self) -> List[Tuple[int, ...]]:
+        """Each set's line addresses, least recently used first."""
+        sets = self._sets
+        return [tuple(sets.get(index, ())) for index in range(self.num_sets)]

@@ -35,6 +35,7 @@ from repro.gpu.executor import Executor, MemRequest, WarpState
 from repro.gpu.memory import AddressSpace, PhysicalMemory
 from repro.gpu.pipeline import MemoryPipeline
 from repro.gpu.tlb import Tlb
+from repro.utils.stats import Counters
 
 _FAR_FUTURE = 1 << 60
 
@@ -48,7 +49,7 @@ class CoreJob:
 
 
 @dataclass
-class CoreStats:
+class CoreStats(Counters):
     cycles: int = 0
     instructions: int = 0
     mem_instructions: int = 0
@@ -67,44 +68,11 @@ class ShaderCore:
                  pipeline_cls: Type[MemoryPipeline] = MemoryPipeline):
         self.core_id = core_id
         self.config = config
-        self.memory = memory
-        self.space = space
         self.bcu = bcu
         self.pipeline = pipeline_cls(
             core_id, config, memory, space, l2cache, l2tlb, dram,
             checker=bcu.as_checker() if bcu is not None else None)
         self.stats = CoreStats()
-
-    # The per-core memory structures live in the pipeline; these views
-    # keep the historical attribute paths working (tests, stats wiring).
-
-    @property
-    def l1d(self) -> Cache:
-        return self.pipeline.l1d
-
-    @property
-    def const_cache(self) -> Cache:
-        return self.pipeline.const_cache
-
-    @property
-    def tex_cache(self) -> Cache:
-        return self.pipeline.tex_cache
-
-    @property
-    def l1tlb(self) -> Tlb:
-        return self.pipeline.l1tlb
-
-    @property
-    def l2cache(self) -> Cache:
-        return self.pipeline.l2cache
-
-    @property
-    def l2tlb(self) -> Tlb:
-        return self.pipeline.l2tlb
-
-    @property
-    def dram(self) -> Dram:
-        return self.pipeline.dram
 
     # -- execution ---------------------------------------------------------------------
 

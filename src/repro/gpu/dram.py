@@ -16,21 +16,17 @@ cache-line granularity, the standard layout for GPU memory systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
+
+from repro.utils.stats import Counters
 
 
 @dataclass
-class DramStats:
+class DramStats(Counters):
     requests: int = 0
     row_hits: int = 0
     row_misses: int = 0
     total_queue_cycles: int = 0
-
-    def reset(self) -> None:
-        self.requests = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.total_queue_cycles = 0
 
 
 class Dram:
@@ -89,3 +85,7 @@ class Dram:
         self._open_row.clear()
         self._free_at = [0] * self.channels
         self.stats.reset()
+
+    def state(self) -> Tuple[Dict[int, int], Tuple[int, ...]]:
+        """Each channel's open row and the cycle it is next free."""
+        return dict(self._open_row), tuple(self._free_at)

@@ -75,7 +75,7 @@ import sys
 import weakref
 from functools import reduce
 from itertools import repeat
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bcu import (BCUAccessChecker, BoundsCheckingUnit,
                             KernelSecurityContext)
@@ -153,6 +153,9 @@ class FastCache(Cache):
         # there is no touched-set list to consult instead.
         for s in filter(None, self._lines):
             s.clear()
+
+    def state(self) -> List[Tuple[int, ...]]:
+        return list(map(tuple, self._lines))
 
 
 class FastTlb(FastCache):

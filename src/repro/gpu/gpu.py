@@ -11,9 +11,7 @@ Supports the three execution modes of the evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 from repro.core.shield import GPUShield
 from repro.engine import resolve as resolve_engine
@@ -124,6 +122,7 @@ class GPU:
                        pipeline_cls=pipeline_cls)
             for i in range(config.num_cores)
         ]
+        self.parts = self._build_parts()
         self.observers: Tuple[Observer, ...] = ()
         self.stats = self._build_stats_registry()
         # Steady-state relaunches fast-forward on the fast engine only;
@@ -133,28 +132,40 @@ class GPU:
             from repro.gpu.relaunch import Relaunch
             self.relaunch = Relaunch(self)
 
+    def _build_parts(self) -> Dict[str, object]:
+        """The device's timing state: stats path -> part.
+
+        Every part (a cache, TLB, RCache level, the DRAM or a BCU) has
+        ``stats``, ``reset()`` (back to its post-construction state, in
+        place) and ``state()`` (a comparable value of everything but
+        its stats that shapes later timing), alike on both engines.
+        """
+        parts = {"l2cache": self.l2cache, "l2tlb": self.l2tlb,
+                 "dram": self.dram}
+        for core in self.cores:
+            prefix = f"cores.{core.core_id}"
+            pipeline, bcu = core.pipeline, core.bcu
+            parts[f"{prefix}.l1d"] = pipeline.l1d
+            parts[f"{prefix}.const"] = pipeline.const_cache
+            parts[f"{prefix}.tex"] = pipeline.tex_cache
+            parts[f"{prefix}.l1tlb"] = pipeline.l1tlb
+            if bcu is not None:
+                parts[f"{prefix}.bcu"] = bcu
+                parts[f"{prefix}.rcache.l1"] = bcu.l1
+                parts[f"{prefix}.rcache.l2"] = bcu.l2
+        return parts
+
     def _build_stats_registry(self):
-        """Register every component's counters under one hierarchy."""
+        """Register every part's counters, each core's issue counters
+        and the pending violation count under one hierarchy."""
         # Imported lazily: repro.analysis pulls the harness (and hence
         # this module) back in at package-import time.
         from repro.analysis.stats import StatsRegistry
         registry = StatsRegistry()
-        registry.register("l2cache", self.l2cache.stats)
-        registry.register("l2tlb", self.l2tlb.stats)
-        registry.register("dram", self.dram.stats)
+        for path, part in self.parts.items():
+            registry.register(path, part.stats)
         for core in self.cores:
-            prefix = f"cores.{core.core_id}"
-            registry.register(f"{prefix}.issue", core.stats)
-            registry.register(f"{prefix}.l1d", core.l1d.stats)
-            registry.register(f"{prefix}.const", core.const_cache.stats)
-            registry.register(f"{prefix}.tex", core.tex_cache.stats)
-            registry.register(f"{prefix}.l1tlb", core.l1tlb.stats)
-            if core.bcu is not None:
-                # The BCU swaps its stats object on reset; bind the unit.
-                registry.register(f"{prefix}.bcu",
-                                  lambda b=core.bcu: b.stats)
-                registry.register(f"{prefix}.rcache.l1", core.bcu.l1.stats)
-                registry.register(f"{prefix}.rcache.l2", core.bcu.l2.stats)
+            registry.register(f"cores.{core.core_id}.issue", core.stats)
         if self.shield.enabled:
             registry.register(
                 "shield.log",
@@ -180,26 +191,20 @@ class GPU:
     def reset(self) -> None:
         """Scrub every micro-architectural structure back to cold state.
 
-        Flushes the shared L2/L2TLB, resets DRAM channel timing, resets
-        each core's private pipeline state and BCU (RCache banks, memo
-        tables), re-attaches the default checker (harness tools may have
-        swapped it), detaches every observer, zeroes every registered
-        statistic in place — the registry keeps its registrations so
-        references bound at construction (fast engine) stay live — and
-        drops the relaunch record, so the next launches simulate.
+        Resets every part in place (each zeroes its own counters once;
+        the fast engine binds line arrays and stats objects at
+        construction) and each core's issue counters, re-attaches the
+        default checker (harness tools may have swapped it), detaches
+        every observer and drops the relaunch record, so the next
+        launches simulate.
         """
-        self.l2cache.flush()
-        self.l2tlb.flush()
-        self.dram.reset()
+        for part in self.parts.values():
+            part.reset()
         for core in self.cores:
-            core.pipeline.reset()
-            if core.bcu is not None:
-                core.bcu.reset()
-                core.pipeline.checker = core.bcu.as_checker()
-            else:
-                core.pipeline.checker = None
+            core.stats.reset()
+            core.pipeline.checker = (core.bcu.as_checker()
+                                     if core.bcu is not None else None)
         self.observe()
-        self.stats.reset()
         if self.relaunch is not None:
             self.relaunch.drop()
 
@@ -342,7 +347,7 @@ class GPU:
             mem += stats.mem_instructions
             txs += stats.transactions
             issue_stalls += stats.bcu_stall_cycles
-            l1d = core.l1d.stats
+            l1d = core.pipeline.l1d.stats
             l1d_hits += l1d.hits
             l1d_misses += l1d.misses
             bcu = core.bcu

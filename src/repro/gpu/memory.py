@@ -11,7 +11,9 @@
   so a store never shows anywhere else.  :meth:`PhysicalMemory.capture`
   uses the same rule to image the store by reference: it freezes each
   private chunk into a read-only view of itself, so the image costs no
-  copy and the next store copies only the chunk it hits.
+  copy and the next store copies only the chunk it hits.  It is the one
+  image format: device snapshots and relaunch probes both take it, and
+  :meth:`PhysicalMemory.restore` installs one as it is.
 * :class:`AddressSpace` — the driver-managed page table.  Pages carry
   ``writable`` and ``accessible`` flags; translation faults raise
   :class:`~repro.errors.IllegalAddressError`, modelling the CUDA "illegal
@@ -154,17 +156,6 @@ class PhysicalMemory:
         for index in range(first, (addr + size) >> _CHUNK_BITS):
             chunks.pop(index, None)
 
-    def snapshot_chunks(self) -> Dict[int, bytes]:
-        """Immutable copy of the sparse store for snapshot/restore.
-
-        Every chunk is copied, shared ones too.  A device takes this
-        image of its construction baseline, which holds no chunks, and
-        on every explicit :meth:`GpuDevice.snapshot`; the by-reference
-        image a relaunch probe needs is :meth:`capture`.
-        """
-        return {index: bytes(chunk)
-                for index, chunk in self._chunks.items()}
-
     def capture(self, skip: range) -> Dict[int, Chunk]:
         """The chunks outside ``skip`` (a range of chunk indices), by
         reference.
@@ -211,12 +202,13 @@ class PhysicalMemory:
             seen += 1
         return seen == len(image)
 
-    def restore_chunks(self, chunks: Dict[int, bytes]) -> None:
-        """Re-install a :meth:`snapshot_chunks` image as private chunks
-        (contents only; the caller restores the byte counters)."""
+    def restore(self, image: Dict[int, Chunk]) -> None:
+        """Re-install a :meth:`capture` image, uncopied: its chunks are
+        read-only, so the first store to each copies it and the image
+        never changes (contents only; the caller restores the byte
+        counters)."""
         self._chunks.clear()
-        for index, blob in chunks.items():
-            self._chunks[index] = bytearray(blob)
+        self._chunks.update(image)
 
 
 @dataclass(frozen=True)

@@ -133,20 +133,6 @@ class MemoryPipeline:
         # (launch_key, wg) -> shared-memory scratchpad
         self._shared: Dict[Tuple[int, int], bytearray] = {}
 
-    def reset(self) -> None:
-        """Scrub the per-core scratch state back to post-construction.
-
-        Flushes the private caches/TLB (in place — the fast engine binds
-        their line arrays at construction), zeroes their statistics and
-        drops the shared-memory scratchpads.  The shared L2/L2TLB/DRAM
-        and the checker/observer attachments are the device's to reset.
-        """
-        for component in (self.l1d, self.const_cache, self.tex_cache,
-                          self.l1tlb):
-            component.flush()
-            component.reset_stats()
-        self._shared.clear()
-
     # -- stage 1: address coalescing ---------------------------------------------------
 
     def coalesce(self, request: MemRequest) -> CoalescedAccess:

@@ -56,8 +56,14 @@ series length is a power of two: the probe captures the state, runs,
 and records the launch when it did not abort, added no violation
 record and ended in its start state.  The record holds the counter
 deltas of every stats-registry source and of the memory byte counters,
-the per-core cycles, ``divergent_branches`` and the DRAM channels'
-final ``_free_at``.  ``GPU.reset`` drops the record.
+the per-core cycles and ``divergent_branches``.  ``GPU.reset`` drops
+the record.
+
+**The state.**  Every part's ``state()`` in ``GPU.parts`` order (line
+order of each cache and TLB set, RCache banks, the DRAM's open rows
+and ``_free_at``), the page table and the memory chunks, both outside
+the driver-internal region.  A fixed point ends in its start state, so
+a fast-forward leaves every part as it found it: only counters move.
 """
 
 from __future__ import annotations
@@ -143,7 +149,6 @@ class _Record(NamedTuple):
     bytes_moved: Tuple[int, int]
     per_core: Tuple[int, ...]
     divergent: int
-    free_at: Tuple[int, ...]
 
 
 class Relaunch:
@@ -151,6 +156,7 @@ class Relaunch:
 
     def __init__(self, gpu: GPU):
         self._gpu = gpu
+        self._parts = list(gpu.parts.values())
         driver = gpu.driver
         self._memory = driver.memory
         self._space = driver.space
@@ -229,8 +235,7 @@ class Relaunch:
         self.record = _Record(
             probe, deltas,
             (memory.bytes_read - read, memory.bytes_written - written),
-            tuple(result.per_core_cycles), result.divergent_branches,
-            tuple(gpu.dram._free_at))
+            tuple(result.per_core_cycles), result.divergent_branches)
 
     def _key_of(self, launches) -> Optional[tuple]:
         gpu = self._gpu
@@ -279,25 +284,11 @@ class Relaunch:
     # -- state -------------------------------------------------------------------
 
     def _state(self) -> list:
-        """Every line order, RCache bank and open DRAM row, and the page
-        table outside the internal region (memory goes separately)."""
-        gpu = self._gpu
-        out: list = []
-        for core in gpu.cores:
-            pipeline = core.pipeline
-            for cache in (pipeline.l1d, pipeline.const_cache,
-                          pipeline.tex_cache, pipeline.l1tlb):
-                out.extend(map(tuple, cache._lines))
-            bcu = core.bcu
-            if bcu is not None:
-                for rcache in (bcu.l1, bcu.l2):
-                    out.append([(kernel_id, list(bank.items()))
-                                for kernel_id, bank in rcache._banks.items()])
-        out.extend(map(tuple, gpu.l2cache._lines))
-        out.extend(map(tuple, gpu.l2tlb._lines))
-        out.append(dict(gpu.dram._open_row))
-        out.append(self._space.pages_snapshot(self._skip_pages))
-        return out
+        """Every part's ``state()`` (``GPU.parts``) and the page table
+        outside the internal region (memory goes separately)."""
+        state = [part.state() for part in self._parts]
+        state.append(self._space.pages_snapshot(self._skip_pages))
+        return state
 
     def _counters(self) -> Dict[Tuple[str, str], object]:
         """(path, counter) -> value over every stats-registry source,
@@ -328,7 +319,6 @@ class Relaunch:
             # ShaderCore.run keeps the largest finish cycle.
             if cycles > core.stats.cycles:
                 core.stats.cycles = cycles
-        gpu.dram._free_at = list(record.free_at)
         result = gpu._collect(list(record.per_core), False, "", before)
         result.divergent_branches = record.divergent
         return result

@@ -1,9 +1,9 @@
-"""The hit/miss counters every cache-like structure reports.
+"""The counter dataclasses' base and the cache hit/miss counters.
 
-Caches, TLBs and both RCache levels share this one dataclass, so the
+Caches, TLBs and both RCache levels share :class:`CacheStats`, so the
 stats registry harvests the same two fields (``hits``, ``misses``)
-from each of them.  It lives in a leaf module so that ``repro.gpu``
-and ``repro.core`` import it without a cycle.
+from each of them.  This is a leaf module so that ``repro.gpu`` and
+``repro.core`` import it without a cycle.
 """
 
 from __future__ import annotations
@@ -11,8 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class Counters:
+    """Base of the counter dataclasses (every field has a default)."""
+
+    def reset(self) -> None:
+        """Zero every counter in place: the fast engine and the stats
+        registry hold this object, so it is never replaced."""
+        self.__init__()
+
+
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     hits: int = 0
     misses: int = 0
 
@@ -26,7 +35,3 @@ class CacheStats:
         if self.accesses == 0:
             return 1.0
         return self.hits / self.accesses
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0

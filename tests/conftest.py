@@ -66,6 +66,12 @@ def shielded(tiny_config):
     return GpuSession(tiny_config, shield=ShieldConfig(enabled=True))
 
 
+def memory_bytes(memory):
+    """Every chunk of a ``PhysicalMemory``, by index, as ``bytes``: a
+    copy that later stores leave alone, to compare by value."""
+    return {index: bytes(chunk) for index, chunk in memory._chunks.items()}
+
+
 def build_vecadd():
     """c[i] = a[i] + b[i] with an n-guard (the paper's Figure 3 kernel)."""
     b = KernelBuilder("vecadd")

@@ -94,5 +94,6 @@ class TestTlb:
         tlb.access(1)
         tlb.flush()
         assert not tlb.access(1)
-        tlb.reset_stats()
+        tlb.reset()
         assert tlb.stats.accesses == 0
+        assert tlb.state() == [()]

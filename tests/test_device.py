@@ -9,14 +9,15 @@ for §6.2 co-resident pairs.  The cache tests pin the reuse key
 """
 
 import contextlib
+import copy
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.stats import StatsRegistry
-from repro.core.bcu import BCUConfig
+from repro.core.bcu import BCUConfig, BoundsCheckingUnit
 from repro.core.checker import ALLOW
+from repro.core.rcache import L1RCache, L2RCache
 from repro.core.shield import ShieldConfig
 from repro.device import (GpuDevice, acquire_device, device_cache_stats,
                           device_fingerprint, release_device,
@@ -26,8 +27,10 @@ from repro.device import (GpuDevice, acquire_device, device_cache_stats,
 from repro.device.cache import MAX_IDLE_PER_KEY
 from repro.engine import ENGINES, engine
 from repro.gpu.config import intel_config, nvidia_config
+from repro.gpu.cache import Cache
 from repro.gpu.core import ShaderCore
-from tests.conftest import build_vecadd
+from repro.gpu.dram import Dram
+from tests.conftest import build_vecadd, memory_bytes
 
 N = 64
 
@@ -83,42 +86,6 @@ def _cold_cache():
     reset_device_cache()
     yield
     reset_device_cache()
-
-
-class TestStatsRegistryReset:
-    def test_zeroes_counters_without_dropping_registrations(self):
-        reg = StatsRegistry()
-        counters = reg.counters("x")
-        counters["hits"] = 5
-        reg.reset()
-        assert reg.snapshot().get("x.hits") == 0
-        # The same dict object is still registered: bumps land again.
-        counters["hits"] = 2
-        assert reg.snapshot().get("x.hits") == 2
-
-    def test_delegates_to_a_source_reset_method(self):
-        class Src:
-            def __init__(self):
-                self.hits = 3
-                self.reset_calls = 0
-
-            def reset(self):
-                self.hits = 0
-                self.reset_calls += 1
-
-        src = Src()
-        reg = StatsRegistry()
-        reg.register("l1", src)
-        reg.reset()
-        assert src.reset_calls == 1
-        assert reg.snapshot().get("l1.hits") == 0
-
-    def test_clears_absorbed_worker_snapshots(self):
-        reg = StatsRegistry()
-        reg.merge({"w.jobs": 4})
-        assert reg.snapshot().get("w.jobs") == 4
-        reg.reset()
-        assert "w.jobs" not in reg.snapshot()
 
 
 class TestResetEquivalence:
@@ -542,6 +509,10 @@ def _unobserved(gpu):
                                        for core in gpu.cores)
 
 
+def _part_states(device):
+    return {path: part.state() for path, part in device.gpu.parts.items()}
+
+
 @pytest.mark.parametrize("make_observer",
                          [_tracer, _detector, _profiler],
                          ids=["tracer", "racedetect", "profiler"])
@@ -751,7 +722,7 @@ class TestIdleDeviceIsFresh:
     @staticmethod
     def _observed(device):
         result, violations, _c = _vecadd(device)
-        return (result, violations, device.driver.memory.snapshot_chunks(),
+        return (result, violations, memory_bytes(device.driver.memory),
                 device.stats.snapshot().as_dict())
 
     def test_released_device_holds_only_its_baseline(self, eng, shielded):
@@ -768,6 +739,8 @@ class TestIdleDeviceIsFresh:
             for part in baseline:   # chunks, pages, cursors, heap, rng, ...
                 assert state[part] == baseline[part], part
             assert not any(device.stats.snapshot().as_dict().values())
+            assert _part_states(device) == _part_states(
+                GpuDevice(config, shield=shield, seed=5))
             assert _unobserved(device.gpu)
             relaunch = device.gpu.relaunch
             assert relaunch is None or relaunch.record is None
@@ -811,12 +784,90 @@ class TestIdleDeviceIsFresh:
         assert all(runs for _r, _v, runs in cold[:3])
 
 
+#: Part attributes a launch may change without changing ``state()``:
+#: counters (the stats registry reads them; a reset zeroes them) and the
+#: fast BCU's memos of pure functions (pointer decode, ID decrypt).
+_NOT_TIMING_STATE = {"stats", "_decode_memo", "_decrypt_memo"}
+
+#: The classes whose objects hold timing state.
+_TIMING = (Cache, Dram, L1RCache, L2RCache, BoundsCheckingUnit)
+
+
+def _fields(device):
+    """Every part's attributes by path.  A reference to another part, or
+    to the shield's violation log (architectural: the driver snapshot
+    holds it), stands as its type: it is compared where it is owned."""
+    parts = device.gpu.parts
+    wired = {id(part) for part in parts.values()} | {id(device.shield.log)}
+    return {path: {name: type(value) if id(value) in wired else value
+                   for name, value in vars(part).items()}
+            for path, part in parts.items()}
+
+
+@pytest.mark.parametrize("eng", ENGINES)
+class TestPartsHoldTheTimingState:
+    """``GPU.parts`` is the one table of timing state: it holds every
+    timing structure of the device, a reset puts each attribute of each
+    part back to a fresh device's, and every attribute a launch changes
+    is either in its part's ``state()`` or named in
+    ``_NOT_TIMING_STATE``.  A new attribute or structure fails here
+    until it is placed.  Run on a shielded, partitioned, 2-core device
+    taken through every leak source of ``TestIdleDeviceIsFresh``."""
+
+    def _devices(self):
+        config, shield = TestIdleDeviceIsFresh()._config(shielded=True)
+        return (GpuDevice(config, shield=shield, seed=5),
+                GpuDevice(config, shield=shield, seed=5))
+
+    def test_every_timing_structure_is_a_part(self, eng):
+        with engine(eng):
+            device, _fresh = self._devices()
+        gpu = device.gpu
+        owners = [gpu, *gpu.cores, *(core.pipeline for core in gpu.cores),
+                  *(core.bcu for core in gpu.cores)]
+        found = {id(value) for owner in owners
+                 for value in vars(owner).values()
+                 if isinstance(value, _TIMING)}
+        assert found == {id(part) for part in gpu.parts.values()}
+        assert len(gpu.parts) == 3 + 7 * len(gpu.cores)
+        assert set(gpu.parts) < set(gpu.stats.paths())
+
+    def test_reset_equals_a_fresh_device(self, eng):
+        with engine(eng):
+            device, fresh = self._devices()
+            TestIdleDeviceIsFresh()._dirty(device)
+            assert _fields(device) != _fields(fresh)
+            device.reset()
+        assert _fields(device) == _fields(fresh)
+
+    def test_every_changed_attribute_is_state(self, eng):
+        with engine(eng):
+            device, fresh = self._devices()
+            TestIdleDeviceIsFresh()._dirty(device)
+        dirty, clean = _fields(device), _fields(fresh)
+        checked = set()
+        for path, part in device.gpu.parts.items():
+            for name, value in dirty[path].items():
+                if name in _NOT_TIMING_STATE or value == clean[path][name]:
+                    continue
+                before = part.state()
+                setattr(part, name,
+                        copy.deepcopy(getattr(fresh.gpu.parts[path], name)))
+                try:
+                    assert part.state() != before, f"{path}.{name}"
+                finally:
+                    setattr(part, name, value)
+                checked.add(name)
+        # Cache and TLB lines and open rows at least.
+        assert "_open_row" in checked and checked & {"_sets", "_lines"}
+
+
 @pytest.mark.parametrize("eng", ENGINES)
 class TestLaunchCountInvariance:
     """What a finished launch leaves on a pooled device does not grow
     with the launch count: N launches and 4N more of a shielded
-    shared-memory kernel leave the same scratchpads, resident memory
-    and per-page allocation index."""
+    shared-memory kernel leave the same scratchpads, resident memory,
+    per-page allocation index and live-buffer list."""
 
     N = 3
     WG = 64
@@ -839,9 +890,10 @@ class TestLaunchCountInvariance:
 
     @staticmethod
     def _footprint(device):
+        allocator = device.driver.allocator
         return (sum(len(core.pipeline._shared) for core in device.gpu.cores),
                 device.driver.memory.resident_bytes(),
-                len(device.driver.allocator._page_users))
+                len(allocator._page_users), len(allocator.allocations))
 
     def test_leftovers_do_not_grow_with_launches(self, eng):
         n = 4 * self.WG

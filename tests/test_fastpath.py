@@ -36,6 +36,7 @@ from repro.gpu.fastpath import (
     FastTlb,
 )
 from repro.gpu.tlb import Tlb
+from tests.conftest import memory_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ class TestFastCacheEquivalence:
     def test_reset_stats(self):
         fast = FastCache(16384, 4, 128)
         fast.access(0)
-        fast.reset_stats()
+        fast.stats.reset()
         assert fast.stats.accesses == 0
         assert fast.probe(0)          # residency survives a stats reset
 
@@ -1600,16 +1601,10 @@ def _lane_request(addrs, dtype, is_store, space, values):
 
 
 def _lru_orders(pipe):
-    """Every cache and TLB set's resident lines, least recent first, by
-    set index: ``FastCache`` keeps them in a list of dicts, the
-    reference ``Cache`` in a dict of OrderedDicts."""
-    orders = []
-    for cache in (pipe.l1d, pipe.const_cache, pipe.tex_cache, pipe.l1tlb,
-                  pipe.l2cache, pipe.l2tlb):
-        sets = (enumerate(cache._lines) if isinstance(cache, FastCache)
-                else cache._sets.items())
-        orders.append({index: list(s) for index, s in sets if s})
-    return orders
+    """Every cache and TLB set's resident lines, least recent first."""
+    return [cache.state() for cache in (pipe.l1d, pipe.const_cache,
+                                        pipe.tex_cache, pipe.l1tlb,
+                                        pipe.l2cache, pipe.l2tlb)]
 
 
 def _reg_bits(value):
@@ -1636,7 +1631,7 @@ def _observe(pipe, addrs, dtype, is_store, space, values, cycle=5):
         "outcome": outcome,
         "regs": [_reg_bits(v) for v in warp.regs[0]],
         "lru": _lru_orders(pipe),
-        "memory": memory.snapshot_chunks(),
+        "memory": memory_bytes(memory),
         "bytes": (memory.bytes_read, memory.bytes_written),
         "checked": pipe.checker.contexts,
         "stats": [vars(c.stats) for c in (
@@ -2086,7 +2081,7 @@ def _agu_state(fast, case):
         "outcome": outcome,
         "regs": [[_reg_bits(v) for v in reg] for reg in warp.regs],
         "lru": _lru_orders(pipe),
-        "memory": memory.snapshot_chunks(),
+        "memory": memory_bytes(memory),
         "bytes": (memory.bytes_read, memory.bytes_written),
         "checked": pipe.checker.contexts,
         "stats": [vars(c.stats) for c in (
@@ -2268,9 +2263,11 @@ class TestGatherSequences:
             if reset:
                 # A device reset between requests flushes the per-core
                 # TLB and caches, so no page is recent any more.
-                ref.reset()
-                fast.reset()
-            before = ref.memory.snapshot_chunks()
+                for pipe in (ref, fast):
+                    for cache in (pipe.l1d, pipe.const_cache,
+                                  pipe.tex_cache, pipe.l1tlb):
+                        cache.reset()
+            before = memory_bytes(ref.memory)
             want = _observe(ref, addrs, dtype, is_store, space, values,
                             cycle=5 + 400 * i)
             got = _observe(fast, addrs, dtype, is_store, space, values,
@@ -2289,7 +2286,7 @@ class TestGatherSequences:
         addrs = [_EDGE + (i * 37 % 32) * 8 for i in range(31)]
         addrs.append(_EDGE + page * _PAGE + 2 * _LINE + 4)
         ref, fast = _gather_pipelines(32, 9)
-        before = ref.memory.snapshot_chunks()
+        before = memory_bytes(ref.memory)
         want = _observe(ref, addrs, "i32", page == 3, "global", [7] * 32)
         assert want["outcome"][0] is KernelAborted
         assert error in want["outcome"][1]

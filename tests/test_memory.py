@@ -162,18 +162,18 @@ class TestCopyOnWrite:
                 assert mem.read(addr, size) == flat[addr:addr + size]
                 counters[0] += size
             elif kind == "snapshot":
-                snaps.append((mem.snapshot_chunks(), bytes(flat),
+                snaps.append((mem.capture(range(0)), bytes(flat),
                               (mem.bytes_read, mem.bytes_written)))
             elif snaps:
                 image, saved, saved_counters = snaps[op[1] % len(snaps)]
-                mem.restore_chunks(image)
+                mem.restore(image)
                 mem.bytes_read, mem.bytes_written = saved_counters
                 flat[:] = saved
                 counters = list(saved_counters)
             assert (mem.bytes_read, mem.bytes_written) == tuple(counters)
         assert mem.read(0, self.SPAN) == flat
         for image, saved, _counters in snaps:   # snapshots never change
-            mem.restore_chunks(image)
+            mem.restore(image)
             assert mem.read(0, self.SPAN) == saved
 
 

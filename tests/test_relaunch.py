@@ -5,9 +5,10 @@ replays the recorded outcome instead of simulating.  Every test here
 runs one launch series on a reference (slow) and a fast device in
 lockstep and compares, after every launch, the ``LaunchResult``, the
 violation report, the full stats snapshot, the memory image, the
-memory byte counters and the line order of every cache, TLB set and
-RCache bank.  A spy counts fast-forwards: each series must reach at
-least one, and each disqualifier must force a real run.
+memory byte counters and every part's ``state()`` (``GPU.parts``: the
+line order of every cache and TLB set, the RCache banks, the DRAM's
+open rows and channel clocks).  A spy counts fast-forwards: each series
+must reach at least one, and each disqualifier must force a real run.
 """
 
 import random
@@ -16,18 +17,20 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.harness import run_workload
 from repro.analysis.trace import MemoryTracer
 from repro.baselines.memcheck import MemcheckChecker
 from repro.core.bcu import BCUConfig
 from repro.core.shield import ShieldConfig
-from repro.device import GpuDevice
+from repro.device import GpuDevice, warm_devices
 from repro.engine import engine
 from repro.fuzz.generator import ShieldMutator
 from repro.gpu.config import intel_config, nvidia_config
-from repro.gpu.fastpath import FastCache
 from repro.gpu.relaunch import Relaunch, scalar_names
 from repro.isa.builder import KernelBuilder
 from repro.workloads import templates
+from repro.workloads.suite import get_benchmark
+from tests.conftest import memory_bytes
 
 N = 256
 WG = 64
@@ -48,35 +51,15 @@ def spy(monkeypatch):
     return counts
 
 
-def _sets(cache):
-    """Every set's lines in LRU order, on either engine's cache class."""
-    if isinstance(cache, FastCache):
-        return [list(s) for s in cache._lines]
-    return [list(cache._sets.get(i, ())) for i in range(cache.num_sets)]
-
-
-def _banks(rcache):
-    return [(kernel_id, list(bank.items()))
-            for kernel_id, bank in rcache._banks.items()]
-
-
 def _observe(device, result, violations):
     gpu = device.gpu
     memory = device.driver.memory
-    lru = []
-    for core in gpu.cores:
-        pipeline = core.pipeline
-        lru += [_sets(pipeline.l1d), _sets(pipeline.const_cache),
-                _sets(pipeline.tex_cache), _sets(pipeline.l1tlb)]
-        if core.bcu is not None:
-            lru += [_banks(core.bcu.l1), _banks(core.bcu.l2)]
-    lru += [_sets(gpu.l2cache), _sets(gpu.l2tlb),
-            dict(gpu.dram._open_row), list(gpu.dram._free_at)]
     return {"result": result, "violations": violations,
             "stats": gpu.stats.snapshot().as_dict(),
-            "memory": memory.snapshot_chunks(),
+            "memory": memory_bytes(memory),
             "bytes": (memory.bytes_read, memory.bytes_written),
-            "lru": lru}
+            "parts": {path: part.state()
+                      for path, part in gpu.parts.items()}}
 
 
 class Lockstep:
@@ -437,3 +420,21 @@ def test_rbt_chunks_do_not_accumulate(spy):
     lock.series(gather.kernel, gather.args, 4)
     assert memory.resident_bytes() == resident
     assert lock.sides["slow"].driver.memory.resident_bytes() == resident
+
+
+def test_streamcluster_row_census(spy):
+    """The Figure 14 streamcluster row (no shield, then both RCache
+    latency points; 32 launches a cell) fast-forwards 29 launches of
+    every cell.  A ``state()`` that breaks fixed points fails here, not
+    only as a slower bench run."""
+    bench = get_benchmark("streamcluster")
+    replays = []
+    with engine("fast"), warm_devices(False):
+        for latencies in (None, (1, 3), (2, 5)):
+            shield = None if latencies is None else ShieldConfig(
+                bcu=BCUConfig(l1_latency=latencies[0],
+                              l2_latency=latencies[1]))
+            before = spy.replays
+            run_workload(bench.build(scale=1.0), None, shield, seed=11)
+            replays.append(spy.replays - before)
+    assert replays == [29, 29, 29]

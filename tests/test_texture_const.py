@@ -56,12 +56,12 @@ class TestFunctional:
         session, img, coef, out, n = setup()
         session.run(conv_kernel(),
                     {"img": img, "coef": coef, "out": out, "n": n}, 2, 64)
-        tex = sum(c.tex_cache.stats.accesses for c in session.gpu.cores)
-        const = sum(c.const_cache.stats.accesses
-                    for c in session.gpu.cores)
+        pipes = [core.pipeline for core in session.gpu.cores]
+        tex = sum(p.tex_cache.stats.accesses for p in pipes)
+        const = sum(p.const_cache.stats.accesses for p in pipes)
         assert tex > 0 and const > 0
         # L1D only sees the global stores.
-        d_accesses = sum(c.l1d.stats.accesses for c in session.gpu.cores)
+        d_accesses = sum(p.l1d.stats.accesses for p in pipes)
         assert d_accesses < tex + const + d_accesses
 
     def test_regions_distinct(self):
